@@ -15,10 +15,12 @@ descriptors, never as dense data.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import hadamard
 
 from . import rng
 from .rng import RngKey, as_key
@@ -179,15 +181,36 @@ def sample_dense(family: str, d: int, m: int, seed, orientation: str = "wide") -
     return DenseSketchOp(family, d, m, seed, orientation, mat)
 
 
-def _fisher_yates_partial(u: np.ndarray, n: int, k: int) -> np.ndarray:
-    """First k entries of a Fisher-Yates shuffle of range(n) driven by the
-    uniforms ``u`` (one per step): at step t swap position t with
-    ``t + floor(u[t] * (n - t))``."""
-    pool = np.arange(n)
-    for t in range(k):
-        r = t + int(u[t] * (n - t))
-        pool[t], pool[r] = pool[r], pool[t]
-    return pool[:k].copy()
+# Pool entries per chunk of columns in ``_fisher_yates``: bounds its working
+# set whatever n is (a single column's pool of n entries is the floor).
+_FY_POOL_ENTRIES = 1 << 21
+
+
+def _fisher_yates(u: np.ndarray, n: int) -> np.ndarray:
+    """First k entries of a Fisher-Yates shuffle of range(n), one shuffle per
+    column of the (k, m) uniforms ``u``: at step t, column j swaps position t
+    with ``t + floor(u[t, j] * (n - t))``.
+
+    The k steps run across a chunk of columns at once on an (n, chunk) pool,
+    so the cost is O(k*m + n*m) with no Python loop over columns.
+    """
+    k, m = u.shape
+    out = np.empty((k, m), dtype=np.int64)
+    chunk = max(1, min(m, _FY_POOL_ENTRIES // n))
+    for start in range(0, m, chunk):
+        c = min(chunk, m - start)
+        pool = np.empty((n, c), dtype=np.int64)
+        pool[:] = np.arange(n)[:, None]
+        flat = pool.reshape(-1)
+        cols = np.arange(c)
+        for t in range(k):
+            r = t + (u[t, start:start + c] * (n - t)).astype(np.int64)
+            swap = r * c + cols
+            head = flat[t * c:(t + 1) * c].copy()
+            flat[t * c:(t + 1) * c] = flat[swap]
+            flat[swap] = head
+        out[:, start:start + c] = pool[:k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,7 +221,8 @@ class SASO(_OperatorBase):
     Wide by construction (d <= m, columns are the short axis); use ``.T``
     for the tall dual.  Column j draws its 2k uniforms at counters
     ``[2kj, 2kj + 2k)``: the first k drive the index choice, the rest the
-    signs.
+    signs.  All of them are drawn once, at sampling, where the CSC matrix
+    is built; ``matrix()``, ``apply`` and ``.T`` reuse it.
 
     Caveat: applying a SASO reads only the entries its sparsity pattern
     touches, so a NaN or Inf in an untouched entry of the data does not
@@ -211,31 +235,10 @@ class SASO(_OperatorBase):
     seed: RngKey
     method: str
     rows: np.ndarray = field(repr=False, compare=False)  # (k, m) row indices
-    layout: str = "csc"
+    _mat: sp.csc_array = field(repr=False, compare=False)
 
     def matrix(self, dense: bool = False):
-        S = self._sparse()
-        return S.toarray() if dense else S
-
-    def _values(self) -> np.ndarray:
-        u = rng.uniform_grid(self.seed, 2 * self.k, self.m)[self.k:, :]
-        return np.where(u < 0.5, -1.0, 1.0) / np.sqrt(self.k)
-
-    def _sparse(self):
-        vals = self._values()
-        indptr = np.arange(0, self.k * (self.m + 1), self.k)
-        S = sp.csc_array(
-            (vals.ravel(order="F"), self.rows.ravel(order="F"), indptr),
-            shape=(self.d, self.m),
-        )
-        return S.tocsr() if self.layout == "csr" else S
-
-    def _apply_left(self, A):
-        # NaN/Inf in rows of A never touched by the pattern do not propagate.
-        return self._sparse() @ A
-
-    def _apply_right(self, A):
-        return A @ self._sparse()
+        return self._mat.toarray() if dense else self._mat
 
     def nnz_per_column(self) -> np.ndarray:
         return np.array([len(np.unique(self.rows[:, j])) for j in range(self.m)])
@@ -253,8 +256,7 @@ class SASO(_OperatorBase):
         )
 
 
-def sample_saso(d: int, m: int, k: int, seed, method: str = "replacement_free",
-                layout: str = "csc") -> SASO:
+def sample_saso(d: int, m: int, k: int, seed, method: str = "replacement_free") -> SASO:
     """Sample a wide d-by-m SASO with k nonzeros per column.
 
     ``replacement_free`` draws each column's row indices uniformly without
@@ -268,24 +270,22 @@ def sample_saso(d: int, m: int, k: int, seed, method: str = "replacement_free",
         raise ValueError("SASOs are wide (d <= m); use .T for the tall dual")
     if method not in ("replacement_free", "blocked"):
         raise ValueError(f"unknown SASO method {method!r}")
-    u = rng.uniform_grid(seed, 2 * k, m)[:k, :]
-    rows = np.empty((k, m), dtype=np.int64)
+    u = rng.uniform_grid(seed, 2 * k, m)
     if method == "replacement_free":
-        for j in range(m):
-            rows[:, j] = _fisher_yates_partial(u[:, j], d, k)
+        rows = _fisher_yates(u[:k], d)
     else:
         bsize = -(-d // k)  # ceil(d / k)
         starts = np.arange(k) * bsize
         lengths = np.minimum(starts + bsize, d) - starts
         if np.any(lengths <= 0):
             raise ValueError("blocked method needs k blocks of positive size")
-        rows = (starts[:, None] + np.floor(u * lengths[:, None])).astype(np.int64)
-    return SASO(d, m, k, seed, method, rows, layout)
-
-
-def apply_saso(S: SASO, A, side: str = "left") -> np.ndarray:
-    """Multiply by a SASO (or a transposed view of one)."""
-    return S.apply(A, side=side)
+        rows = (starts[:, None] + np.floor(u[:k] * lengths[:, None])).astype(np.int64)
+    vals = np.where(u[k:] < 0.5, -1.0, 1.0) / np.sqrt(k)
+    indptr = np.arange(0, k * (m + 1), k)
+    mat = sp.csc_array(
+        (vals.ravel(order="F"), rows.ravel(order="F"), indptr), shape=(d, m)
+    )
+    return SASO(d, m, k, seed, method, rows, mat)
 
 
 @dataclass(frozen=True)
@@ -355,22 +355,29 @@ def next_pow_two(m: int) -> int:
 
 def fwht(X: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0 (length a power of
-    two), vectorized over remaining axes."""
-    X = np.array(X, dtype=float)
+    two), vectorized over remaining axes; the input is not modified.
+
+    The Sylvester matrix H_n factors as H_{n1} (x) H_{n2} (x) H_{n3} with
+    n1*n2*n3 = n split as evenly as possible, so the transform is three BLAS
+    matmuls against small Hadamard blocks: 2*n*(n1 + n2 + n3) flops per
+    column.
+    """
+    X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if n & (n - 1):
         raise ValueError("fwht length must be a power of two")
-    h = 1
-    shape_rest = X.shape[1:]
-    while h < n:
-        X = X.reshape(n // (2 * h), 2, h, *shape_rest)
-        a = X[:, 0].copy()
-        b = X[:, 1].copy()
-        X[:, 0] = a + b
-        X[:, 1] = a - b
-        X = X.reshape(n, *shape_rest)
-        h *= 2
-    return X
+    if n <= 1:
+        return X.copy()
+    p = n.bit_length() - 1
+    cols = math.prod(X.shape[1:])
+    Y, before = X, 1
+    for i in range(3):
+        f = 1 << (p // 3 + (i < p % 3))
+        if f > 1:
+            after = n // (before * f) * cols
+            Y = np.matmul(hadamard(f, dtype=float), Y.reshape(before, f, after))
+        before *= f
+    return Y.reshape(X.shape)
 
 
 @dataclass(frozen=True)
@@ -380,7 +387,9 @@ class SRFTOp(_OperatorBase):
     Acting on an m-vector x: flip signs, zero-pad to the next power of two
     m_pad, apply the orthonormal Walsh-Hadamard transform, keep d distinct
     coordinates, and scale by sqrt(m_pad/d) so the pre-sampling product is
-    orthogonal.  The whole apply is O(m_pad log m_pad) per column.
+    orthogonal.  The transform is three matmuls against Hadamard blocks of
+    order about m_pad^(1/3) (see ``fwht``), so an apply costs about
+    6 * m_pad^(4/3) flops per column, all in BLAS.
     """
 
     d: int
@@ -426,13 +435,8 @@ def sample_srft(d: int, m: int, seed) -> SRFTOp:
     m_pad = next_pow_two(m)
     signs = rng.rademacher_stream(seed, m)
     u = rng.uniform_stream(seed.advance(m), d)
-    coords = _fisher_yates_partial(u, m_pad, d)
+    coords = _fisher_yates(u[:, None], m_pad)[:, 0]
     return SRFTOp(d, m, m_pad, signs, coords, seed)
-
-
-def apply_srft(S: SRFTOp, A, side: str = "left") -> np.ndarray:
-    """Multiply by an SRFT (or a transposed view of one)."""
-    return S.apply(A, side=side)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randla import rng, sketching as sk
 
@@ -134,6 +138,62 @@ def test_saso_validation():
         sk.sample_saso(4, 8, 5, 0)  # k > d
 
 
+@st.composite
+def fisher_yates_cases(draw):
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(1, d))
+    m = draw(st.integers(1, 6))
+    u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                      min_size=k * m, max_size=k * m))
+    pool = draw(st.integers(1, d * m + d))  # from one column per chunk to all
+    return d, k, np.array(u).reshape(k, m), pool
+
+
+@settings(max_examples=200, deadline=None)
+@given(fisher_yates_cases())
+@example((5, 5, np.full((5, 3), 0.7), 64))     # k == d
+@example((9, 1, np.full((1, 4), 0.5), 9))      # k == 1, one column per chunk
+@example((6, 4, np.zeros((4, 2)), 1))          # every step swaps in place
+@example((10, 4, np.full((4, 3), 0.3), 20))    # swaps land in the first k
+def test_vectorized_fisher_yates_matches_oracle_in_order(case):
+    d, k, u, pool = case
+    with mock.patch.object(sk, "_FY_POOL_ENTRIES", pool):
+        rows = sk._fisher_yates(u, d)
+    for j in range(u.shape[1]):
+        assert list(rows[:, j]) == fisher_yates_oracle(u[:, j], d, k)
+
+
+@pytest.mark.parametrize("method", ["replacement_free", "blocked"])
+def test_saso_signs_use_second_half_of_column_counters(method):
+    # column j: indices from counters [2kj, 2kj + k), the sign of the t-th
+    # index from counter 2kj + k + t
+    d, m, k, key = 9, 14, 3, rng.RngKey(31, 5)
+    S = sk.sample_saso(d, m, k, key, method=method)
+    M = S.matrix(dense=True)
+    for j in range(m):
+        u = rng.uniform_stream(key.advance(2 * k * j), 2 * k)
+        if method == "replacement_free":
+            assert list(S.rows[:, j]) == fisher_yates_oracle(u[:k], d, k)
+        expected = np.where(u[k:] < 0.5, -1.0, 1.0) / np.sqrt(k)
+        assert np.array_equal(M[S.rows[:, j], j], expected)
+
+
+def test_saso_apply_draws_no_counters_after_sampling():
+    S = sk.sample_saso(20, 60, 4, 8)
+    A = np.random.default_rng(5).standard_normal((60, 3))
+    expected = (S.apply(A), S.T.apply(A.T, side="right"), S.matrix(dense=True))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("counters drawn after sampling")
+
+    with mock.patch.object(rng, "uniform_stream", no_draws):
+        got = (S.apply(A), S.T.apply(A.T, side="right"), S.matrix(dense=True))
+        S.T.apply(A[:20])
+        S.T.matrix()
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # row samplers
 # ---------------------------------------------------------------------------
@@ -223,6 +283,48 @@ def test_srft_right_apply_adjoint_consistency():
     left = S.T.apply(A.T, side="left")
     right = S.apply(A, side="right")
     assert np.abs(left - right.T).max() < 1e-14
+
+
+def test_srft_signs_and_coords_match_scalar_oracle():
+    d, m, key = 40, 300, rng.RngKey(13, 2)  # m_pad = 512
+    S = sk.sample_srft(d, m, key)
+    u = rng.uniform_stream(key, m + d)
+    assert np.array_equal(S.signs, np.where(u[:m] < 0.5, -1.0, 1.0))
+    assert list(S.coords) == fisher_yates_oracle(u[m:], S.m_pad, d)
+
+
+def _dense_hadamard_oracle(X):
+    n = X.shape[0]
+    H = scipy.linalg.hadamard(n, dtype=np.int8)
+    X2 = X.reshape(n, -1)
+    blocks = [h.astype(float) @ X2 for h in np.array_split(H, -(-n // 256))]
+    return np.vstack(blocks).reshape(X.shape)
+
+
+@pytest.mark.parametrize("p", range(13))
+def test_fwht_matches_dense_hadamard(p):
+    n = 2 ** p
+    r = np.random.default_rng(p)
+    for X in (r.standard_normal(n), r.standard_normal((n, 3, 2))):
+        before = X.copy()
+        out = sk.fwht(X)
+        expected = _dense_hadamard_oracle(X)
+        assert out.shape == X.shape
+        assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
+        assert np.array_equal(X, before)
+        assert not np.shares_memory(out, X)
+
+
+def test_fwht_rejects_non_power_of_two():
+    for shape in ((6,), (12, 2), (3, 1, 1)):
+        with pytest.raises(ValueError):
+            sk.fwht(np.ones(shape))
+
+
+def test_fwht_empty_input():
+    for shape in ((0,), (0, 3)):
+        out = sk.fwht(np.empty(shape))
+        assert out.shape == shape
 
 
 # ---------------------------------------------------------------------------
