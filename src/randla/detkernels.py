@@ -112,6 +112,16 @@ def numerical_rank(s: np.ndarray, shape) -> int:
     return int(np.sum(s > tol))
 
 
+def _qr_rank_deficient(R) -> bool:
+    """Rank rule for the triangular factor of a sketch's QR: some |R_ii| is
+    at or below n * eps times the largest one (or R is empty)."""
+    diag = np.abs(np.diag(R))
+    if diag.size == 0:
+        return True
+    tol = R.shape[1] * np.finfo(float).eps * max(diag.max(), 1e-300)
+    return bool(diag.min() <= tol)
+
+
 # ---------------------------------------------------------------------------
 # LSQR
 # ---------------------------------------------------------------------------
@@ -299,14 +309,16 @@ def _as_apply(A, n):
 # Lanczos tridiagonalization
 # ---------------------------------------------------------------------------
 
-def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full"):
+def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
+                    return_basis: bool = False):
     """s-step Lanczos on a Hermitian operator, started at the unit vector v0.
 
     Returns the tridiagonal coefficients (alpha, beta) of the Jacobi matrix;
     beta has one fewer entry.  Terminates early (shorter output) when an
     off-diagonal drops below 1e-12 times the running norm estimate.
     ``reorth`` is 'full' (keep and re-project against the whole basis) or
-    'none'.
+    'none'.  With ``return_basis`` the Lanczos vectors are returned as a
+    third output, one per column.
     """
     v0 = np.asarray(v0, dtype=float)
     if abs(np.linalg.norm(v0) - 1.0) > 1e-12:
@@ -341,36 +353,14 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full"):
         betas.append(float(beta))
         v_prev = v
         v = w / beta
-        if reorth == "full":
+        if reorth == "full" or return_basis:
             basis.append(v)
         beta_prev = beta
+    if return_basis:
+        return np.array(alphas), np.array(betas), np.column_stack(basis)
     return np.array(alphas), np.array(betas)
 
 
 def lanczos_basis(apply_B, v0, s: int, reorth: str = "full"):
-    """Like lanczos_tridiag but also returns the Lanczos basis (for tests)."""
-    v0 = np.asarray(v0, dtype=float)
-    B = _as_apply(apply_B, v0.size)
-    alphas, betas, vecs = [], [], [v0]
-    v_prev = np.zeros_like(v0)
-    v = v0
-    beta_prev = 0.0
-    for j in range(s):
-        w = B(v)
-        alpha = v @ w
-        w = w - alpha * v - beta_prev * v_prev
-        if reorth == "full":
-            for q in vecs:
-                w -= (q @ w) * q
-        alphas.append(float(alpha))
-        if j == s - 1:
-            break
-        beta = np.linalg.norm(w)
-        if beta <= 1e-12:
-            break
-        betas.append(float(beta))
-        v_prev = v
-        v = w / beta
-        vecs.append(v)
-        beta_prev = beta
-    return np.array(alphas), np.array(betas), np.column_stack(vecs)
+    """lanczos_tridiag that also returns the Lanczos basis (for tests)."""
+    return lanczos_tridiag(apply_B, v0, s, reorth, return_basis=True)

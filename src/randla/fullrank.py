@@ -10,11 +10,9 @@ import numpy as np
 
 from . import detkernels as dk
 from . import sketching
+from .leastsq import DEFAULT_SAMPLING_FACTOR, _sketch_dim
 from .rng import as_key
 
-_EPS = np.finfo(float).eps
-
-DEFAULT_SAMPLING_FACTOR = 4.0
 DEFAULT_SASO_K = 8
 
 
@@ -60,14 +58,13 @@ def rand_chol_qr(A, d: int | None = None, seed=0,
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     if d is None:
-        d = int(min(np.ceil(DEFAULT_SAMPLING_FACTOR * n), m))
+        d = _sketch_dim(n, m, DEFAULT_SAMPLING_FACTOR)
     if not n <= d <= m:
         raise ValueError("need n <= d <= m")
     S = sketching.sample_operator(op_family, d, m, as_key(seed),
                                   saso_k=DEFAULT_SASO_K)
     _, R_sk = dk.qr_econ(S.apply(A))
-    diag = np.abs(np.diag(R_sk))
-    if diag.size == 0 or diag.min() <= n * _EPS * max(diag.max(), 1e-300):
+    if dk._qr_rank_deficient(R_sk):
         raise np.linalg.LinAlgError(
             "sketch lost rank; the matrix looks rank-deficient "
             "(use sap_chol_qrcp)"
@@ -92,16 +89,13 @@ def sap_chol_qrcp(A, d: int | None = None, seed=0,
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     if d is None:
-        d = int(min(np.ceil(DEFAULT_SAMPLING_FACTOR * n), m))
+        d = _sketch_dim(n, m, DEFAULT_SAMPLING_FACTOR)
     if not n <= d <= m:
         raise ValueError("need n <= d <= m")
     S = sketching.sample_operator(op_family, d, m, as_key(seed),
                                   saso_k=DEFAULT_SASO_K)
     _, R_sk, J = dk.qrcp(S.apply(A))
-    diag = np.abs(np.diag(R_sk))
-    if diag.size == 0 or diag[0] == 0.0:
-        return PivotedQR(np.zeros((m, 0)), np.zeros((0, n)), J, 0, R_sk)
-    k = int(np.sum(diag > max(d, n) * _EPS * diag[0]))
+    k = dk.numerical_rank(np.abs(np.diag(R_sk)), (d, n))
     while k > 0:
         A_pre = dk.solve_triangular(
             R_sk[:k, :k], A[:, J[:k]].T, lower=False, trans="T"

@@ -24,8 +24,6 @@ from . import sketching
 from .detkernels import IterativeReport, LinearOperator
 from .rng import as_key
 
-_EPS = np.finfo(float).eps
-
 DEFAULT_SAMPLING_FACTOR = 4.0
 DEFAULT_PRECOND_FAMILY = "saso"
 
@@ -64,14 +62,16 @@ class SaddleSolution:
 class Preconditioner:
     """n-by-k matrix M orthogonalizing the (implicitly augmented) sketch.
 
-    ``aug_left`` holds the left singular vectors of the augmented sketch
-    (the column-orthonormal stack [U D1; V D2]) when built from an SVD.
+    ``aug_left`` is the column-orthonormal left factor of the augmented
+    sketch, [A_sk; sqrt(mu) I] M = aug_left.  It is Q of the Householder QR
+    for the QR form (with mu > 0, [A_sk M; sqrt(mu) M]), U[:, :k] for the
+    SVD form with mu = 0, and [U D1; V D2] with D1 = diag(sigma / sigma_hat),
+    D2 = sqrt(mu) diag(1 / sigma_hat) for the SVD form with mu > 0.
     """
 
     M: np.ndarray
     mu_used: float
-    svd: tuple | None = None  # (U, sigma, V) of the raw sketch
-    aug_left: np.ndarray | None = None
+    aug_left: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -117,6 +117,30 @@ def _lsqr_restarted(op: LinearOperator, rhs: np.ndarray, tol: float,
     return z, IterativeReport(total, converged, history)
 
 
+def _solve_preconditioned(A, b, P: Preconditioner, b_sk, tol, maxit):
+    """LSQR on [A; sqrt(mu) I] M against the right-hand side b, warm-started
+    at the sketched solution aug_left^T b_sk; returns (M z, report).
+
+    For mu > 0, b and b_sk carry the n trailing entries of the identity
+    block, which is applied implicitly.
+    """
+    m = A.shape[0]
+    M, root_mu = P.M, np.sqrt(P.mu_used)
+    if root_mu:
+        def apply(v):
+            w = M @ v
+            return np.concatenate([A @ w, root_mu * w])
+
+        precond = LinearOperator(
+            m + M.shape[0], P.rank, apply,
+            lambda u: M.T @ (A.T @ u[:m] + root_mu * u[m:]))
+    else:
+        precond = LinearOperator(m, P.rank, lambda v: A @ (M @ v),
+                                 lambda u: M.T @ (A.T @ u))
+    z, report = _lsqr_restarted(precond, b, tol, maxit, P.aug_left.T @ b_sk)
+    return M @ z, report
+
+
 def sketch_and_solve_ols(A, b, d: int, seed=0, op_family: str = "gaussian"):
     """Sketch-and-solve for overdetermined least squares: minimize the
     sketched residual ||S(Ax - b)|| directly.
@@ -131,17 +155,12 @@ def sketch_and_solve_ols(A, b, d: int, seed=0, op_family: str = "gaussian"):
     if not n <= d <= m:
         raise ValueError("need n <= d <= m")
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
-    Ab_sk = S.apply(np.column_stack([A, b]))
-    A_sk, b_sk = Ab_sk[:, :n], Ab_sk[:, n]
-    Q, R = dk.qr_econ(A_sk)
-    diag = np.abs(np.diag(R))
-    if diag.min() > n * _EPS * max(diag.max(), 1e-300):
-        x = dk.solve_triangular(R, Q.T @ b_sk)
-    else:
-        U, s, V = dk.svd(A_sk)
-        r = dk.numerical_rank(s, A_sk.shape)
-        x = V[:, :r] @ ((U[:, :r].T @ b_sk) / s[:r])
-    return x, A_sk, b_sk
+    A_sk, b_sk = S.apply(A), S.apply(b)
+    try:
+        P = make_precond_qr(A_sk)
+    except np.linalg.LinAlgError:
+        P = make_precond_svd(A_sk)
+    return P.M @ (P.aug_left.T @ b_sk), A_sk, b_sk
 
 
 def spo1(A, b, tol: float = 1e-12, maxit: int = 100,
@@ -149,9 +168,9 @@ def spo1(A, b, tol: float = 1e-12, maxit: int = 100,
          op_family: str = DEFAULT_PRECOND_FAMILY):
     """Sketch-and-precondition for overdetermined least squares.
 
-    Sketches [A, b], takes an economic QR of the sketch, presolves in the
+    Sketches A and b, takes an economic QR of the sketch, presolves in the
     sketched space, and runs LSQR on A R^{-1} warm-started at the presolve.
-    An exactly singular R falls back to the SVD-preconditioned saddle
+    A numerically singular R falls back to the SVD-preconditioned saddle
     driver with mu = 0.
 
     Returns (x, IterativeReport).
@@ -165,23 +184,14 @@ def spo1(A, b, tol: float = 1e-12, maxit: int = 100,
         return np.zeros(n), IterativeReport(0, True, [])
     d = _sketch_dim(n, m, sampling_factor)
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
-    Ab_sk = S.apply(np.column_stack([A, b]))
-    A_sk, b_sk = Ab_sk[:, :n], Ab_sk[:, n]
-    Q, R = dk.qr_econ(A_sk)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag.min() <= n * _EPS * max(diag.max(), 1e-300):
+    try:
+        P = make_precond_qr(S.apply(A))
+    except np.linalg.LinAlgError:
         sol = sps2(SaddleProblem(A, b, None, 0.0), tol=tol, maxit=maxit,
                    sampling_factor=sampling_factor, seed=seed,
                    op_family=op_family)
         return sol.x, sol.report
-    z0 = Q.T @ b_sk
-    precond = LinearOperator(
-        m, n,
-        lambda v: A @ dk.solve_triangular(R, v),
-        lambda v: dk.solve_triangular(R, A.T @ v, trans="T"),
-    )
-    z, report = _lsqr_restarted(precond, b, tol, maxit, z0)
-    return dk.solve_triangular(R, z), report
+    return _solve_preconditioned(A, b, P, S.apply(b), tol, maxit)
 
 
 def sps2(problem: SaddleProblem, tol: float = 1e-12, maxit: int = 100,
@@ -191,56 +201,26 @@ def sps2(problem: SaddleProblem, tol: float = 1e-12, maxit: int = 100,
     precondition.
 
     Handles mu > 0 by implicit augmentation with sqrt(mu) I, builds an SVD
-    preconditioner from the augmented sketch, shifts b so the linear term
-    vanishes, presolves, and runs LSQR on A_aug M.  For mu = 0 with c
-    outside the row space, c is implicitly projected onto it (the canonical
-    limiting solution is unchanged by that projection).
+    preconditioner for the augmented sketch [S A; sqrt(mu) I], shifts b so
+    the linear term vanishes, presolves, and runs LSQR on [A; sqrt(mu) I] M.
+    For mu = 0 with c outside the row space, c is implicitly projected onto
+    it (the canonical limiting solution is unchanged by that projection).
     """
     A, b, c, mu = problem.A, problem.b, problem.c, problem.mu
     m, n = A.shape
     d = _sketch_dim(n, m, sampling_factor)
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
+    P = make_precond_svd(S.apply(A), mu)
 
-    if mu > 0:
-        A_aug = np.vstack([A, np.sqrt(mu) * np.eye(n)])
-        b_aug = np.concatenate([b, np.zeros(n)])
-
-        def S_apply(M):
-            return np.vstack([S.apply(M[:m]), M[m:]])
-
-        def St_apply(M):
-            return np.vstack([S.T.apply(M[:d]), M[d:]])
-    else:
-        A_aug, b_aug = A, b
-
-        def S_apply(M):
-            return S.apply(M)
-
-        def St_apply(M):
-            return S.T.apply(M)
-
-    A_sk = S_apply(A_aug)
-    U, sig, V = dk.svd(A_sk)
-    r = dk.numerical_rank(sig, A_sk.shape)
-    U, sig, V = U[:, :r], sig[:r], V[:, :r]
-    M = V / sig
-
-    b_mod = b_aug.copy()
+    b_mod = np.concatenate([b, np.zeros(n)]) if mu > 0 else b
     if np.any(c):
-        v_hat = U @ (V.T @ c / sig)
-        b_shift = St_apply(v_hat[:, None])[:, 0]
-        b_mod = b_mod - b_shift
-
-    z0 = U.T @ S_apply(b_mod[:, None])[:, 0]
-    precond = LinearOperator(
-        A_aug.shape[0], r,
-        lambda v: A_aug @ (M @ v),
-        lambda v: M.T @ (A_aug.T @ v),
-    )
-    z, report = _lsqr_restarted(precond, b_mod, tol, maxit, z0)
-    x = M @ z
-    y = b[:m] - A[:m, :] @ x
-    return SaddleSolution(x, y, report)
+        # shift b by a vector whose image under [A; sqrt(mu) I]^T is c
+        # (projected onto the row space)
+        v_hat = P.aug_left @ (P.M.T @ c)
+        b_mod = b_mod - np.concatenate([S.T.apply(v_hat[:d]), v_hat[d:]])
+    b_sk = np.concatenate([S.apply(b_mod[:m]), b_mod[m:]])
+    x, report = _solve_preconditioned(A, b_mod, P, b_sk, tol, maxit)
+    return SaddleSolution(x, b - A @ x, report)
 
 
 def make_precond_qr(A_sk, mu: float = 0.0) -> Preconditioner:
@@ -258,16 +238,16 @@ def make_precond_qr(A_sk, mu: float = 0.0) -> Preconditioner:
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     if mu == 0.0:
-        _, R = dk.qr_econ(A_sk)
-        diag = np.abs(np.diag(R))
-        if diag.size == 0 or diag.min() <= n * _EPS * max(diag.max(), 1e-300):
+        Q, R = dk.qr_econ(A_sk)
+        if dk._qr_rank_deficient(R):
             raise np.linalg.LinAlgError(
                 "sketch is numerically rank-deficient; use make_precond_svd"
             )
     else:
         R = dk.chol(A_sk.T @ A_sk + mu * np.eye(n))
     M = dk.solve_triangular(R, np.eye(n))
-    return Preconditioner(M, mu)
+    aug_left = Q if mu == 0.0 else np.concatenate([A_sk @ M, np.sqrt(mu) * M])
+    return Preconditioner(M, mu, aug_left)
 
 
 def make_precond_svd(A_sk, mu: float = 0.0) -> Preconditioner:
@@ -284,12 +264,10 @@ def make_precond_svd(A_sk, mu: float = 0.0) -> Preconditioner:
     U, sig, V = dk.svd(A_sk)
     if mu == 0.0:
         r = dk.numerical_rank(sig, A_sk.shape)
-        M = V[:, :r] / sig[:r]
-        return Preconditioner(M, 0.0, svd=(U[:, :r], sig[:r], V[:, :r]))
+        return Preconditioner(V[:, :r] / sig[:r], 0.0, U[:, :r])
     sig_hat = np.sqrt(sig ** 2 + mu)
-    M = V / sig_hat
     aug_left = np.vstack([U * (sig / sig_hat), V * (np.sqrt(mu) / sig_hat)])
-    return Preconditioner(M, mu, svd=(U, sig, V), aug_left=aug_left)
+    return Preconditioner(V / sig_hat, mu, aug_left)
 
 
 def limiting_solution(A, b, c):

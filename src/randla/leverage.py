@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detkernels as dk
-from . import lowrank
+from . import leastsq, lowrank
 from . import rng as _rng
 from . import sketching
 from .rng import as_key
@@ -73,17 +73,14 @@ def approx_leverage(A, d1: int, d2: int, seed=0, s2=None) -> LeverageScores:
     if d2 < 1:
         raise ValueError("need d2 >= 1")
     seed = as_key(seed)
-    S1 = sketching.sample_srft(d1, m, seed)
-    A_sk = S1.apply(A)
-    _, sig, V1 = dk.svd(A_sk)
-    r = dk.numerical_rank(sig, A_sk.shape)
+    P = leastsq.make_precond_svd(sketching.sample_srft(d1, m, seed).apply(A))
+    M, r = P.M, P.rank  # M = V1 Sigma1^{-1}, n x r
     if r < n:
         warnings.warn(
             f"stage-one sketch is rank-deficient (rank {r} < {n}); "
             "scores use the truncated pseudoinverse",
             RuntimeWarning,
         )
-    M = V1[:, :r] / sig[:r]  # n x r
     if s2 is None:
         g = _rng.gaussian_stream(seed.substream(1), n * d2)
         s2 = g.reshape((n, d2), order="F") / np.sqrt(d2)

@@ -474,18 +474,21 @@ def curd1(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
 # norm estimation
 # ---------------------------------------------------------------------------
 
+def _probe_norms(apply_A, n: int, r: int, seed) -> list:
+    """||A z_j|| for r Gaussian probes, z_j drawn at seed.advance(j * stride)."""
+    seed = as_key(seed)
+    A = dk._as_apply(apply_A, n)
+    stride = _rng.gaussian_counters_used(n)
+    return [np.linalg.norm(A(_rng.gaussian_stream(seed.advance(j * stride), n)))
+            for j in range(r)]
+
+
 def spectral_bound(apply_A, n: int, r: int = 10, beta: float = 2.0, seed=0) -> float:
     """Probabilistic spectral-norm bound beta sqrt(2/pi) max_j ||A z_j||
     over r Gaussian probes; valid with probability at least 1 - beta^-r."""
     if r < 1 or beta <= 1:
         raise ValueError("need r >= 1 and beta > 1")
-    seed = as_key(seed)
-    A = dk._as_apply(apply_A, n)
-    best = 0.0
-    stride = _rng.gaussian_counters_used(n)
-    for j in range(r):
-        z = _rng.gaussian_stream(seed.advance(j * stride), n)
-        best = max(best, float(np.linalg.norm(A(z))))
+    best = max(0.0, *_probe_norms(apply_A, n, r, seed))
     return beta * np.sqrt(2.0 / np.pi) * best
 
 
@@ -494,11 +497,7 @@ def frob_estimate(apply_A, n: int, r: int = 10, seed=0) -> float:
     Z an n-by-r Gaussian probe matrix."""
     if r < 1:
         raise ValueError("need r >= 1")
-    seed = as_key(seed)
-    A = dk._as_apply(apply_A, n)
     total = 0.0
-    stride = _rng.gaussian_counters_used(n)
-    for j in range(r):
-        z = _rng.gaussian_stream(seed.advance(j * stride), n)
-        total += float(np.linalg.norm(A(z)) ** 2)
+    for v in _probe_norms(apply_A, n, r, seed):
+        total += float(v ** 2)
     return total / r

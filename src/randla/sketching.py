@@ -8,8 +8,9 @@ transforms built on the Walsh-Hadamard transform.
 All operators are sampled as pure functions of their arguments, including the
 seed, and are immutable afterwards.  Entry (i, j) of a wide dense d-by-m
 operator is drawn at counter ``i + d*j``; tall operators are transpose views
-of wide ones, never separate kernels.  Operators serialize to small JSON
-descriptors, never as dense data.
+of wide ones, never separate kernels.  Dense, SASO and SRFT operators
+serialize to small JSON descriptors, never as dense data; row samplers and
+transposed views have no descriptor.
 """
 
 from __future__ import annotations
@@ -314,16 +315,6 @@ class RowSampleOp(_OperatorBase):
         out = np.zeros((A.shape[0], self.m))
         np.add.at(out, (slice(None), self.indices), A * self.scales[None, :])
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "row_sampler",
-                "d": self.d,
-                "m": self.m,
-                "seed": {"key": self.seed.key, "offset": self.seed.counter_offset},
-            }
-        )
 
 
 def sample_row_sampler(d: int, q, seed) -> RowSampleOp:

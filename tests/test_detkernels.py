@@ -226,3 +226,10 @@ def test_lanczos_full_reorth_orthogonality():
 def test_lanczos_validation():
     with pytest.raises(ValueError):
         dk.lanczos_tridiag(np.eye(3), np.ones(3), 2)  # not unit norm
+
+
+def test_lanczos_basis_validation():
+    with pytest.raises(ValueError):
+        dk.lanczos_basis(np.eye(3), np.ones(3), 2)  # not unit norm
+    with pytest.raises(ValueError):
+        dk.lanczos_basis(np.eye(3), np.eye(3)[0], 0)

@@ -103,6 +103,25 @@ def test_spo1_high_condition():
     assert nres <= 1e-10
 
 
+def test_spo1_rank_deficient_falls_back_to_limiting_solution(monkeypatch):
+    # a rank-deficient sketch cannot give a QR preconditioner; spo1 must
+    # hand the problem to sps2 and return the canonical limiting solution
+    A = make_tall(300, 12, cond=100, rank=9, seed=50)
+    b = np.random.default_rng(51).standard_normal(300)
+    fallbacks = []
+    sps2 = ls.sps2
+
+    def recording_sps2(*args, **kwargs):
+        fallbacks.append(args)
+        return sps2(*args, **kwargs)
+
+    monkeypatch.setattr(ls, "sps2", recording_sps2)
+    x, rep = ls.spo1(A, b, tol=1e-14, maxit=100, seed=52)
+    x0, _ = ls.limiting_solution(A, b, np.zeros(12))
+    assert len(fallbacks) == 1
+    assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
+
+
 def test_spo1_oracle_agreement():
     A = make_tall(500, 15, cond=1e3, seed=16)
     b = np.random.default_rng(17).standard_normal(500)
@@ -142,6 +161,19 @@ def test_sps2_rank_deficient_canonical():
     sol = ls.sps2(ls.SaddleProblem(A, b, c, 0.0), tol=1e-14, maxit=200, seed=25)
     x_oracle = np.linalg.pinv(A.T @ A) @ (A.T @ b - c)
     assert np.linalg.norm(sol.x - x_oracle) <= 1e-8 * np.linalg.norm(x_oracle)
+
+
+def test_sps2_regularized_rank_deficient_with_linear_term():
+    # mu > 0 makes the problem well posed even though A loses rank; the
+    # implicitly augmented sketch must reproduce the dense solve
+    m, n, mu = 250, 12, 0.05
+    r = np.random.default_rng(53)
+    A = make_tall(m, n, cond=50, rank=8, seed=54)
+    b, c = r.standard_normal(m), r.standard_normal(n)
+    sol = ls.sps2(ls.SaddleProblem(A, b, c, mu), tol=1e-14, maxit=200, seed=55)
+    x_star = np.linalg.solve(A.T @ A + mu * np.eye(n), A.T @ b - c)
+    assert np.linalg.norm(sol.x - x_star) <= 1e-10 * np.linalg.norm(x_star)
+    assert np.allclose(sol.y, b - A @ sol.x, rtol=0, atol=1e-12)
 
 
 def test_sps2_dual_feasibility():
