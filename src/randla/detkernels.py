@@ -305,60 +305,110 @@ def _as_apply(A, n):
     return lambda v: A @ v
 
 
+def _apply_block(A, W, square: bool = True):
+    """A(W) for an (n, k) block W, checked to be an (n, k) block (any number
+    of rows, if not ``square``), so an operator written for vectors only
+    fails loudly instead of broadcasting."""
+    out = np.asarray(A(W), dtype=float)
+    if out.ndim != 2 or out.shape[1] != W.shape[1] or (
+            square and out.shape[0] != W.shape[0]):
+        want = f"{W.shape}" if square else f"(?, {W.shape[1]})"
+        raise ValueError(
+            f"operator returned shape {out.shape} for a {W.shape} block; "
+            f"expected {want}: operators must accept (n, k) blocks")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Lanczos tridiagonalization
 # ---------------------------------------------------------------------------
 
 def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
                     return_basis: bool = False):
-    """s-step Lanczos on a Hermitian operator, started at the unit vector v0.
+    """s-step Lanczos on a Hermitian operator, started at the unit vector v0
+    or, for an (n, k) block v0, at each of its unit columns.
 
     Returns the tridiagonal coefficients (alpha, beta) of the Jacobi matrix;
     beta has one fewer entry.  Terminates early (shorter output) when an
     off-diagonal drops below 1e-12 times the running norm estimate.
-    ``reorth`` is 'full' (keep and re-project against the whole basis) or
-    'none'.  With ``return_basis`` the Lanczos vectors are returned as a
-    third output, one per column.
+    ``reorth`` is 'full' (re-project against the whole basis by classical
+    Gram-Schmidt applied twice) or 'none'.  With ``return_basis`` the
+    Lanczos vectors are returned as a third output, one per column.
+
+    A block v0 runs the k recurrences in lockstep with one product B(V) on
+    an (n, k) block per step.  Then alpha is (steps, k) and beta
+    (steps - 1, k) for the number of lockstep steps taken; column j of
+    each holds that start's coefficients, and a column that breaks down is
+    frozen, its later entries NaN (a non-finite coefficient raises, so NaN
+    marks only breakdown).  The basis is then (n, steps, k), zero past a
+    column's breakdown.  A 1-D v0 calls B with 1-D vectors and
+    returns 1-D coefficients and an (n, steps) basis.
     """
     v0 = np.asarray(v0, dtype=float)
-    if abs(np.linalg.norm(v0) - 1.0) > 1e-12:
-        raise ValueError("v0 must be a unit vector")
+    if v0.ndim not in (1, 2):
+        raise ValueError("v0 must be a vector or an (n, k) block")
+    V = v0.reshape(v0.shape[0], -1).T.copy()  # one start per row
+    if np.any(np.abs(np.linalg.norm(V, axis=1) - 1.0) > 1e-12):
+        raise ValueError("v0 must be a unit vector (every column, for a block)")
     if s < 1:
         raise ValueError("need at least one Lanczos step")
     if reorth not in ("full", "none"):
         raise ValueError("reorth must be 'full' or 'none'")
-    B = _as_apply(apply_B, v0.size)
+    k, n = V.shape
+    B = _as_apply(apply_B, n)
+    if v0.ndim == 1:
+        def product(V):
+            return np.asarray(B(V[0]), dtype=float).reshape(1, n)
+    else:
+        def product(V):
+            return np.ascontiguousarray(_apply_block(B, V.T).T)
 
-    alphas: list = []
-    betas: list = []
-    basis = [v0]
-    v_prev = np.zeros_like(v0)
-    v = v0
-    beta_prev = 0.0
-    norm_est = 0.0
+    alphas = np.full((s, k), np.nan)
+    betas = np.full((s - 1, k), np.nan)
+    keep = reorth == "full" or return_basis
+    if keep:
+        basis = np.zeros((k, s, n))
+        basis[:, 0] = V
+    active = np.ones(k, dtype=bool)
+    V_prev = np.zeros_like(V)
+    beta_prev = np.zeros(k)
+    norm_est = np.zeros(k)
+    steps = 0
     for j in range(s):
-        w = B(v)
-        alpha = v @ w
-        w = w - alpha * v - beta_prev * v_prev
+        W = product(V)
+        alpha = np.einsum("ij,ij->i", V, W)
+        W = W - alpha[:, None] * V - beta_prev[:, None] * V_prev
         if reorth == "full":
-            for q in basis:
-                w -= (q @ w) * q
-        alphas.append(float(alpha))
-        norm_est = max(norm_est, np.sqrt(alpha ** 2 + beta_prev ** 2))
+            Q = basis[:, :j + 1]
+            for _ in range(2):
+                W -= np.matmul(Q.transpose(0, 2, 1),
+                               np.matmul(Q, W[:, :, None]))[:, :, 0]
+        if not np.all(np.isfinite(alpha[active])):
+            raise ValueError("Lanczos coefficient is not finite; the operator "
+                             "returned non-finite values")
+        alphas[j, active] = alpha[active]
+        norm_est = np.maximum(norm_est, np.sqrt(alpha ** 2 + beta_prev ** 2))
+        steps = j + 1
         if j == s - 1:
             break
-        beta = np.linalg.norm(w)
-        if beta <= 1e-12 * max(norm_est, 1e-300):
+        beta = np.linalg.norm(W, axis=1)
+        active &= ~(beta <= 1e-12 * np.maximum(norm_est, 1e-300))
+        if not active.any():
             break
-        betas.append(float(beta))
-        v_prev = v
-        v = w / beta
-        if reorth == "full" or return_basis:
-            basis.append(v)
-        beta_prev = beta
-    if return_basis:
-        return np.array(alphas), np.array(betas), np.column_stack(basis)
-    return np.array(alphas), np.array(betas)
+        betas[j, active] = beta[active]
+        beta_prev = np.where(active, beta, 0.0)
+        V_prev = V
+        V = np.zeros_like(W)
+        V[active] = W[active] / beta[active, None]
+        if keep:
+            basis[:, j + 1] = V
+    alphas, betas = alphas[:steps], betas[:steps - 1]
+    if v0.ndim == 1:
+        alphas, betas = alphas[:, 0], betas[:, 0]
+    if not return_basis:
+        return alphas, betas
+    basis = basis[:, :steps].transpose(2, 1, 0)
+    return alphas, betas, basis[:, :, 0] if v0.ndim == 1 else basis
 
 
 def lanczos_basis(apply_B, v0, s: int, reorth: str = "full"):

@@ -48,9 +48,19 @@ def _check_args(B, alpha):
         raise ValueError("alpha must be in (0, 1)")
 
 
-def _resample_indices(key, d: int) -> np.ndarray:
-    u = _rng.uniform_stream(key, d)
-    return np.minimum((u * d).astype(np.int64), d - 1)
+# counters per block draw of resample indices
+_BLOCK_COUNTERS = 1 << 20
+
+
+def _resample_indices(seed, B: int, d: int):
+    """Resample indices of replicates 0, ..., B - 1, in order: replicate ell
+    draws d row indices with replacement from ``seed.substream(ell)``.
+    Replicates are drawn together, in blocks of up to 2^20 counters."""
+    per = max(1, _BLOCK_COUNTERS // d)
+    for start in range(0, B, per):
+        keys = [seed.substream(ell) for ell in range(start, min(start + per, B))]
+        u = _rng.stream_block(keys, d)
+        yield from np.minimum((u * d).astype(np.int64), d - 1).T
 
 
 def vector_distance(u, v, norm: str = "l2") -> float:
@@ -83,8 +93,7 @@ def bootstrap_ls(A_hat, b_hat, x_hat, B: int = 100, alpha: float = 0.1,
     _check_args(B, alpha)
     seed = as_key(seed)
     errors = np.empty(B)
-    for ell in range(B):
-        idx = _resample_indices(seed.substream(ell), d)
+    for ell, idx in enumerate(_resample_indices(seed, B, d)):
         x_rep = np.linalg.lstsq(A_hat[idx], b_hat[idx], rcond=None)[0]
         errors[ell] = vector_distance(x_rep, x_hat, norm)
     return BootstrapResult(empirical_quantile(errors, alpha), alpha, B, errors)
@@ -110,8 +119,7 @@ def bootstrap_svd(A_hat, k: int, B: int = 100, alpha: float = 0.1, seed=0):
     sig_hat, V_hat = sig_hat[:k], V_hat[:, :k]
     err_sig = np.empty(B)
     err_v = np.empty(B)
-    for ell in range(B):
-        idx = _resample_indices(seed.substream(ell), d)
+    for ell, idx in enumerate(_resample_indices(seed, B, d)):
         _, sig_rep, V_rep = dk.svd(A_hat[idx])
         if sig_rep.size < k:
             sig_rep = np.pad(sig_rep, (0, k - sig_rep.size))

@@ -170,8 +170,8 @@ def spo1(A, b, tol: float = 1e-12, maxit: int = 100,
 
     Sketches A and b, takes an economic QR of the sketch, presolves in the
     sketched space, and runs LSQR on A R^{-1} warm-started at the presolve.
-    A numerically singular R falls back to the SVD-preconditioned saddle
-    driver with mu = 0.
+    A numerically singular R falls back to the SVD preconditioner of the
+    same sketch (pseudoinverse semantics, as ``sps2`` with mu = 0).
 
     Returns (x, IterativeReport).
     """
@@ -184,13 +184,11 @@ def spo1(A, b, tol: float = 1e-12, maxit: int = 100,
         return np.zeros(n), IterativeReport(0, True, [])
     d = _sketch_dim(n, m, sampling_factor)
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
+    A_sk = S.apply(A)
     try:
-        P = make_precond_qr(S.apply(A))
+        P = make_precond_qr(A_sk)
     except np.linalg.LinAlgError:
-        sol = sps2(SaddleProblem(A, b, None, 0.0), tol=tol, maxit=maxit,
-                   sampling_factor=sampling_factor, seed=seed,
-                   op_family=op_family)
-        return sol.x, sol.report
+        P = make_precond_svd(A_sk)
     return _solve_preconditioned(A, b, P, S.apply(b), tol, maxit)
 
 

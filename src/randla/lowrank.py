@@ -474,13 +474,15 @@ def curd1(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
 # norm estimation
 # ---------------------------------------------------------------------------
 
-def _probe_norms(apply_A, n: int, r: int, seed) -> list:
-    """||A z_j|| for r Gaussian probes, z_j drawn at seed.advance(j * stride)."""
+def _probe_norms(apply_A, n: int, r: int, seed) -> np.ndarray:
+    """||A z_j|| for r Gaussian probes, z_j drawn at seed.advance(j * stride);
+    A is applied once, to the (n, r) probe block."""
     seed = as_key(seed)
-    A = dk._as_apply(apply_A, n)
     stride = _rng.gaussian_counters_used(n)
-    return [np.linalg.norm(A(_rng.gaussian_stream(seed.advance(j * stride), n)))
-            for j in range(r)]
+    Z = _rng.stream_block([seed.advance(j * stride) for j in range(r)], n,
+                          "gaussian")
+    return np.linalg.norm(dk._apply_block(dk._as_apply(apply_A, n), Z,
+                                          square=False), axis=0)
 
 
 def spectral_bound(apply_A, n: int, r: int = 10, beta: float = 2.0, seed=0) -> float:

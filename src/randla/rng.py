@@ -124,6 +124,14 @@ def _philox(key: int, counters: np.ndarray):
     return x0, x1
 
 
+def _unit_doubles(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from Philox output words: 53 random bits, 27 from
+    the first word and 26 from the second."""
+    hi = (x0 >> np.uint64(5)) << np.uint64(26)
+    lo = x1 >> np.uint64(6)
+    return (hi | lo) * (2.0 ** -53)
+
+
 def _counters(k: RngKey, n: int) -> np.ndarray:
     base = np.arange(n, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -138,11 +146,7 @@ def uniform_stream(k, n: int) -> np.ndarray:
         raise ValueError("stream length must be nonnegative")
     if n == 0:
         return np.empty(0)
-    x0, x1 = _philox(k.key, _counters(k, n))
-    # 53 random bits: 27 from the first word, 26 from the second.
-    hi = (x0 >> np.uint64(5)) << np.uint64(26)
-    lo = x1 >> np.uint64(6)
-    return (hi | lo) * (2.0 ** -53)
+    return _unit_doubles(*_philox(k.key, _counters(k, n)))
 
 
 def gaussian_stream(k, n: int) -> np.ndarray:
@@ -158,22 +162,56 @@ def gaussian_stream(k, n: int) -> np.ndarray:
         raise ValueError("stream length must be nonnegative")
     if n == 0:
         return np.empty(0)
-    npairs = (n + 1) // 2
-    u = uniform_stream(k, 2 * npairs)
-    u1 = np.maximum(u[0::2], _TINY)
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    out = np.empty(2 * npairs)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:n]
+    return _box_muller(uniform_stream(k, gaussian_counters_used(n)))[:n]
 
 
 def rademacher_stream(k, n: int) -> np.ndarray:
     """``n`` independent signs in {-1.0, +1.0} with equal probability."""
     u = uniform_stream(k, n)
     return np.where(u < 0.5, -1.0, 1.0)
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from uniform pairs along the last axis: pair p uses entries
+    2p and 2p + 1, cosine branch first."""
+    u1 = np.maximum(u[..., 0::2], _TINY)
+    theta = 2.0 * np.pi * u[..., 1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty(u.shape)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out
+
+
+def stream_block(keys, n: int, dist: str = "uniform") -> np.ndarray:
+    """An (n, len(keys)) block whose column j is the ``dist`` stream of
+    length n at ``keys[j]``, bitwise equal to ``uniform_stream``,
+    ``gaussian_stream`` or ``rademacher_stream`` called on that key.
+
+    The keys must share one 64-bit key (they differ in counter offset, as
+    substreams and advanced keys of one seed do), so the whole block is one
+    Philox evaluation.  Columns are contiguous in memory.
+    """
+    keys = [as_key(k) for k in keys]
+    if n < 0:
+        raise ValueError("stream length must be nonnegative")
+    if dist not in ("uniform", "gaussian", "rademacher"):
+        raise ValueError(f"unknown stream distribution {dist!r}")
+    if len({k.key for k in keys}) > 1:
+        raise ValueError("a stream block needs keys that share one 64-bit key")
+    if n == 0 or not keys:
+        return np.empty((n, len(keys)))
+    width = gaussian_counters_used(n) if dist == "gaussian" else n
+    offsets = np.array([k.counter_offset for k in keys], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        counters = offsets[:, None] + np.arange(width, dtype=np.uint64)
+    u = _unit_doubles(*_philox(keys[0].key, counters.ravel()))
+    u = u.reshape(len(keys), width)
+    if dist == "gaussian":
+        u = _box_muller(u)[:, :n]
+    elif dist == "rademacher":
+        u = np.where(u < 0.5, -1.0, 1.0)
+    return np.ascontiguousarray(u).T
 
 
 def uniform_grid(k, d: int, m: int) -> np.ndarray:

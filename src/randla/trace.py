@@ -2,8 +2,17 @@
 Hutch++ (deflation + Girard-Hutchinson on the remainder), and stochastic
 Lanczos quadrature for trace(f(B)).
 
-Probes draw per-probe derived seeds, so results do not depend on evaluation
-order or scheduling.
+Probe i is drawn from ``seed.substream(i)``, so every probe is bitwise a
+pure function of ``(seed, i)``.  Operators are applied to blocks: a
+callable (or LinearOperator) receives an (n, k) array and must return an
+(n, k) array, one product per column.  The estimators take probes in fixed
+blocks of ``PROBE_BLOCK`` = 32 consecutive indices, aligned at multiples of
+32 from the first probe index, and apply the operator once per block; the
+last block is filled up with the next probe indices, whose results are
+dropped, so at most 31 extra probes are applied per estimator stage.  The
+alignment keeps each sample a pure function of ``(seed, i)``: a product's
+last bits can depend on the block width, and every sample sees the same
+block whatever the probe count.
 """
 
 from __future__ import annotations
@@ -48,29 +57,55 @@ def _make_estimate(samples) -> TraceEstimate:
     return TraceEstimate(float(samples.mean()), samples, var, m)
 
 
-def _probe(dist: str, key, n: int) -> np.ndarray:
+# probes per operator call; blocks start at multiples of this from the
+# first probe index of an estimator stage
+PROBE_BLOCK = 32
+
+
+def _column_norms(W) -> np.ndarray:
+    """Euclidean norm of each column, computed as for a single vector."""
+    return np.array([np.linalg.norm(w) for w in W.T])
+
+
+def _probes(dist: str, seed, start: int, count: int, n: int) -> np.ndarray:
+    """Probes start, ..., start + count - 1 as an (n, count) block; column j
+    is drawn from ``seed.substream(start + j)``."""
+    if dist not in PROBE_DISTRIBUTIONS:
+        raise ValueError(f"unknown probe distribution {dist!r}")
+    keys = [seed.substream(start + j) for j in range(count)]
     if dist == "rademacher":
-        return _rng.rademacher_stream(key, n)
-    if dist == "gaussian":
-        return _rng.gaussian_stream(key, n)
+        return _rng.stream_block(keys, n, "rademacher")
+    W = _rng.stream_block(keys, n, "gaussian")
     if dist == "sphere":
-        g = _rng.gaussian_stream(key, n)
-        return g * (np.sqrt(n) / np.linalg.norm(g))
-    raise ValueError(f"unknown probe distribution {dist!r}")
+        W *= np.sqrt(n) / _column_norms(W)
+    return W
+
+
+def _probe_blocks(dist: str, seed, first: int, m: int, n: int):
+    """(q, W) for the aligned probe blocks covering probes first, ...,
+    first + m - 1: W holds probes first + q, ..., first + q + PROBE_BLOCK - 1
+    and only its first min(PROBE_BLOCK, m - q) columns count."""
+    for q in range(0, m, PROBE_BLOCK):
+        yield q, _probes(dist, seed, first + q, PROBE_BLOCK, n)
+
+
+def _column_dots(X, Y) -> np.ndarray:
+    return np.einsum("ij,ij->j", X, Y)
 
 
 def girard_hutchinson(apply_A, n: int, m: int, dist: str = "rademacher",
                       seed=0) -> TraceEstimate:
     """Average of m quadratic forms w^T A w over isotropic probes
-    (E[w w^T] = I for every supported distribution)."""
+    (E[w w^T] = I for every supported distribution).  ``apply_A`` receives
+    (n, 32) probe blocks."""
     if m < 1:
         raise ValueError("need at least one probe")
     seed = as_key(seed)
     A = dk._as_apply(apply_A, n)
     samples = np.empty(m)
-    for i in range(m):
-        w = _probe(dist, seed.substream(i), n)
-        samples[i] = w @ A(w)
+    for q, W in _probe_blocks(dist, seed, 0, m, n):
+        samples[q:q + PROBE_BLOCK] = _column_dots(
+            W, dk._apply_block(A, W))[:m - q]
     return _make_estimate(samples)
 
 
@@ -81,7 +116,10 @@ def hutch_pp(apply_A, n: int, m: int, seed=0, dist: str = "rademacher",
 
     The matrix-vector budget m splits as: floor(m * sketch_fraction)
     columns for S, as many again for A Q, and the rest (plus any slack when
-    orth drops columns) as probes.  Requires m >= 6.
+    orth drops columns) as probes.  Requires m >= 6 and at least one probe
+    left after the two sketch stages.  ``apply_A`` receives S and Q as
+    blocks, then the remainder probes in (n, 32) blocks aligned from probe
+    index floor(m * sketch_fraction).
 
     Per-probe samples include the exact deflated part, so value ==
     mean(samples) and the variance reflects only the residual estimator.
@@ -90,26 +128,35 @@ def hutch_pp(apply_A, n: int, m: int, seed=0, dist: str = "rademacher",
         raise ValueError("hutch_pp needs a matrix-vector budget of at least 6")
     if not 0 < sketch_fraction < 1:
         raise ValueError("sketch_fraction must be in (0, 1)")
+    n_sketch = max(1, int(m * sketch_fraction))
+    if m - 2 * n_sketch < 1:
+        raise ValueError(
+            f"hutch_pp budget m={m} with sketch_fraction={sketch_fraction} "
+            f"leaves no probes after the two sketch stages of {n_sketch} "
+            "columns each")
     seed = as_key(seed)
     A = dk._as_apply(apply_A, n)
-    n_sketch = max(1, int(m * sketch_fraction))
 
-    S = np.empty((n, n_sketch))
-    for j in range(n_sketch):
-        S[:, j] = _probe(dist, seed.substream(j), n)
-    AS = np.column_stack([A(S[:, j]) for j in range(n_sketch)])
-    Q = lowrank.orth(AS)
-    AQ = np.column_stack([A(Q[:, j]) for j in range(Q.shape[1])])
-    head = float(np.sum(Q * AQ))  # trace(Q^T A Q)
+    S = _probes(dist, seed, 0, n_sketch, n)
+    Q = lowrank.orth(dk._apply_block(A, S))
+    head = float(np.sum(Q * dk._apply_block(A, Q)))  # trace(Q^T A Q)
 
     n_probes = m - n_sketch - Q.shape[1]
     samples = np.empty(n_probes)
-    for i in range(n_probes):
-        w = _probe(dist, seed.substream(n_sketch + i), n)
-        wd = w - Q @ (Q.T @ w)
-        v = A(wd)
-        samples[i] = wd @ (v - Q @ (Q.T @ v))
+    for q, W in _probe_blocks(dist, seed, n_sketch, n_probes, n):
+        Wd = W - Q @ (Q.T @ W)
+        V = dk._apply_block(A, Wd)
+        samples[q:q + PROBE_BLOCK] = _column_dots(
+            Wd, V - Q @ (Q.T @ V))[:n_probes - q]
     return _make_estimate(head + samples)
+
+
+def _quadrature_rule(alpha, beta, pnorm: float) -> QuadratureRule:
+    if alpha.size == 1:
+        nodes, vecs = alpha.copy(), np.ones((1, 1))
+    else:
+        nodes, vecs = la.eigh_tridiagonal(alpha, beta)
+    return QuadratureRule(nodes, (pnorm ** 2) * vecs[0, :] ** 2)
 
 
 def lanczos_quadrature(apply_B, probe, steps: int,
@@ -122,12 +169,7 @@ def lanczos_quadrature(apply_B, probe, steps: int,
     if pnorm == 0:
         raise ValueError("probe must be nonzero")
     alpha, beta = dk.lanczos_tridiag(apply_B, probe / pnorm, steps, reorth=reorth)
-    if alpha.size == 1:
-        nodes, vecs = alpha.copy(), np.ones((1, 1))
-    else:
-        nodes, vecs = la.eigh_tridiagonal(alpha, beta)
-    weights = (pnorm ** 2) * vecs[0, :] ** 2
-    return QuadratureRule(nodes, weights)
+    return _quadrature_rule(alpha, beta, pnorm)
 
 
 def slq(apply_B, n: int, f, m: int, s: int, seed=0, reorth: str = "full",
@@ -136,21 +178,27 @@ def slq(apply_B, n: int, f, m: int, s: int, seed=0, reorth: str = "full",
 
     Each probe's quadratic form w^T f(B) w is approximated by an s-node
     Gaussian quadrature of its spectral measure (exact for polynomials of
-    degree <= 2s - 1).  A non-finite f value surfaces the offending node.
+    degree <= 2s - 1).  The probes of one (n, 32) block run their Lanczos
+    recurrences in lockstep, so ``apply_B`` receives (n, 32) blocks.  A
+    non-finite f value surfaces the offending node.
     """
     if m < 1 or s < 1:
         raise ValueError("need m >= 1 probes and s >= 1 Lanczos steps")
     seed = as_key(seed)
     samples = np.empty(m)
-    for i in range(m):
-        w = _probe(dist, seed.substream(i), n)
-        rule = lanczos_quadrature(apply_B, w, s, reorth=reorth)
-        with np.errstate(all="ignore"):
-            fvals = np.asarray(f(rule.nodes), dtype=float)
-        if not np.all(np.isfinite(fvals)):
-            bad = rule.nodes[~np.isfinite(fvals)][0]
-            raise ValueError(f"f is not finite at quadrature node {bad}")
-        samples[i] = rule.weights @ fvals
+    for q, W in _probe_blocks(dist, seed, 0, m, n):
+        pnorm = _column_norms(W)
+        alpha, beta = dk.lanczos_tridiag(apply_B, W / pnorm, s, reorth=reorth)
+        for j in range(min(PROBE_BLOCK, m - q)):
+            steps = int(np.sum(~np.isnan(alpha[:, j])))
+            rule = _quadrature_rule(alpha[:steps, j], beta[:steps - 1, j],
+                                    pnorm[j])
+            with np.errstate(all="ignore"):
+                fvals = np.asarray(f(rule.nodes), dtype=float)
+            if not np.all(np.isfinite(fvals)):
+                bad = rule.nodes[~np.isfinite(fvals)][0]
+                raise ValueError(f"f is not finite at quadrature node {bad}")
+            samples[q + j] = rule.weights @ fvals
     return _make_estimate(samples)
 
 

@@ -233,3 +233,79 @@ def test_lanczos_basis_validation():
         dk.lanczos_basis(np.eye(3), np.ones(3), 2)  # not unit norm
     with pytest.raises(ValueError):
         dk.lanczos_basis(np.eye(3), np.eye(3)[0], 0)
+
+
+@pytest.mark.parametrize("reorth", ["full", "none"])
+def test_lanczos_lockstep_matches_single_columns(reorth):
+    # column 1 starts inside a 2-dimensional invariant subspace and breaks
+    # down after two steps, column 2 inside a 1-dimensional one; the others
+    # run all s steps.  Each column matches its own 1-D run.
+    r = np.random.default_rng(13)
+    n, s = 40, 12
+    Q = np.linalg.qr(r.standard_normal((n, n)))[0]
+    B = (Q * np.linspace(1.0, 3.0, n)) @ Q.T
+    V0 = r.standard_normal((n, 4))
+    V0[:, 1] = Q[:, 3] + 2.0 * Q[:, 7]
+    V0[:, 2] = Q[:, 5]
+    V0 /= np.linalg.norm(V0, axis=0)
+    alpha, beta = dk.lanczos_tridiag(B, V0, s, reorth=reorth)
+    assert alpha.shape == (s, 4) and beta.shape == (s - 1, 4)
+    lengths = []
+    for j in range(4):
+        a1, b1 = dk.lanczos_tridiag(B, V0[:, j].copy(), s, reorth=reorth)
+        lengths.append(a1.size)
+        assert np.abs(alpha[:a1.size, j] - a1).max() <= 1e-12
+        assert np.all(np.abs(beta[:b1.size, j] - b1) <= 1e-12)
+        assert np.all(np.isnan(alpha[a1.size:, j]))
+        assert np.all(np.isnan(beta[b1.size:, j]))
+    assert lengths == [s, 2, 1, s]
+
+
+def test_lanczos_lockstep_stops_when_all_columns_break_down():
+    calls = []
+
+    def B(V):
+        calls.append(V.shape)
+        return 2.0 * V
+
+    alpha, beta, basis = dk.lanczos_tridiag(B, np.eye(6)[:, :3], 5,
+                                            return_basis=True)
+    assert calls == [(6, 3)]
+    assert np.array_equal(alpha, [[2.0, 2.0, 2.0]])
+    assert beta.shape == (0, 3)
+    assert np.array_equal(basis[:, 0, :], np.eye(6)[:, :3])
+
+
+def test_lanczos_block_basis_is_orthonormal_per_column():
+    r = np.random.default_rng(14)
+    Q = np.linalg.qr(r.standard_normal((80, 80)))[0]
+    B = (Q * np.logspace(-6, 0, 80)) @ Q.T
+    V0 = r.standard_normal((80, 5))
+    V0 /= np.linalg.norm(V0, axis=0)
+    _, _, basis = dk.lanczos_tridiag(B, V0, 30, return_basis=True)
+    assert basis.shape == (80, 30, 5)
+    for j in range(5):
+        gram = basis[:, :, j].T @ basis[:, :, j]
+        assert np.abs(gram - np.eye(30)).max() <= 1e-10
+
+
+def test_lanczos_vector_start_calls_operator_with_vectors():
+    shapes = []
+
+    def B(v):
+        shapes.append(v.shape)
+        return np.arange(1.0, 5.0) * v
+
+    dk.lanczos_tridiag(B, np.ones(4) / 2.0, 3)
+    assert shapes == [(4,)] * 3
+
+
+def test_lanczos_block_wrong_shape_raises():
+    M = np.diag(np.arange(1.0, 6.0))
+    with pytest.raises(ValueError, match=r"\(n, k\) blocks"):
+        dk.lanczos_tridiag(lambda V: M @ V[:, 0], np.eye(5)[:, :2], 3)
+    with pytest.raises(ValueError, match="unit vector"):
+        dk.lanczos_tridiag(M, np.ones((5, 2)), 3)
+    with pytest.raises(ValueError, match="not finite"):
+        dk.lanczos_tridiag(lambda V: np.full_like(V, np.nan),
+                           np.eye(5)[:, :2], 3)

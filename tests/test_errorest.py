@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randla import errorest as ee
+from randla import errorest as ee, rng
 from randla.rng import RngKey
 
 
@@ -111,3 +111,15 @@ def test_validation():
         ee.bootstrap_ls(A, np.ones(4), x, alpha=1.5)
     with pytest.raises(ValueError):
         ee.bootstrap_svd(np.eye(3), 5)
+
+
+@pytest.mark.parametrize("B, d", [(1, 7), (40, 200), (7, 300_000)])
+def test_resample_indices_match_per_replicate_streams(B, d):
+    # the block draw (in chunks of at most 2^20 counters) gives replicate
+    # ell bitwise the indices of its own stream seed.substream(ell)
+    seed = RngKey(31, 5)
+    got = list(ee._resample_indices(seed, B, d))
+    assert len(got) == B
+    for ell, idx in enumerate(got):
+        u = rng.uniform_stream(seed.substream(ell), d)
+        assert np.array_equal(idx, np.minimum((u * d).astype(np.int64), d - 1))

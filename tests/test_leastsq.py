@@ -103,23 +103,52 @@ def test_spo1_high_condition():
     assert nres <= 1e-10
 
 
-def test_spo1_rank_deficient_falls_back_to_limiting_solution(monkeypatch):
+def test_spo1_rank_deficient_falls_back_to_svd_of_same_sketch(monkeypatch):
     # a rank-deficient sketch cannot give a QR preconditioner; spo1 must
-    # hand the problem to sps2 and return the canonical limiting solution
+    # switch to the SVD preconditioner of the sketch it already took and
+    # return the canonical limiting solution
     A = make_tall(300, 12, cond=100, rank=9, seed=50)
     b = np.random.default_rng(51).standard_normal(300)
-    fallbacks = []
-    sps2 = ls.sps2
+    svd_sketches = []
+    make_svd = ls.make_precond_svd
 
-    def recording_sps2(*args, **kwargs):
-        fallbacks.append(args)
-        return sps2(*args, **kwargs)
+    def recording_svd(A_sk, *args, **kwargs):
+        svd_sketches.append(A_sk)
+        return make_svd(A_sk, *args, **kwargs)
 
-    monkeypatch.setattr(ls, "sps2", recording_sps2)
+    monkeypatch.setattr(ls, "make_precond_svd", recording_svd)
     x, rep = ls.spo1(A, b, tol=1e-14, maxit=100, seed=52)
     x0, _ = ls.limiting_solution(A, b, np.zeros(12))
-    assert len(fallbacks) == 1
+    assert len(svd_sketches) == 1
     assert np.linalg.norm(x - x0) <= 1e-12 * np.linalg.norm(x0)
+
+
+def test_spo1_fallback_samples_and_sketches_once(monkeypatch):
+    # the fallback reuses the sketch: one operator sampled, A sketched once,
+    # and x bitwise equal to solving the same problem with sps2 (mu = 0)
+    A = make_tall(3000, 12, cond=100, rank=9, seed=53)
+    b = np.random.default_rng(54).standard_normal(3000)
+    expected = ls.sps2(ls.SaddleProblem(A, b, None, 0.0), tol=1e-13,
+                       maxit=100, seed=55).x
+    samples, applies_to_A = [], []
+    sample = sketching.sample_operator
+    apply = sketching._OperatorBase.apply
+
+    def recording_sample(*args, **kwargs):
+        samples.append(args)
+        return sample(*args, **kwargs)
+
+    def recording_apply(self, M, *args, **kwargs):
+        if M is A:
+            applies_to_A.append(self)
+        return apply(self, M, *args, **kwargs)
+
+    monkeypatch.setattr(sketching, "sample_operator", recording_sample)
+    monkeypatch.setattr(sketching._OperatorBase, "apply", recording_apply)
+    x, _ = ls.spo1(A, b, tol=1e-13, maxit=100, seed=55)
+    assert len(samples) == 1
+    assert len(applies_to_A) == 1
+    assert np.array_equal(x, expected)
 
 
 def test_spo1_oracle_agreement():

@@ -476,3 +476,24 @@ def test_no_driver_beats_eckart_young():
     ):
         err = np.linalg.norm(A - make(), "fro")
         assert err >= (1 - 1e-8) * opt
+
+
+def test_probe_norms_apply_one_block_of_the_existing_probes():
+    # the r probes keep their counter layout seed.advance(j * stride), are
+    # drawn as one block and meet A (rectangular here) in one call
+    from randla import rng as _rng
+    A = np.random.default_rng(56).standard_normal((30, 50))
+    seed, r = RngKey(10, 7), 6
+    blocks = []
+
+    def apply_A(Z):
+        blocks.append(Z.copy())
+        return A @ Z
+
+    norms = lr._probe_norms(apply_A, 50, r, seed)
+    assert len(blocks) == 1 and blocks[0].shape == (50, r)
+    stride = _rng.gaussian_counters_used(50)
+    for j in range(r):
+        z = _rng.gaussian_stream(seed.advance(j * stride), 50)
+        assert np.array_equal(blocks[0][:, j], z)
+        assert np.isclose(norms[j], np.linalg.norm(A @ z), rtol=1e-14)

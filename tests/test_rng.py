@@ -124,3 +124,32 @@ def test_parse_seed_token():
     assert rng.parse_seed_token("42") == 42
     assert rng.parse_seed_token("0x2A") == 42
     assert rng.parse_seed_token(7) == 7
+
+
+@pytest.mark.parametrize("dist, stream", [
+    ("uniform", rng.uniform_stream),
+    ("gaussian", rng.gaussian_stream),
+    ("rademacher", rng.rademacher_stream)])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 2000, 2001])
+def test_stream_block_columns_match_streams(dist, stream, n):
+    # column j is bitwise the per-stream draw at keys[j], for substreams and
+    # advanced keys alike, odd and even lengths
+    keys = ([KEY.substream(i) for i in (0, 1, 5, 32)]
+            + [KEY.advance(j * 3) for j in range(3)]
+            + [rng.RngKey(KEY.key, 2**64 - 3)])  # wraps around 2^64
+    block = rng.stream_block(keys, n, dist)
+    assert block.shape == (n, len(keys))
+    assert block.flags.f_contiguous
+    for j, k in enumerate(keys):
+        assert np.array_equal(block[:, j], stream(k, n))
+
+
+def test_stream_block_validation():
+    assert rng.stream_block([KEY, KEY.substream(1)], 0).shape == (0, 2)
+    assert rng.stream_block([], 5).shape == (5, 0)
+    with pytest.raises(ValueError):
+        rng.stream_block([KEY], -1)
+    with pytest.raises(ValueError):
+        rng.stream_block([KEY], 4, "sphere")
+    with pytest.raises(ValueError, match="share one"):
+        rng.stream_block([rng.RngKey(1), rng.RngKey(2)], 4)

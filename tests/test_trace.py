@@ -205,3 +205,95 @@ def test_parse_scalar_function():
     assert f(0.5) == 1.0
     with pytest.raises(ValueError):
         tr.parse_scalar_function("tan")
+
+
+# ---------------------------------------------------------------------------
+# block probes
+# ---------------------------------------------------------------------------
+
+class CountingOperator:
+    def __init__(self, M):
+        self.M = M
+        self.shapes = []
+
+    def __call__(self, V):
+        self.shapes.append(V.shape)
+        return self.M @ V
+
+
+def test_probe_columns_match_per_probe_streams():
+    from randla import rng as _rng
+    seed, n = RngKey(40, 3), 33
+    for dist, stream in (("rademacher", _rng.rademacher_stream),
+                         ("gaussian", _rng.gaussian_stream)):
+        W = tr._probes(dist, seed, 5, tr.PROBE_BLOCK, n)
+        for j in range(tr.PROBE_BLOCK):
+            assert np.array_equal(W[:, j], stream(seed.substream(5 + j), n))
+    W = tr._probes("sphere", seed, 5, 3, n)
+    for j in range(3):
+        g = _rng.gaussian_stream(seed.substream(5 + j), n)
+        assert np.array_equal(W[:, j], g * (np.sqrt(n) / np.linalg.norm(g)))
+
+
+@pytest.mark.parametrize("m", [5, 31, 32, 33, 70])
+def test_gh_samples_bitwise_stable_across_block_edges(m):
+    A = random_psd(50, np.linspace(1, 2, 50), seed=41)
+    ref = tr.girard_hutchinson(A, 50, 70, "gaussian", seed=42)
+    est = tr.girard_hutchinson(A, 50, m, "gaussian", seed=42)
+    assert np.array_equal(est.samples, ref.samples[:m])
+
+
+@pytest.mark.parametrize("m", [5, 31, 32, 33, 70])
+def test_slq_samples_bitwise_stable_across_block_edges(m):
+    B = random_psd(50, np.linspace(1, 2, 50), seed=43)
+    ref = tr.slq(B, 50, np.log, 70, 6, seed=44)
+    est = tr.slq(B, 50, np.log, m, 6, seed=44)
+    assert np.array_equal(est.samples, ref.samples[:m])
+
+
+def test_estimators_apply_the_operator_once_per_block():
+    n = 40
+    A = random_psd(n, np.linspace(1, 2, n), seed=45)
+    op = CountingOperator(A)
+    tr.girard_hutchinson(op, n, 70, seed=46)
+    assert op.shapes == [(n, 32)] * 3
+    op = CountingOperator(A)
+    est = tr.hutch_pp(op, n, 60, seed=47)  # S and Q of 20 columns, 20 probes
+    assert est.probes_used == 20
+    assert op.shapes == [(n, 20), (n, 20), (n, 32)]
+    op = CountingOperator(A)
+    tr.slq(op, n, np.log, 40, 5, seed=48)
+    assert op.shapes == [(n, 32)] * 10
+
+
+def test_slq_samples_match_single_probe_quadrature():
+    from randla import rng as _rng
+    B = random_psd(30, np.linspace(0.5, 2, 30), seed=49)
+    est = tr.slq(B, 30, np.log, 3, 8, seed=50)
+    for i in range(3):
+        w = _rng.rademacher_stream(RngKey(50).substream(i), 30)
+        rule = tr.lanczos_quadrature(B, w, 8)
+        assert np.isclose(est.samples[i], rule.weights @ np.log(rule.nodes),
+                          rtol=1e-12)
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda op: tr.girard_hutchinson(op, 6, 4, seed=51),
+    lambda op: tr.hutch_pp(op, 6, 9, seed=52),
+    lambda op: tr.slq(op, 6, np.exp, 4, 3, seed=53)])
+def test_vector_only_operator_raises_clear_error(estimator):
+    M = np.diag(np.arange(1.0, 7.0))
+    with pytest.raises(ValueError, match=r"\(n, k\) blocks"):
+        estimator(lambda v: M @ v[:, 0])
+
+
+@pytest.mark.parametrize("m, fraction", [(10, 0.5), (6, 0.9), (8, 0.5)])
+def test_hutchpp_budget_must_leave_a_probe(m, fraction):
+    with pytest.raises(ValueError, match="leaves no probes"):
+        tr.hutch_pp(np.eye(10), 10, m, seed=54, sketch_fraction=fraction)
+
+
+def test_hutchpp_smallest_budget_with_a_probe():
+    est = tr.hutch_pp(np.eye(10), 10, 7, seed=55, sketch_fraction=0.5)
+    assert est.probes_used == 1
+    assert np.isfinite(est.value)
