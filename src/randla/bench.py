@@ -11,25 +11,106 @@ timings, under any --parallel setting.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import Annotated, Literal, get_args, get_origin
 
 import numpy as np
-import scipy.io
 
 from . import detkernels as dk
 from . import errorest, fullrank, leastsq, leverage, lowrank, sketching, trace
 from . import rng as _rng
 from .rng import RngKey, parse_seed_token
 
-SPECTRA = ("flat", "step", "power", "exp")
-COHERENCE = ("incoherent", "spiked")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
+
+
+def schema(fn) -> dict[str, inspect.Parameter]:
+    """The config schema of ``fn``: its keyword-only parameters, by name."""
+    params = inspect.signature(fn, eval_str=True).parameters.values()
+    return {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def _check_keys(given: dict, accepted, what: str):
+    if not isinstance(given, dict):
+        raise ConfigError(f"{what} must be an object")
+    unknown = [key for key in given if key not in accepted]
+    if unknown:
+        raise ConfigError(f"unknown {what} key {', '.join(map(repr, unknown))}"
+                          f"; accepted: {', '.join(accepted) or 'none'}")
+
+
+def _coerce(value, kind, where: str, hint=inspect.Parameter.empty):
+    """``value`` converted by ``kind`` (a type or a parser); a bool also from
+    0 or 1, an int also from an integral float.  A ``Literal`` hint lists the
+    allowed values; an ``Annotated`` hint's metadata is a parser to pass."""
+    try:
+        if kind is bool and value in (0, 1):
+            return bool(value)
+        if isinstance(value, bool) or (kind in (bool, str)
+                                       and not isinstance(value, kind)):
+            raise TypeError(f"expected {kind.__name__}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not an integer")
+        value = kind(value)
+        if get_origin(hint) is Literal and value not in get_args(hint):
+            raise ValueError(f"choose from {', '.join(get_args(hint))}")
+        if get_origin(hint) is Annotated:
+            hint.__metadata__[0](value)
+        return value
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where}: bad value {value!r} ({err})") from None
+
+
+def _bind(fn, given: dict, what: str) -> dict:
+    """``given`` checked against ``schema(fn)``, each value coerced to the
+    type of its default (int for None: ``fn`` computes it from the problem)."""
+    accepted = schema(fn)
+    _check_keys(given, accepted, f"{what} params")
+    kinds = {name: int if p.default is None else type(p.default)
+             for name, p in accepted.items()}
+    return {name: _coerce(value, kinds[name], f"{what} param {name!r}",
+                          accepted[name].annotation)
+            for name, value in given.items()}
+
+
+def _step(n, *, r=1, gap=10.0):
+    if not 1 <= r <= n:
+        raise ConfigError("step spectrum needs 1 <= r <= min(m, n)")
+    return np.concatenate([np.full(r, gap), np.ones(n - r)])
+
+
+def _spiked(U, *, rows=1, weight=100.0):
+    """Rotate leading left singular vectors toward coordinate axes to
+    implant heavy-leverage rows."""
+    m, r = U.shape
+    if not 1 <= rows <= min(m, r):
+        raise ConfigError("spiked coherence needs 1 <= rows <= min(m, rank)")
+    E = np.zeros((m, r))
+    E[np.arange(rows), np.arange(rows)] = 1.0
+    return np.linalg.qr(U + weight * E)[0]
+
+
+SPECTRA = {"flat": lambda n: np.ones(n),
+           "step": _step,
+           "power": lambda n, *, decay=1.0: np.arange(1, n + 1.0) ** -decay,
+           "exp": lambda n, *, decay=0.1: np.exp(-decay * np.arange(n))}
+COHERENCE = {"incoherent": lambda U: U, "spiked": _spiked}
+
+
+def _kind_object(d: dict, what: str, kinds: dict) -> dict:
+    """``d[what]``: a ``{"kind": name, <field>: value}`` object, or a kind name
+    (by default the first of ``kinds``), checked against ``kinds[name]``."""
+    obj = d.get(what, next(iter(kinds)))
+    obj = obj if isinstance(obj, dict) else {"kind": obj}
+    kind = _coerce(obj.get("kind"), str, f"{what} kind", Literal[tuple(kinds)])
+    given = {k: v for k, v in obj.items() if k != "kind"}
+    return {"kind": kind, **_bind(kinds[kind], given, f"{kind} {what}")}
 
 
 @dataclass(frozen=True)
@@ -46,42 +127,19 @@ class MatrixSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MatrixSpec":
-        if not isinstance(d, dict):
-            raise ConfigError("matrix spec must be an object")
-        for key in ("m", "n"):
-            if key not in d or int(d[key]) < 1:
-                raise ConfigError(f"matrix spec needs a positive '{key}'")
-        spectrum = d.get("spectrum", {"kind": "flat"})
-        if isinstance(spectrum, str):
-            spectrum = {"kind": spectrum}
-        coherence = d.get("coherence", {"kind": "incoherent"})
-        if isinstance(coherence, str):
-            coherence = {"kind": coherence}
-        spec = cls(int(d["m"]), int(d["n"]), spectrum, coherence,
-                   parse_seed_token(d.get("seed", 0)))
+        _check_keys(d, [f.name for f in fields(cls)], "matrix spec")
+        m, n = (_coerce(d.get(k, 0), int, f"matrix {k}") for k in ("m", "n"))
+        if m < 1 or n < 1:
+            raise ConfigError("matrix spec needs a positive 'm' and 'n'")
+        spec = cls(m, n, _kind_object(d, "spectrum", SPECTRA),
+                   _kind_object(d, "coherence", COHERENCE),
+                   _coerce(d.get("seed", 0), parse_seed_token, "matrix seed"))
         spec.singular_values()  # validate eagerly
-        if coherence.get("kind") not in COHERENCE:
-            raise ConfigError(f"unknown coherence kind {coherence.get('kind')!r}")
         return spec
 
     def singular_values(self) -> np.ndarray:
-        kind = self.spectrum.get("kind")
-        n = min(self.m, self.n)
-        if kind == "flat":
-            return np.ones(n)
-        if kind == "step":
-            r = int(self.spectrum.get("r", 1))
-            gap = float(self.spectrum.get("gap", 10.0))
-            if not 1 <= r <= n:
-                raise ConfigError("step spectrum needs 1 <= r <= min(m, n)")
-            return np.concatenate([np.full(r, gap), np.ones(n - r)])
-        if kind == "power":
-            decay = float(self.spectrum.get("decay", 1.0))
-            return np.arange(1, n + 1, dtype=float) ** (-decay)
-        if kind == "exp":
-            decay = float(self.spectrum.get("decay", 0.1))
-            return np.exp(-decay * np.arange(n))
-        raise ConfigError(f"unknown spectrum kind {kind!r}")
+        spectrum = dict(self.spectrum)
+        return SPECTRA[spectrum.pop("kind")](min(self.m, self.n), **spectrum)
 
 
 def _orth_gaussian(key: RngKey, rows: int, cols: int) -> np.ndarray:
@@ -91,22 +149,14 @@ def _orth_gaussian(key: RngKey, rows: int, cols: int) -> np.ndarray:
 
 def gen_matrix(spec: MatrixSpec) -> np.ndarray:
     """Realize a MatrixSpec.  The singular values match the spec exactly;
-    the spiked coherence profile rotates leading left singular vectors
-    toward coordinate axes to implant heavy-leverage rows."""
+    the spiked coherence profile implants heavy-leverage rows."""
     sig = spec.singular_values()
     r = sig.size
     key = RngKey(spec.seed)
     U = _orth_gaussian(key.substream(0), spec.m, r)
     V = _orth_gaussian(key.substream(1), spec.n, r)
-    if spec.coherence.get("kind") == "spiked":
-        rows = int(spec.coherence.get("rows", 1))
-        weight = float(spec.coherence.get("weight", 100.0))
-        if not 1 <= rows <= min(spec.m, r):
-            raise ConfigError("spiked coherence needs 1 <= rows <= min(m, rank)")
-        E = np.zeros((spec.m, r))
-        for i in range(rows):
-            E[i, i % r] = 1.0
-        U = np.linalg.qr(U + weight * E)[0]
+    coherence = dict(spec.coherence)
+    U = COHERENCE[coherence.pop("kind")](U, **coherence)
     return (U * sig) @ V.T
 
 
@@ -127,24 +177,43 @@ def _lstsq_data(A: np.ndarray, key: RngKey):
 
 
 # ---------------------------------------------------------------------------
-# driver registry
+# drivers: run(A, spec, key, *, <param>=<default>, ...) -> metrics
 # ---------------------------------------------------------------------------
+
+SketchFamily = Literal[sketching.OPERATOR_FAMILIES]
+
 
 def _psd_from(A: np.ndarray, spec: MatrixSpec) -> np.ndarray:
     if spec.m != spec.n:
         raise ConfigError("psd drivers need a square matrix spec (m == n)")
     lam = spec.singular_values()
-    key = RngKey(spec.seed)
-    V = _orth_gaussian(key.substream(0), spec.n, lam.size)
+    V = _orth_gaussian(RngKey(spec.seed).substream(0), spec.n, lam.size)
     return (V * lam) @ V.T
 
 
-def _run_spo1(A, spec, params, key):
+def _sketch_dim(A, d):
+    """``d``, or min(4n, m) when it is None."""
+    return min(4 * A.shape[1], A.shape[0]) if d is None else d
+
+
+def _lowrank_error(A, Ahat, sig, k):
+    err = np.linalg.norm(A - Ahat, "fro")
+    opt = float(np.sqrt(np.sum(sig[k:] ** 2)))
+    return {"fro_err": float(err),
+            "err_over_opt": float(err / opt) if opt > 0 else 1.0}
+
+
+def _trace_error(est, truth):
+    return {"estimate": est.value,
+            "rel_err": abs(est.value - truth) / abs(truth)}
+
+
+def _run_spo1(A, spec, key, *, tol=1e-11, maxit=100, sampling_factor=4.0,
+              family: SketchFamily = "saso"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
-    x, rep = leastsq.spo1(
-        A, b, tol=params.get("tol", 1e-11), maxit=params.get("maxit", 100),
-        sampling_factor=params.get("sampling_factor", 4.0), seed=key,
-        op_family=params.get("family", "saso"))
+    x, rep = leastsq.spo1(A, b, tol=tol, maxit=maxit,
+                          sampling_factor=sampling_factor, seed=key,
+                          op_family=family)
     r = b - A @ x
     anorm = np.linalg.norm(A, 2)
     return {"iters": rep.iterations,
@@ -153,16 +222,15 @@ def _run_spo1(A, spec, params, key):
             "converged": int(rep.converged)}
 
 
-def _run_sps2(A, spec, params, key):
+def _run_sps2(A, spec, key, *, mu=0.0, tol=1e-12, maxit=200,
+              sampling_factor=4.0, family: SketchFamily = "saso"):
     data_key = RngKey(spec.seed)
     b = _lstsq_data(A, data_key.substream(7))
     c = _rng.gaussian_stream(data_key.substream(8), A.shape[1])
-    mu = float(params.get("mu", 0.0))
     prob = leastsq.SaddleProblem(A, b, c, mu)
-    sol = leastsq.sps2(prob, tol=params.get("tol", 1e-12),
-                       maxit=params.get("maxit", 200),
-                       sampling_factor=params.get("sampling_factor", 4.0),
-                       seed=key, op_family=params.get("family", "saso"))
+    sol = leastsq.sps2(prob, tol=tol, maxit=maxit,
+                       sampling_factor=sampling_factor, seed=key,
+                       op_family=family)
     lhs = (A.T @ A + mu * np.eye(A.shape[1])) @ sol.x
     rhs = A.T @ b - c
     return {"iters": sol.report.iterations,
@@ -170,17 +238,17 @@ def _run_sps2(A, spec, params, key):
                                    / np.linalg.norm(rhs))}
 
 
-def _run_sketch_and_solve(A, spec, params, key):
+def _run_sketch_and_solve(A, spec, key, *, d=None,
+                          family: SketchFamily = "gaussian",
+                          check_bound=False):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
-    d = int(params.get("d", min(4 * A.shape[1], A.shape[0])))
-    family = params.get("family", "gaussian")
-    x, _, _ = leastsq.sketch_and_solve_ols(A, b, d, seed=key,
-                                           op_family=family)
+    d = _sketch_dim(A, d)
+    x, _, _ = leastsq.sketch_and_solve_ols(A, b, d, seed=key, op_family=family)
     x_star = np.linalg.lstsq(A, b, rcond=None)[0]
     num = np.linalg.norm(A @ x - b)
     den = np.linalg.norm(A @ x_star - b)
     out = {"residual_ratio": float(num / den) if den > 0 else np.inf}
-    if params.get("check_bound", False):
+    if check_bound:
         S = sketching.sample_operator(family, d, A.shape[0], key)
         basis = lowrank.orth(np.column_stack([A, b]))
         delta = sketching.distortion_diagnostics(S, basis).eff_distortion
@@ -191,30 +259,26 @@ def _run_sketch_and_solve(A, spec, params, key):
     return out
 
 
-def _run_nystrom_pcg(A, spec, params, key):
+def _run_nystrom_pcg(A, spec, key, *, mu=1.0, preconditioned=True, rank=10,
+                     oversample=5, tol=1e-10, maxit=200):
     G = _psd_from(A, spec)
     h = _rng.gaussian_stream(RngKey(spec.seed).substream(9), spec.n)
-    mu = float(params.get("mu", 1.0))
-    if params.get("preconditioned", True):
-        x, rep = leastsq.nystrom_pcg(
-            G, mu, h, rank=int(params.get("rank", 10)),
-            oversample=int(params.get("oversample", 5)),
-            tol=params.get("tol", 1e-10), maxit=params.get("maxit", 200),
-            seed=key)
+    if preconditioned:
+        x, rep = leastsq.nystrom_pcg(G, mu, h, rank=rank,
+                                     oversample=oversample, tol=tol,
+                                     maxit=maxit, seed=key)
     else:  # plain CG baseline on the same instance
-        x, rep = dk.pcg(G, mu, h, tol=params.get("tol", 1e-10),
-                        maxit=params.get("maxit", 200))
+        x, rep = dk.pcg(G, mu, h, tol=tol, maxit=maxit)
     res = np.linalg.norm((G + mu * np.eye(spec.n)) @ x - h) / np.linalg.norm(h)
     return {"iters": rep.iterations, "rel_res": float(res),
             "converged": int(rep.converged)}
 
 
-def _run_distortion(A, spec, params, key):
+def _run_distortion(A, spec, key, *, d=None,
+                    family: SketchFamily = "gaussian"):
     """Effective distortion of an oblivious sketch on range(A), plus the
     condition number of the induced preconditioned matrix."""
-    d = int(params.get("d", min(4 * A.shape[1], A.shape[0])))
-    S = sketching.sample_operator(params.get("family", "gaussian"),
-                                  d, A.shape[0], key)
+    S = sketching.sample_operator(family, _sketch_dim(A, d), A.shape[0], key)
     U = lowrank.orth(A)
     rep = sketching.distortion_diagnostics(S, U)
     P = leastsq.make_precond_svd(S.apply(A), 0.0)
@@ -222,11 +286,10 @@ def _run_distortion(A, spec, params, key):
             "cond_am": float(np.linalg.cond(A @ P.M))}
 
 
-def _run_precond_spectrum(A, spec, params, key):
+def _run_precond_spectrum(A, spec, key, *, d=None,
+                          family: SketchFamily = "gaussian"):
     """Worst relative deviation between sv(A M) and 1/sv(S U)."""
-    d = int(params.get("d", min(4 * A.shape[1], A.shape[0])))
-    S = sketching.sample_operator(params.get("family", "gaussian"),
-                                  d, A.shape[0], key)
+    S = sketching.sample_operator(family, _sketch_dim(A, d), A.shape[0], key)
     P = leastsq.make_precond_svd(S.apply(A), 0.0)
     U = lowrank.orth(A)
     sv_am = np.sort(np.linalg.svd(A @ P.M, compute_uv=False))
@@ -234,19 +297,20 @@ def _run_precond_spectrum(A, spec, params, key):
     return {"identity_dev": float(np.abs(sv_am - sv_su).max() / sv_su.max())}
 
 
-def _run_row_sample_embedding(A, spec, params, key):
+def _run_row_sample_embedding(
+        A, spec, key, *, eps=0.5, d=None, vectors=50,
+        dist: Literal["leverage", "uniform"] = "leverage"):
     """Two-sided norm-preservation check for row sampling driven by either
     the exact leverage distribution or the uniform one."""
     m, n = A.shape
-    eps = float(params.get("eps", 0.5))
-    d = int(params.get("d", int(np.ceil(n / eps ** 2 * np.log(n) * 4))))
-    count = int(params.get("vectors", 50))
-    if params.get("dist", "leverage") == "leverage":
+    if d is None:
+        d = int(np.ceil(n / eps ** 2 * np.log(n) * 4))
+    if dist == "leverage":
         probs = leverage.leverage_distribution(leverage.exact_leverage(A)).probs
     else:
         probs = np.full(m, 1.0 / m)
-    G = _rng.gaussian_stream(RngKey(spec.seed).substream(10), n * count)
-    ys = A @ G.reshape((n, count), order="F")
+    G = _rng.gaussian_stream(RngKey(spec.seed).substream(10), n * vectors)
+    ys = A @ G.reshape((n, vectors), order="F")
     norms2 = np.linalg.norm(ys, axis=0) ** 2
     S = sketching.sample_row_sampler(d, probs, key)
     vals = np.linalg.norm(S.apply(ys), axis=0) ** 2
@@ -255,160 +319,133 @@ def _run_row_sample_embedding(A, spec, params, key):
             "worst_ratio": float(np.max(np.abs(vals / norms2 - 1.0)))}
 
 
-def _lowrank_error(A, Ahat, sig, k):
-    err = np.linalg.norm(A - Ahat, "fro")
-    opt = float(np.sqrt(np.sum(sig[k:] ** 2)))
-    return {"fro_err": float(err),
-            "err_over_opt": float(err / opt) if opt > 0 else 1.0}
-
-
-def _run_svd1(A, spec, params, key):
-    k = int(params.get("k", 5))
-    out = lowrank.svd1(A, k, tol=params.get("tol", 0.0),
-                       s=int(params.get("oversample", 5)), seed=key,
-                       power_passes=int(params.get("power_passes", 2)))
+def _run_svd1(A, spec, key, *, k=5, tol=0.0, oversample=5, power_passes=2):
+    out = lowrank.svd1(A, k, tol=tol, s=oversample, seed=key,
+                       power_passes=power_passes)
     return _lowrank_error(A, out.approximation(), spec.singular_values(), k)
 
 
-def _run_qb2(A, spec, params, key):
-    k = int(params.get("k", 5))
-    qb = lowrank.qb2(A, k, tol=params.get("tol", 0.0),
-                     block_size=params.get("block_size"), seed=key,
-                     power_passes=int(params.get("power_passes", 2)))
+def _run_qb2(A, spec, key, *, k=5, tol=0.0, block_size=None, power_passes=2):
+    qb = lowrank.qb2(A, k, tol=tol, block_size=block_size, seed=key,
+                     power_passes=power_passes)
     out = _lowrank_error(A, qb.approximation(), spec.singular_values(), k)
     out["rank"] = qb.Q.shape[1]
     return out
 
 
-def _run_evd2(A, spec, params, key):
+def _run_evd2(A, spec, key, *, k=5, oversample=5, power_passes=2):
     G = _psd_from(A, spec)
-    k = int(params.get("k", 5))
-    out = lowrank.evd2(G, k, s=int(params.get("oversample", 5)), seed=key,
-                       power_passes=int(params.get("power_passes", 2)))
+    out = lowrank.evd2(G, k, s=oversample, seed=key, power_passes=power_passes)
     lam = np.sort(spec.singular_values())[::-1]
     return {"fro_err": float(np.linalg.norm(G - out.approximation(), "fro")),
             "top_eig_rel_err": float(abs(out.lam[0] - lam[0]) / lam[0])}
 
 
-def _run_osid1(A, spec, params, key):
-    k = int(params.get("k", 5))
-    s = int(params.get("oversample", 5))
-    pp = int(params.get("power_passes", 2))
-    axis = params.get("axis", "column")
-    oid = lowrank.osid1(A, k, s=s, axis=axis, seed=key, power_passes=pp)
+def _run_osid1(A, spec, key, *, k=5, oversample=5, power_passes=2,
+               axis: Literal["row", "column"] = "column", check_chain=False):
+    oid = lowrank.osid1(A, k, s=oversample, axis=axis, seed=key,
+                        power_passes=power_passes)
     out = _lowrank_error(A, oid.approximate(A), spec.singular_values(), k)
-    if params.get("check_chain", False) and axis == "column" and s == 0:
-        S = lowrank.tsog1(A.T, k, p=pp, seed=key)
+    if check_chain and axis == "column" and oversample == 0:
+        S = lowrank.tsog1(A.T, k, p=power_passes, seed=key)
         Y = S.T @ A
         lhs = np.linalg.norm(A - A[:, oid.skeleton] @ oid.M, 2)
         rhs = (1 + np.linalg.norm(oid.M, 2)) * np.linalg.norm(
             A - A @ np.linalg.pinv(Y) @ Y, 2)
-        out["chain_lhs"] = float(lhs)
-        out["chain_rhs"] = float(rhs)
-        out["chain_holds"] = int(lhs <= rhs * (1 + 1e-10))
-        out["regular"] = int(np.array_equal(oid.M[:, oid.skeleton], np.eye(k)))
+        out.update(chain_lhs=float(lhs), chain_rhs=float(rhs),
+                   chain_holds=int(lhs <= rhs * (1 + 1e-10)),
+                   regular=int(np.array_equal(oid.M[:, oid.skeleton], np.eye(k))))
     return out
 
 
-def _run_curd1(A, spec, params, key):
-    k = int(params.get("k", 5))
-    cur = lowrank.curd1(A, k, s=int(params.get("oversample", 5)), seed=key,
-                        power_passes=int(params.get("power_passes", 2)))
+def _run_curd1(A, spec, key, *, k=5, oversample=5, power_passes=2):
+    cur = lowrank.curd1(A, k, s=oversample, seed=key,
+                        power_passes=power_passes)
     return _lowrank_error(A, cur.approximate(A), spec.singular_values(), k)
 
 
-def _run_sap_chol_qrcp(A, spec, params, key):
-    res = fullrank.sap_chol_qrcp(A, d=params.get("d"), seed=key,
-                                 op_family=params.get("family", "saso"))
+def _run_sap_chol_qrcp(A, spec, key, *, d=None, family: SketchFamily = "saso"):
+    res = fullrank.sap_chol_qrcp(A, d=d, seed=key, op_family=family)
     recon = np.linalg.norm(A[:, res.J] - res.Q @ res.R) / np.linalg.norm(A)
     orth_err = np.abs(res.Q.T @ res.Q - np.eye(res.rank)).max() if res.rank else 0.0
     return {"rank": res.rank, "recon": float(recon), "orth_err": float(orth_err)}
 
 
-def _run_rand_chol_qr(A, spec, params, key):
-    Q, R = fullrank.rand_chol_qr(A, d=params.get("d"), seed=key,
-                                 op_family=params.get("family", "saso"))
+def _run_rand_chol_qr(A, spec, key, *, d=None, family: SketchFamily = "saso"):
+    Q, R = fullrank.rand_chol_qr(A, d=d, seed=key, op_family=family)
     recon = np.linalg.norm(A - Q @ R) / np.linalg.norm(A)
     return {"recon": float(recon),
             "orth_err": float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max())}
 
 
-def _run_gh(A, spec, params, key):
+def _run_girard_hutchinson(
+        A, spec, key, *, probes=50,
+        dist: Literal[trace.PROBE_DISTRIBUTIONS] = "rademacher"):
     G = _psd_from(A, spec)
-    est = trace.girard_hutchinson(G, spec.n, int(params.get("probes", 50)),
-                                  params.get("dist", "rademacher"), seed=key)
-    truth = float(np.trace(G))
-    return {"estimate": est.value, "rel_err": abs(est.value - truth) / abs(truth),
+    est = trace.girard_hutchinson(G, spec.n, probes, dist, seed=key)
+    return {**_trace_error(est, float(np.trace(G))),
             "sample_variance": est.sample_variance}
 
 
-def _run_hutch_pp(A, spec, params, key):
+def _run_hutch_pp(A, spec, key, *, budget=60):
     G = _psd_from(A, spec)
-    est = trace.hutch_pp(G, spec.n, int(params.get("budget", 60)), seed=key)
-    truth = float(np.trace(G))
-    return {"estimate": est.value, "rel_err": abs(est.value - truth) / abs(truth)}
+    return _trace_error(trace.hutch_pp(G, spec.n, budget, seed=key),
+                        float(np.trace(G)))
 
 
-def _run_slq(A, spec, params, key):
+def _run_slq(A, spec, key, *,
+             f: Annotated[str, trace.parse_scalar_function] = "identity",
+             probes=30, steps=15):
     G = _psd_from(A, spec)
-    f = trace.parse_scalar_function(params.get("f", "identity"))
-    est = trace.slq(G, spec.n, f, int(params.get("probes", 30)),
-                    int(params.get("steps", 15)), seed=key)
-    lam = np.linalg.eigvalsh(G)
-    truth = float(np.sum(f(lam)))
-    return {"estimate": est.value, "rel_err": abs(est.value - truth) / abs(truth)}
+    fn = trace.parse_scalar_function(f)
+    est = trace.slq(G, spec.n, fn, probes, steps, seed=key)
+    return _trace_error(est, float(np.sum(fn(np.linalg.eigvalsh(G)))))
 
 
-def _run_exact_leverage(A, spec, params, key):
+def _run_exact_leverage(A, spec, key):
     scores = leverage.exact_leverage(A).scores
     return {"sum": float(scores.sum()), "max": float(scores.max()),
             "coherence": float(spec.m * scores.max())}
 
 
-def _run_approx_leverage(A, spec, params, key):
+def _run_approx_leverage(A, spec, key, *, d1=None, d2=None):
     m, n = A.shape
-    d1 = int(params.get("d1", min(4 * n, m)))
-    d2 = int(params.get("d2", int(np.ceil(8 * np.log(m)))))
-    approx = leverage.approx_leverage(A, d1, d2, seed=key).scores
+    if d2 is None:
+        d2 = int(np.ceil(8 * np.log(m)))
+    approx = leverage.approx_leverage(A, _sketch_dim(A, d1), d2,
+                                      seed=key).scores
     exact = leverage.exact_leverage(A).scores
     mask = exact > 1e-12
     dev = np.abs(approx[mask] / exact[mask] - 1.0).max()
     return {"max_mult_dev": float(dev)}
 
 
-def _run_subspace_leverage(A, spec, params, key):
-    k = int(params.get("k", 5))
-    scores = leverage.subspace_leverage(
-        A, k, s=int(params.get("oversample", 5)), seed=key,
-        power_passes=int(params.get("power_passes", 2))).scores
+def _run_subspace_leverage(A, spec, key, *, k=5, oversample=5, power_passes=2):
+    scores = leverage.subspace_leverage(A, k, s=oversample, seed=key,
+                                        power_passes=power_passes).scores
     return {"sum": float(scores.sum()), "k": k}
 
 
-def _run_bootstrap_ls(A, spec, params, key):
+def _run_bootstrap_ls(A, spec, key, *, d=None,
+                      family: SketchFamily = "gaussian", B=100, alpha=0.1,
+                      norm: Literal["l2", "linf"] = "l2"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
-    d = int(params.get("d", min(4 * A.shape[1], A.shape[0])))
     x_hat, A_hat, b_hat = leastsq.sketch_and_solve_ols(
-        A, b, d, seed=key, op_family=params.get("family", "gaussian"))
-    res = errorest.bootstrap_ls(A_hat, b_hat, x_hat,
-                                B=int(params.get("B", 100)),
-                                alpha=float(params.get("alpha", 0.1)),
-                                norm=params.get("norm", "l2"),
-                                seed=key.substream(500))
+        A, b, _sketch_dim(A, d), seed=key, op_family=family)
+    res = errorest.bootstrap_ls(A_hat, b_hat, x_hat, B=B, alpha=alpha,
+                                norm=norm, seed=key.substream(500))
     x_star = np.linalg.lstsq(A, b, rcond=None)[0]
     actual = float(np.linalg.norm(x_hat - x_star))
     return {"quantile": res.quantile_estimate, "actual_err": actual,
             "covered": int(actual <= res.quantile_estimate)}
 
 
-def _run_bootstrap_svd(A, spec, params, key):
-    d = int(params.get("d", min(4 * A.shape[1], A.shape[0])))
-    k = int(params.get("k", 3))
-    S = sketching.sample_operator(params.get("family", "gaussian"),
-                                  d, A.shape[0], key)
+def _run_bootstrap_svd(A, spec, key, *, d=None, k=3,
+                       family: SketchFamily = "gaussian", B=100, alpha=0.1):
+    d = _sketch_dim(A, d)
+    S = sketching.sample_operator(family, d, A.shape[0], key)
     A_hat = S.apply(A) / np.sqrt(d)
-    q_sig, q_v = errorest.bootstrap_svd(A_hat, k,
-                                        B=int(params.get("B", 100)),
-                                        alpha=float(params.get("alpha", 0.1)),
+    q_sig, q_v = errorest.bootstrap_svd(A_hat, k, B=B, alpha=alpha,
                                         seed=key.substream(500))
     sig_true = np.linalg.svd(A, compute_uv=False)[:k]
     sig_hat = np.linalg.svd(A_hat, compute_uv=False)[:k]
@@ -418,30 +455,20 @@ def _run_bootstrap_svd(A, spec, params, key):
             "covered": int(actual <= q_sig.quantile_estimate)}
 
 
-DRIVERS = {
-    "spo1": _run_spo1,
-    "sps2": _run_sps2,
-    "sketch_and_solve": _run_sketch_and_solve,
-    "nystrom_pcg": _run_nystrom_pcg,
-    "svd1": _run_svd1,
-    "qb2": _run_qb2,
-    "evd2": _run_evd2,
-    "osid1": _run_osid1,
-    "curd1": _run_curd1,
-    "sap_chol_qrcp": _run_sap_chol_qrcp,
-    "rand_chol_qr": _run_rand_chol_qr,
-    "distortion": _run_distortion,
-    "precond_spectrum": _run_precond_spectrum,
-    "row_sample_embedding": _run_row_sample_embedding,
-    "girard_hutchinson": _run_gh,
-    "hutch_pp": _run_hutch_pp,
-    "slq": _run_slq,
-    "exact_leverage": _run_exact_leverage,
-    "approx_leverage": _run_approx_leverage,
-    "subspace_leverage": _run_subspace_leverage,
-    "bootstrap_ls": _run_bootstrap_ls,
-    "bootstrap_svd": _run_bootstrap_svd,
-}
+# CLI family -> its drivers, each named by its adapter ``_run_<driver>``;
+# the first driver of a family is its default.
+FAMILIES = {family: {run.__name__.removeprefix("_run_"): run for run in runs}
+            for family, runs in [
+    ("lstsq", (_run_spo1, _run_sps2, _run_sketch_and_solve, _run_nystrom_pcg,
+               _run_distortion, _run_precond_spectrum)),
+    ("lowrank", (_run_svd1, _run_qb2, _run_evd2, _run_osid1, _run_curd1)),
+    ("qrcp", (_run_sap_chol_qrcp, _run_rand_chol_qr)),
+    ("trace", (_run_girard_hutchinson, _run_hutch_pp, _run_slq)),
+    ("leverage", (_run_approx_leverage, _run_exact_leverage,
+                  _run_subspace_leverage, _run_row_sample_embedding)),
+    ("bootstrap", (_run_bootstrap_ls, _run_bootstrap_svd))]}
+DRIVERS = {name: run for drivers in FAMILIES.values()
+           for name, run in drivers.items()}
 
 
 @dataclass(frozen=True)
@@ -457,22 +484,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("experiment config must be an object")
-        driver = d.get("driver")
-        if driver not in DRIVERS:
-            raise ConfigError(
-                f"unknown driver {driver!r}; choose from {sorted(DRIVERS)}")
-        if "matrix" not in d:
-            raise ConfigError("experiment config needs a 'matrix' spec")
-        trials = int(d.get("trials", 1))
+        _check_keys(d, [f.name for f in fields(cls)], "experiment config")
+        driver = _coerce(d.get("driver"), str, "'driver'",
+                         Literal[tuple(DRIVERS)])
+        trials = _coerce(d.get("trials", 1), int, "'trials'")
         if trials < 0:
             raise ConfigError("trials must be nonnegative")
-        params = d.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("'params' must be an object")
-        return cls(driver, MatrixSpec.from_dict(d["matrix"]), params, trials,
-                   parse_seed_token(d.get("seed", 0)), d.get("out"))
+        return cls(driver, MatrixSpec.from_dict(d.get("matrix")),
+                   _bind(DRIVERS[driver], d.get("params", {}), driver), trials,
+                   _coerce(d.get("seed", 0), parse_seed_token, "'seed'"),
+                   _coerce(d.get("out", ""), str, "'out'") or None)
 
 
 _BASE_COLUMNS = ["trial", "seed_key", "seed_offset", "status", "wall_ms"]
@@ -484,11 +505,14 @@ def _run_trial(config: ExperimentConfig, A, trial: int):
            "seed_offset": key.counter_offset}
     start = time.perf_counter()
     try:
-        metrics = DRIVERS[config.driver](A, config.matrix, config.params, key)
-        row["status"] = "ok"
-        row.update(metrics)
+        metrics = DRIVERS[config.driver](A, config.matrix, key,
+                                         **config.params)
+        row.update(status="ok", **metrics)
     except Exception as err:  # recorded per trial; exit code decided later
-        row["status"] = f"error: {err}"
+        frame = inspect.trace(0)[-1].frame
+        row.update(status=f"error: {err}", error_type=type(err).__name__,
+                   error_where=f"{frame.f_globals.get('__name__')}."
+                               f"{frame.f_code.co_name}")
     row["wall_ms"] = 1000.0 * (time.perf_counter() - start)
     return row
 
@@ -503,31 +527,16 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
             rows = list(pool.map(lambda t: _run_trial(config, A, t), trials))
     else:
         rows = [_run_trial(config, A, t) for t in trials]
-    rows.sort(key=lambda r: r["trial"])
-
-    columns = list(_BASE_COLUMNS)
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(_BASE_COLUMNS + [k for r in rows for k in r]))
 
     summary = {
-        "config": {
-            "driver": config.driver,
-            "params": config.params,
-            "matrix": {"m": config.matrix.m, "n": config.matrix.n,
-                       "spectrum": config.matrix.spectrum,
-                       "coherence": config.matrix.coherence,
-                       "seed": config.matrix.seed},
-            "trials": config.trials,
-            "seed": config.seed,
-        },
+        "config": {k: v for k, v in asdict(config).items() if k != "out"},
         "completed": sum(r["status"] == "ok" for r in rows),
         "failed": sum(r["status"] != "ok" for r in rows),
         "metrics": {},
     }
     for col in columns:
-        if col in ("trial", "seed_key", "seed_offset", "status", "wall_ms"):
+        if col in _BASE_COLUMNS:
             continue
         vals = [r[col] for r in rows
                 if r.get("status") == "ok" and isinstance(r.get(col), (int, float))]

@@ -18,20 +18,7 @@ import sys
 import scipy.io
 
 from . import bench
-from .bench import ConfigError, DRIVERS, ExperimentConfig, MatrixSpec
-from .rng import parse_seed_token
-
-FAMILY_DEFAULTS = {
-    "lstsq": ("spo1", ("spo1", "sps2", "sketch_and_solve", "nystrom_pcg",
-                       "distortion", "precond_spectrum")),
-    "lowrank": ("svd1", ("svd1", "qb2", "evd2", "osid1", "curd1")),
-    "qrcp": ("sap_chol_qrcp", ("sap_chol_qrcp", "rand_chol_qr")),
-    "trace": ("girard_hutchinson", ("girard_hutchinson", "hutch_pp", "slq")),
-    "leverage": ("approx_leverage",
-                 ("exact_leverage", "approx_leverage", "subspace_leverage",
-                  "row_sample_embedding")),
-    "bootstrap": ("bootstrap_ls", ("bootstrap_ls", "bootstrap_svd")),
-}
+from .bench import FAMILIES, ConfigError, ExperimentConfig, MatrixSpec
 
 
 def _add_common(parser):
@@ -57,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment config")
     _add_common(run)
 
-    for name in FAMILY_DEFAULTS:
+    for name in FAMILIES:
         p = sub.add_parser(name, help=f"run a {name} experiment")
         _add_common(p)
         p.add_argument("--driver", default=None,
@@ -68,23 +55,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            raw = json.load(f)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path!r} must be a JSON object")
+    return raw
 
 
 def _experiment_from_args(args) -> ExperimentConfig:
     raw = _load_json(args.config)
-    if args.command in FAMILY_DEFAULTS:
-        default, allowed = FAMILY_DEFAULTS[args.command]
-        driver = args.driver or raw.get("driver") or default
+    if args.command in FAMILIES:
+        allowed = tuple(FAMILIES[args.command])
+        driver = args.driver or raw.get("driver") or allowed[0]
         if driver not in allowed:
-            raise ConfigError(
-                f"driver {driver!r} is not in the {args.command} family "
-                f"{allowed}")
+            raise ConfigError(f"driver {driver!r} is not in the "
+                              f"{args.command} family {allowed}")
         raw = dict(raw, driver=driver)
     if args.seed is not None:
-        raw = dict(raw, seed=parse_seed_token(args.seed))
+        raw = dict(raw, seed=args.seed)
     if args.out is not None:
         raw = dict(raw, out=args.out)
     return ExperimentConfig.from_dict(raw)
@@ -95,9 +84,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen":
             raw = _load_json(args.config)
-            matrix = raw.get("matrix", raw)
+            matrix = raw.get("matrix",
+                             {k: v for k, v in raw.items() if k != "out"})
             if args.seed is not None:
-                matrix = dict(matrix, seed=parse_seed_token(args.seed))
+                matrix = dict(matrix, seed=args.seed)
             spec = MatrixSpec.from_dict(matrix)
             out = args.out or raw.get("out")
             if not out:

@@ -27,6 +27,7 @@ from . import rng
 from .rng import RngKey, as_key
 
 DENSE_FAMILIES = ("gaussian", "rademacher", "uniform", "haar")
+OPERATOR_FAMILIES = DENSE_FAMILIES + ("saso", "srft")
 
 
 def _as_2d(A):

@@ -127,12 +127,14 @@ def test_all_drivers_run_one_trial():
               "seed": 3}
     needs_square = {"nystrom_pcg", "evd2", "girard_hutchinson", "hutch_pp",
                     "slq"}
+    shared = {"k": 4, "rank": 4, "budget": 12, "probes": 6, "steps": 4,
+              "B": 10}
     for driver in bench.DRIVERS:
+        accepted = bench.schema(bench.DRIVERS[driver])
         cfg = ExperimentConfig.from_dict({
             "driver": driver,
             "matrix": square if driver in needs_square else matrix,
-            "params": {"k": 4, "rank": 4, "budget": 12, "probes": 6,
-                       "steps": 4, "B": 10},
+            "params": {k: v for k, v in shared.items() if k in accepted},
             "trials": 1, "seed": 1})
         rows, summary = bench.run_experiment(cfg)
         assert summary["completed"] == 1, (driver, rows[0]["status"])
@@ -146,3 +148,38 @@ def test_driver_failure_recorded():
     rows, summary = bench.run_experiment(cfg)
     assert summary["completed"] == 0 and summary["failed"] == 2
     assert all(r["status"].startswith("error") for r in rows)
+
+
+def test_failed_trial_records_error_type_and_place(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "driver": "nystrom_pcg",
+        "matrix": {"m": 40, "n": 20},  # not square: the driver raises
+        "trials": 1, "seed": 1, "out": str(tmp_path / "fail")})
+    rows, _ = bench.run_experiment(cfg)
+    assert rows[0]["status"].startswith("error: psd drivers need a square")
+    assert rows[0]["error_type"] == "ConfigError"
+    assert rows[0]["error_where"] == "randla.bench._psd_from"
+    got = list(csv.DictReader(open(tmp_path / "fail.csv")))
+    assert got[0]["error_where"] == "randla.bench._psd_from"
+
+
+def test_params_and_spec_fields_coerced_at_load():
+    cfg = ExperimentConfig.from_dict({
+        "driver": "sketch_and_solve",
+        "matrix": {"m": "40", "n": 4.0,
+                   "spectrum": {"kind": "step", "r": 2.0, "gap": 5}},
+        "params": {"d": 12.0, "check_bound": 1, "family": "saso"},
+        "trials": 3.0})
+    assert cfg.params == {"d": 12, "check_bound": True, "family": "saso"}
+    assert type(cfg.params["d"]) is int
+    assert (cfg.matrix.m, cfg.matrix.n, cfg.trials) == (40, 4, 3)
+    assert cfg.matrix.spectrum == {"kind": "step", "r": 2, "gap": 5.0}
+    assert type(cfg.matrix.spectrum["r"]) is int
+
+
+def test_unknown_param_error_lists_accepted_names():
+    with pytest.raises(ConfigError, match="tolerance.*accepted: tol, maxit, "
+                                          "sampling_factor, family"):
+        ExperimentConfig.from_dict({"driver": "spo1",
+                                    "matrix": {"m": 40, "n": 4},
+                                    "params": {"tolerance": 1e-8}})

@@ -1,11 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
 
-from randla import cli
+from randla import bench, cli
 
 
 def write_config(path, data):
@@ -112,3 +113,99 @@ def test_trace_subcommand_with_slq(tmp_path):
                      "--out", str(tmp_path / "tr")]) == 0
     rows = list(csv.DictReader(open(str(tmp_path / "tr") + ".csv")))
     assert float(rows[0]["rel_err"]) < 0.5
+
+
+BASE_RUN = {
+    "driver": "spo1",
+    "matrix": {"m": 200, "n": 8,
+               "spectrum": {"kind": "step", "r": 2, "gap": 30},
+               "coherence": {"kind": "spiked", "rows": 1, "weight": 10.0},
+               "seed": 5},
+    "params": {"tol": 1e-10},
+    "trials": 1,
+}
+
+
+def _with_matrix(**changes):
+    return pytest.param({"matrix": dict(BASE_RUN["matrix"], **changes)},
+                        id="matrix " + json.dumps(changes))
+
+
+@pytest.mark.parametrize("change", [
+    {"params": {"tolerance": 1e-8}},
+    {"params": {"maxiter": 10}},
+    {"params": {"famly": "saso"}},
+    {"params": {"family": "gauss"}},
+    {"driver": "svd1", "params": {"k": "five"}},
+    {"driver": "svd1", "params": {"k": 2.5}},
+    {"driver": "svd1", "params": {"tol": [0.1]}},
+    {"driver": "sketch_and_solve", "params": {"check_bound": "yes"}},
+    {"trails": 5},
+    {"trials": 2.7},
+    {"trials": "two"},
+    {"seed": "0xzz"},
+    {"out": 5},
+    _with_matrix(spectrm={"kind": "flat"}),
+    _with_matrix(m="abc"),
+    _with_matrix(n=4.5),
+    _with_matrix(seed="0xzz"),
+    _with_matrix(spectrum={"kind": "power", "decy": 3}),
+    _with_matrix(spectrum={"kind": "step", "r": "two"}),
+    _with_matrix(spectrum=["flat"]),
+    _with_matrix(coherence={"kind": "spiked", "rowz": 3}),
+    _with_matrix(coherence={"kind": "spiked", "weight": "heavy"}),
+    {"driver": "girard_hutchinson", "params": {"dist": "normal"}},
+    {"driver": "row_sample_embedding", "params": {"dist": "levrage"}},
+    {"driver": "bootstrap_ls", "params": {"norm": "l1"}},
+    {"driver": "osid1", "params": {"axis": "columns"}},
+    {"driver": "slq", "params": {"f": "sqrt"}},
+    {"driver": "exact_leverage", "params": {"k": 3}},
+    {"driver": ["spo1"]},
+], ids=json.dumps)
+def test_bad_config_exits_2_at_load(tmp_path, change):
+    cfg = write_config(tmp_path / "bad.json", dict(BASE_RUN, **change))
+    assert cli.main(["run", "--config", cfg]) == 2
+
+
+def test_bad_seed_flag_and_gen_spec_exit_2(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", BASE_RUN)
+    assert cli.main(["run", "--config", cfg, "--seed", "0xzz"]) == 2
+    gen = write_config(tmp_path / "gen.json",
+                       {"m": 10, "n": 3, "spectrum": {"kind": "exp",
+                                                      "decay": 0.1,
+                                                      "rate": 2}})
+    assert cli.main(["gen", "--config", gen,
+                     "--out", str(tmp_path / "A.mtx")]) == 2
+    listed = write_config(tmp_path / "list.json", [BASE_RUN])
+    assert cli.main(["run", "--config", listed]) == 2
+
+
+def test_gen_accepts_out_beside_a_bare_spec(tmp_path):
+    out = str(tmp_path / "A.mtx")
+    cfg = write_config(tmp_path / "gen.json", {"m": 12, "n": 3, "out": out})
+    assert cli.main(["gen", "--config", cfg]) == 0
+    assert np.asarray(scipy.io.mmread(out)).shape == (12, 3)
+
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    text = _readme()
+    start = text.index("```json", text.index("Example config:")) + len("```json")
+    example = json.loads(text[start:text.index("```", start)])
+    cfg = write_config(tmp_path / "example.json", example)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "ex")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["completed"] == example["trials"]
+
+
+def test_readme_driver_table_matches_schemas():
+    text = _readme()
+    for family, drivers in bench.FAMILIES.items():
+        for driver, run in drivers.items():
+            params = ", ".join(f"`{name}={p.default}`"
+                               for name, p in bench.schema(run).items())
+            row = f"| `{family}` | `{driver}` | {params or '—'} |"
+            assert row in text, row
