@@ -67,6 +67,15 @@ def _coerce(value, kind, where: str, hint=inspect.Parameter.empty):
         raise ConfigError(f"{where}: bad value {value!r} ({err})") from None
 
 
+def _positive(value):
+    if value < 1:
+        raise ValueError("must be at least 1")
+
+
+# A count or size param (rank, probes, sketch dimension, ...): a positive int.
+_Count = Annotated[int, _positive]
+
+
 def _bind(fn, given: dict, what: str) -> dict:
     """``given`` checked against ``schema(fn)``, each value coerced to the
     type of its default (int for None: ``fn`` computes it from the problem)."""
@@ -184,8 +193,8 @@ SketchFamily = Literal[sketching.OPERATOR_FAMILIES]
 
 
 def _psd_from(A: np.ndarray, spec: MatrixSpec) -> np.ndarray:
-    if spec.m != spec.n:
-        raise ConfigError("psd drivers need a square matrix spec (m == n)")
+    """The psd test matrix of a square spec: its singular values as
+    eigenvalues."""
     lam = spec.singular_values()
     V = _orth_gaussian(RngKey(spec.seed).substream(0), spec.n, lam.size)
     return (V * lam) @ V.T
@@ -238,7 +247,7 @@ def _run_sps2(A, spec, key, *, mu=0.0, tol=1e-12, maxit=200,
                                    / np.linalg.norm(rhs))}
 
 
-def _run_sketch_and_solve(A, spec, key, *, d=None,
+def _run_sketch_and_solve(A, spec, key, *, d: _Count = None,
                           family: SketchFamily = "gaussian",
                           check_bound=False):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
@@ -259,8 +268,8 @@ def _run_sketch_and_solve(A, spec, key, *, d=None,
     return out
 
 
-def _run_nystrom_pcg(A, spec, key, *, mu=1.0, preconditioned=True, rank=10,
-                     oversample=5, tol=1e-10, maxit=200):
+def _run_nystrom_pcg(A, spec, key, *, mu=1.0, preconditioned=True,
+                     rank: _Count = 10, oversample=5, tol=1e-10, maxit=200):
     G = _psd_from(A, spec)
     h = _rng.gaussian_stream(RngKey(spec.seed).substream(9), spec.n)
     if preconditioned:
@@ -274,7 +283,7 @@ def _run_nystrom_pcg(A, spec, key, *, mu=1.0, preconditioned=True, rank=10,
             "converged": int(rep.converged)}
 
 
-def _run_distortion(A, spec, key, *, d=None,
+def _run_distortion(A, spec, key, *, d: _Count = None,
                     family: SketchFamily = "gaussian"):
     """Effective distortion of an oblivious sketch on range(A), plus the
     condition number of the induced preconditioned matrix."""
@@ -286,7 +295,7 @@ def _run_distortion(A, spec, key, *, d=None,
             "cond_am": float(np.linalg.cond(A @ P.M))}
 
 
-def _run_precond_spectrum(A, spec, key, *, d=None,
+def _run_precond_spectrum(A, spec, key, *, d: _Count = None,
                           family: SketchFamily = "gaussian"):
     """Worst relative deviation between sv(A M) and 1/sv(S U)."""
     S = sketching.sample_operator(family, _sketch_dim(A, d), A.shape[0], key)
@@ -298,7 +307,7 @@ def _run_precond_spectrum(A, spec, key, *, d=None,
 
 
 def _run_row_sample_embedding(
-        A, spec, key, *, eps=0.5, d=None, vectors=50,
+        A, spec, key, *, eps=0.5, d: _Count = None, vectors: _Count = 50,
         dist: Literal["leverage", "uniform"] = "leverage"):
     """Two-sided norm-preservation check for row sampling driven by either
     the exact leverage distribution or the uniform one."""
@@ -319,13 +328,15 @@ def _run_row_sample_embedding(
             "worst_ratio": float(np.max(np.abs(vals / norms2 - 1.0)))}
 
 
-def _run_svd1(A, spec, key, *, k=5, tol=0.0, oversample=5, power_passes=2):
+def _run_svd1(A, spec, key, *, k: _Count = 5, tol=0.0, oversample=5,
+              power_passes=2):
     out = lowrank.svd1(A, k, tol=tol, s=oversample, seed=key,
                        power_passes=power_passes)
     return _lowrank_error(A, out.approximation(), spec.singular_values(), k)
 
 
-def _run_qb2(A, spec, key, *, k=5, tol=0.0, block_size=None, power_passes=2):
+def _run_qb2(A, spec, key, *, k: _Count = 5, tol=0.0, block_size: _Count = None,
+             power_passes=2):
     qb = lowrank.qb2(A, k, tol=tol, block_size=block_size, seed=key,
                      power_passes=power_passes)
     out = _lowrank_error(A, qb.approximation(), spec.singular_values(), k)
@@ -333,7 +344,7 @@ def _run_qb2(A, spec, key, *, k=5, tol=0.0, block_size=None, power_passes=2):
     return out
 
 
-def _run_evd2(A, spec, key, *, k=5, oversample=5, power_passes=2):
+def _run_evd2(A, spec, key, *, k: _Count = 5, oversample=5, power_passes=2):
     G = _psd_from(A, spec)
     out = lowrank.evd2(G, k, s=oversample, seed=key, power_passes=power_passes)
     lam = np.sort(spec.singular_values())[::-1]
@@ -341,7 +352,7 @@ def _run_evd2(A, spec, key, *, k=5, oversample=5, power_passes=2):
             "top_eig_rel_err": float(abs(out.lam[0] - lam[0]) / lam[0])}
 
 
-def _run_osid1(A, spec, key, *, k=5, oversample=5, power_passes=2,
+def _run_osid1(A, spec, key, *, k: _Count = 5, oversample=5, power_passes=2,
                axis: Literal["row", "column"] = "column", check_chain=False):
     oid = lowrank.osid1(A, k, s=oversample, axis=axis, seed=key,
                         power_passes=power_passes)
@@ -358,20 +369,22 @@ def _run_osid1(A, spec, key, *, k=5, oversample=5, power_passes=2,
     return out
 
 
-def _run_curd1(A, spec, key, *, k=5, oversample=5, power_passes=2):
+def _run_curd1(A, spec, key, *, k: _Count = 5, oversample=5, power_passes=2):
     cur = lowrank.curd1(A, k, s=oversample, seed=key,
                         power_passes=power_passes)
     return _lowrank_error(A, cur.approximate(A), spec.singular_values(), k)
 
 
-def _run_sap_chol_qrcp(A, spec, key, *, d=None, family: SketchFamily = "saso"):
+def _run_sap_chol_qrcp(A, spec, key, *, d: _Count = None,
+                       family: SketchFamily = "saso"):
     res = fullrank.sap_chol_qrcp(A, d=d, seed=key, op_family=family)
     recon = np.linalg.norm(A[:, res.J] - res.Q @ res.R) / np.linalg.norm(A)
     orth_err = np.abs(res.Q.T @ res.Q - np.eye(res.rank)).max() if res.rank else 0.0
     return {"rank": res.rank, "recon": float(recon), "orth_err": float(orth_err)}
 
 
-def _run_rand_chol_qr(A, spec, key, *, d=None, family: SketchFamily = "saso"):
+def _run_rand_chol_qr(A, spec, key, *, d: _Count = None,
+                      family: SketchFamily = "saso"):
     Q, R = fullrank.rand_chol_qr(A, d=d, seed=key, op_family=family)
     recon = np.linalg.norm(A - Q @ R) / np.linalg.norm(A)
     return {"recon": float(recon),
@@ -379,7 +392,7 @@ def _run_rand_chol_qr(A, spec, key, *, d=None, family: SketchFamily = "saso"):
 
 
 def _run_girard_hutchinson(
-        A, spec, key, *, probes=50,
+        A, spec, key, *, probes: _Count = 50,
         dist: Literal[trace.PROBE_DISTRIBUTIONS] = "rademacher"):
     G = _psd_from(A, spec)
     est = trace.girard_hutchinson(G, spec.n, probes, dist, seed=key)
@@ -387,7 +400,7 @@ def _run_girard_hutchinson(
             "sample_variance": est.sample_variance}
 
 
-def _run_hutch_pp(A, spec, key, *, budget=60):
+def _run_hutch_pp(A, spec, key, *, budget: _Count = 60):
     G = _psd_from(A, spec)
     return _trace_error(trace.hutch_pp(G, spec.n, budget, seed=key),
                         float(np.trace(G)))
@@ -395,7 +408,7 @@ def _run_hutch_pp(A, spec, key, *, budget=60):
 
 def _run_slq(A, spec, key, *,
              f: Annotated[str, trace.parse_scalar_function] = "identity",
-             probes=30, steps=15):
+             probes: _Count = 30, steps: _Count = 15):
     G = _psd_from(A, spec)
     fn = trace.parse_scalar_function(f)
     est = trace.slq(G, spec.n, fn, probes, steps, seed=key)
@@ -408,7 +421,8 @@ def _run_exact_leverage(A, spec, key):
             "coherence": float(spec.m * scores.max())}
 
 
-def _run_approx_leverage(A, spec, key, *, d1=None, d2=None):
+def _run_approx_leverage(A, spec, key, *, d1: _Count = None,
+                         d2: _Count = None):
     m, n = A.shape
     if d2 is None:
         d2 = int(np.ceil(8 * np.log(m)))
@@ -420,15 +434,16 @@ def _run_approx_leverage(A, spec, key, *, d1=None, d2=None):
     return {"max_mult_dev": float(dev)}
 
 
-def _run_subspace_leverage(A, spec, key, *, k=5, oversample=5, power_passes=2):
+def _run_subspace_leverage(A, spec, key, *, k: _Count = 5, oversample=5,
+                           power_passes=2):
     scores = leverage.subspace_leverage(A, k, s=oversample, seed=key,
                                         power_passes=power_passes).scores
     return {"sum": float(scores.sum()), "k": k}
 
 
-def _run_bootstrap_ls(A, spec, key, *, d=None,
-                      family: SketchFamily = "gaussian", B=100, alpha=0.1,
-                      norm: Literal["l2", "linf"] = "l2"):
+def _run_bootstrap_ls(A, spec, key, *, d: _Count = None,
+                      family: SketchFamily = "gaussian", B: _Count = 100,
+                      alpha=0.1, norm: Literal["l2", "linf"] = "l2"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
     x_hat, A_hat, b_hat = leastsq.sketch_and_solve_ols(
         A, b, _sketch_dim(A, d), seed=key, op_family=family)
@@ -440,8 +455,9 @@ def _run_bootstrap_ls(A, spec, key, *, d=None,
             "covered": int(actual <= res.quantile_estimate)}
 
 
-def _run_bootstrap_svd(A, spec, key, *, d=None, k=3,
-                       family: SketchFamily = "gaussian", B=100, alpha=0.1):
+def _run_bootstrap_svd(A, spec, key, *, d: _Count = None, k: _Count = 3,
+                       family: SketchFamily = "gaussian", B: _Count = 100,
+                       alpha=0.1):
     d = _sketch_dim(A, d)
     S = sketching.sample_operator(family, d, A.shape[0], key)
     A_hat = S.apply(A) / np.sqrt(d)
@@ -469,6 +485,8 @@ FAMILIES = {family: {run.__name__.removeprefix("_run_"): run for run in runs}
     ("bootstrap", (_run_bootstrap_ls, _run_bootstrap_svd))]}
 DRIVERS = {name: run for drivers in FAMILIES.values()
            for name, run in drivers.items()}
+# drivers that run on ``_psd_from``'s square psd matrix
+_SQUARE_ONLY = ("nystrom_pcg", "evd2", "girard_hutchinson", "hutch_pp", "slq")
 
 
 @dataclass(frozen=True)
@@ -481,6 +499,11 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     out: str | None = None
+
+    def __post_init__(self):
+        if self.driver in _SQUARE_ONLY and self.matrix.m != self.matrix.n:
+            raise ConfigError(f"{self.driver} needs a square matrix spec "
+                              f"(m == n)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -95,8 +95,8 @@ def subspace_leverage(A, k: int, s: int = 5, seed=0,
     """Approximate rank-k leverage scores via a rank-(k+s) QB decomposition:
     squared row norms of Q U_k, U_k the top-k left singular vectors of B."""
     A = np.asarray(A, dtype=float)
-    if k + s > min(A.shape):
-        raise ValueError("need k + s <= min(A.shape)")
+    if not 1 <= k <= min(A.shape) - s:
+        raise ValueError("need 1 <= k and k + s <= min(A.shape)")
     qb = lowrank.qb1(A, k + s, seed=seed, power_passes=power_passes)
     U, _, _ = dk.svd(qb.B)
     Uk = qb.Q @ U[:, :k]

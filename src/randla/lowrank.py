@@ -148,40 +148,23 @@ def tsog1(A, k: int, p: int = 2, q: int = 1, seed=0, family: str = "gaussian") -
     runs after every q products.  p = 0 returns an oblivious operator
     without touching A.  Odd p starts from an m-by-k operator hit by A^T.
     """
-    A = np.asanyarray(A, dtype=float)
+    A = A if isinstance(A, _Deflated) else np.asanyarray(A, dtype=float)
     m, n = A.shape
     if p < 0 or q < 1:
         raise ValueError("need p >= 0 and q >= 1")
-    seed = as_key(seed)
-    p_done = 0
-    if p % 2 == 0:
-        S = _tall_oblivious(family, n, k, seed)
-    else:
-        S = A.T @ _tall_oblivious(family, m, k, seed)
-        p_done += 1
-        if p_done % q == 0:
-            S = _stabilize(S)
-    while p - p_done >= 2:
-        S = A @ S
-        p_done += 1
-        if p_done % q == 0:
-            S = _stabilize(S)
-        S = A.T @ S
-        p_done += 1
-        if p_done % q == 0:
-            S = _stabilize(S)
+    S = _tall_oblivious(family, m if p % 2 else n, k, as_key(seed))
+    for done in range(1, p + 1):
+        # the products alternate and the last one is with A^T
+        S = (A.T if (p - done) % 2 == 0 else A) @ S
+        if done % q == 0:
+            S = np.linalg.qr(S)[0]
     return S
-
-
-def _stabilize(S: np.ndarray) -> np.ndarray:
-    Q = np.linalg.qr(S)[0]
-    return Q
 
 
 def rf1(A, k: int, seed=0, power_passes: int = 2, family: str = "gaussian") -> np.ndarray:
     """Rangefinder: orthonormal basis for the range of a single row sketch
     A @ tsog1(A, k).  Returns at most min(k, rank A) columns."""
-    A = np.asanyarray(A, dtype=float)
+    A = A if isinstance(A, _Deflated) else np.asanyarray(A, dtype=float)
     S = tsog1(A, k, p=power_passes, seed=seed, family=family)
     return orth(A @ S)
 
@@ -190,32 +173,52 @@ def rf1(A, k: int, seed=0, power_passes: int = 2, family: str = "gaussian") -> n
 # QB decompositions
 # ---------------------------------------------------------------------------
 
+def _check_rank(k: int):
+    if k < 1:
+        raise ValueError(f"need a rank k >= 1, got {k}")
+
+
 def qb1(A, k: int, seed=0, power_passes: int = 2, family: str = "gaussian") -> QBFactors:
     """One-shot QB: Q from the rangefinder, B = Q^T A."""
     A = np.asarray(A, dtype=float)
+    _check_rank(k)
     Q = rf1(A, k, seed=seed, power_passes=power_passes, family=family)
     return QBFactors(Q, Q.T @ A)
 
 
-# Periodic exact recomputation of the tracked residual counters the
-# cancellation risk in the downdating recurrence.
-_QB2_RECOMPUTE_PERIOD = 8
+class _Deflated:
+    """A - Q B, applied without forming it as A X - Q (B X); its transpose
+    A^T - B^T Q^T has the same form."""
+
+    def __init__(self, A, Q, B):
+        self.A, self.Q, self.B, self.shape = A, Q, B, A.shape
+
+    def __matmul__(self, X):
+        return self.A @ X - self.Q @ (self.B @ X)
+
+    @property
+    def T(self):
+        return _Deflated(self.A.T, self.B.T, self.Q.T)
 
 
 def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         power_passes: int = 2, family: str = "gaussian") -> QBFactors:
     """Fully adaptive blocked QB.
 
-    Adds ``block_size`` columns per iteration (rangefinder on the deflated
-    matrix, reorthogonalized against the current basis) until the tracked
-    relative Frobenius error drops to ``tol`` or the rank budget ``k`` is
-    reached.  ``tol <= 0`` with k = min(m, n) yields a full decomposition.
+    Block i runs the rangefinder (key ``seed.substream(i)``) on A - Q B,
+    applied implicitly, reorthogonalizes against Q and appends Q_i^T A,
+    until the tracked error ||A||_F^2 - sum ||B_i||_F^2 drops to
+    tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  ``block_size``
+    defaults to min(k, m, n) when ``tol <= 0`` (one block, as qb1) and
+    to min(k, 10) otherwise.
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
+    _check_rank(k)
+    rank_cap = min(k, m, n)
     if block_size is None:
-        block_size = max(1, min(k, 10))
-    if block_size < 1:
+        block_size = rank_cap if tol <= 0 else min(k, 10)
+    elif block_size < 1:
         raise ValueError("block_size must be positive")
     seed = as_key(seed)
 
@@ -223,29 +226,19 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     threshold2 = (max(tol, 0.0) ** 2) * anorm2
     Q = np.zeros((m, 0))
     B = np.zeros((0, n))
-    A_work = A.copy()
     squared_error = anorm2
-    d = 0
-    block = 0
-    while k > d:
-        blk = min(block_size, k - d)
-        Qi = rf1(A_work, blk, seed=seed.substream(block), power_passes=power_passes,
+    for block in range(rank_cap):
+        Qi = rf1(_Deflated(A, Q, B), min(block_size, k - Q.shape[1]),
+                 seed=seed.substream(block), power_passes=power_passes,
                  family=family)
-        if Qi.shape[1] == 0:
-            break
         Qi = orth(Qi - Q @ (Q.T @ Qi))
         if Qi.shape[1] == 0:
             break
-        Bi = Qi.T @ A_work
+        Bi = Qi.T @ A
         B = np.vstack([B, Bi])
         Q = np.hstack([Q, Qi])
-        d += Qi.shape[1]
-        A_work -= Qi @ Bi
         squared_error -= np.linalg.norm(Bi, "fro") ** 2
-        block += 1
-        if block % _QB2_RECOMPUTE_PERIOD == 0:
-            squared_error = np.linalg.norm(A_work, "fro") ** 2
-        if max(squared_error, 0.0) <= threshold2:
+        if squared_error <= threshold2 or Q.shape[1] >= rank_cap:
             break
     return QBFactors(Q, B)
 
@@ -260,10 +253,10 @@ def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     """
     A = np.asanyarray(A, dtype=float)
     m, n = A.shape
-    if k >= min(m, n):
-        raise ValueError("qb3 requires k < min(m, n)")
+    if not 1 <= k < min(m, n):
+        raise ValueError("qb3 requires 1 <= k < min(m, n)")
     if block_size is None:
-        block_size = max(1, min(k, 10))
+        block_size = min(k, 10)
     seed = as_key(seed)
 
     S = tsog1(A, k, p=power_passes, seed=seed, family=family)
@@ -302,22 +295,27 @@ def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
 
 def svd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
          family: str = "gaussian") -> SVDFactors:
-    """QB-backed low-rank SVD, truncated to rank at most k (the QB phase may
-    use rank up to k + s)."""
+    """QB-backed low-rank SVD, truncated to rank at most k.
+
+    The QB phase is ``qb2`` at rank k + s: with ``tol <= 0`` that is one
+    rangefinder block of k + s columns, otherwise blocks of 10 until the
+    tracked error meets ``tol``."""
     A = np.asarray(A, dtype=float)
+    _check_rank(k)
     qb = qb2(A, k + s, tol=tol, seed=seed, power_passes=power_passes, family=family)
-    r = min(k, qb.Q.shape[1])
     U, sig, V = dk.svd(qb.B)
-    U = qb.Q @ U[:, :r]
-    return SVDFactors(U, sig[:r], V[:, :r])
+    return SVDFactors(qb.Q @ U[:, :k], sig[:k], V[:, :k])
 
 
 def evd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
          family: str = "gaussian") -> EVDFactors:
-    """QB-backed low-rank eigendecomposition of a Hermitian matrix; the QB
-    phase runs at tolerance tol/2 so the symmetrized approximation meets
-    tol."""
+    """QB-backed low-rank eigendecomposition of a Hermitian matrix.
+
+    The QB phase is ``qb2`` at rank k + s and tolerance tol/2, so the
+    symmetrized approximation meets tol; with ``tol <= 0`` it is one
+    rangefinder block of k + s columns."""
     A = np.asarray(A, dtype=float)
+    _check_rank(k)
     scale = np.abs(A).max() if A.size else 0.0
     if A.shape[0] != A.shape[1] or np.abs(A - A.T).max() > 1e-10 * max(scale, 1e-300):
         raise ValueError("evd1 requires a Hermitian input (not symmetrized silently)")
@@ -326,9 +324,7 @@ def evd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
     C = qb.B @ qb.Q
     C = 0.5 * (C + C.T)
     lam, U = dk.eigh(C)
-    order = np.argsort(-np.abs(lam))
-    r = min(k, lam.size)
-    order = order[:r]
+    order = np.argsort(-np.abs(lam))[:k]
     return EVDFactors(qb.Q @ U[:, order], lam[order])
 
 
@@ -345,8 +341,8 @@ def evd2(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("evd2 requires a square psd input")
-    if k + s > n:
-        raise ValueError("need k + s <= n")
+    if not 1 <= k <= n - s:
+        raise ValueError("need 1 <= k and k + s <= n")
     S = tsog1(A, k + s, p=power_passes, seed=seed, family=family)
     Y = A @ S
     ynorm = np.linalg.norm(Y, 2) if Y.size else 0.0
@@ -390,8 +386,8 @@ def osid_qrcp(Y, k: int, axis: str = "column") -> OneSidedID:
         cid = osid_qrcp(Y.T, k, axis="column")
         return OneSidedID(cid.M.T, cid.skeleton, "row")
     ell, w = Y.shape
-    if k > min(ell, w):
-        raise ValueError("k cannot exceed min(Y.shape)")
+    if not 1 <= k <= min(ell, w):
+        raise ValueError("need 1 <= k <= min(Y.shape)")
     _, R, J = dk.qrcp(Y)
     diag = np.abs(np.diag(R))
     if diag.size and diag[0] > 0:
@@ -415,8 +411,8 @@ def osid1(A, k: int, s: int = 5, axis: str = "column", seed=0,
     """Randomized one-sided ID: a full-rank ID of a power-iteration sketch,
     re-used verbatim for the original matrix."""
     A = np.asarray(A, dtype=float)
-    if k + s > min(A.shape):
-        raise ValueError("need k + s <= min(A.shape)")
+    if not 1 <= k <= min(A.shape) - s:
+        raise ValueError("need 1 <= k and k + s <= min(A.shape)")
     if axis == "row":
         S = tsog1(A, k + s, p=power_passes, seed=seed, family=family)
         Y = A @ S
@@ -433,6 +429,7 @@ def rocs1(A, k: int, s: int = 5, axis: str = "column", seed=0,
     """Row or column subset selection: the first k QRCP pivots of a
     power-iteration sketch."""
     A = np.asarray(A, dtype=float)
+    _check_rank(k)
     if axis == "row":
         S = tsog1(A, k + s, p=power_passes, seed=seed, family=family)
         Y = A @ S

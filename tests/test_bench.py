@@ -142,8 +142,8 @@ def test_all_drivers_run_one_trial():
 
 def test_driver_failure_recorded():
     cfg = ExperimentConfig.from_dict({
-        "driver": "nystrom_pcg",
-        "matrix": {"m": 40, "n": 20},  # not square: the driver raises
+        "driver": "spo1",
+        "matrix": {"m": 10, "n": 30},  # wide: the driver raises
         "trials": 2, "seed": 1})
     rows, summary = bench.run_experiment(cfg)
     assert summary["completed"] == 0 and summary["failed"] == 2
@@ -152,15 +152,15 @@ def test_driver_failure_recorded():
 
 def test_failed_trial_records_error_type_and_place(tmp_path):
     cfg = ExperimentConfig.from_dict({
-        "driver": "nystrom_pcg",
-        "matrix": {"m": 40, "n": 20},  # not square: the driver raises
+        "driver": "spo1",
+        "matrix": {"m": 10, "n": 30},  # wide: the driver raises
         "trials": 1, "seed": 1, "out": str(tmp_path / "fail")})
     rows, _ = bench.run_experiment(cfg)
-    assert rows[0]["status"].startswith("error: psd drivers need a square")
-    assert rows[0]["error_type"] == "ConfigError"
-    assert rows[0]["error_where"] == "randla.bench._psd_from"
+    assert rows[0]["status"].startswith("error: spo1 requires m >= n")
+    assert rows[0]["error_type"] == "ValueError"
+    assert rows[0]["error_where"] == "randla.leastsq.spo1"
     got = list(csv.DictReader(open(tmp_path / "fail.csv")))
-    assert got[0]["error_where"] == "randla.bench._psd_from"
+    assert got[0]["error_where"] == "randla.leastsq.spo1"
 
 
 def test_params_and_spec_fields_coerced_at_load():

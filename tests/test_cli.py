@@ -79,8 +79,8 @@ def test_reproducible_rerun(tmp_path, lstsq_config):
 
 def test_all_trials_failed_exit_code(tmp_path):
     cfg = write_config(tmp_path / "bad.json", {
-        "driver": "nystrom_pcg",
-        "matrix": {"m": 30, "n": 10},  # non-square: every trial fails
+        "driver": "spo1",
+        "matrix": {"m": 10, "n": 30},  # wide: every trial fails in spo1
         "trials": 2,
     })
     assert cli.main(["run", "--config", cfg]) == 3
@@ -165,6 +165,50 @@ def _with_matrix(**changes):
 def test_bad_config_exits_2_at_load(tmp_path, change):
     cfg = write_config(tmp_path / "bad.json", dict(BASE_RUN, **change))
     assert cli.main(["run", "--config", cfg]) == 2
+
+
+SQUARE = {"m": 12, "n": 12, "seed": 3}
+
+
+@pytest.mark.parametrize("driver, param", [
+    ("svd1", "k"), ("qb2", "k"), ("qb2", "block_size"), ("evd2", "k"),
+    ("osid1", "k"), ("curd1", "k"), ("subspace_leverage", "k"),
+    ("bootstrap_svd", "k"), ("girard_hutchinson", "probes"),
+    ("slq", "probes"), ("slq", "steps"), ("hutch_pp", "budget"),
+    ("bootstrap_ls", "B"), ("bootstrap_svd", "B"), ("nystrom_pcg", "rank"),
+    ("row_sample_embedding", "vectors"), ("sketch_and_solve", "d"),
+    ("distortion", "d"), ("precond_spectrum", "d"),
+    ("row_sample_embedding", "d"), ("sap_chol_qrcp", "d"),
+    ("rand_chol_qr", "d"), ("bootstrap_ls", "d"), ("bootstrap_svd", "d"),
+    ("approx_leverage", "d1"), ("approx_leverage", "d2")])
+@pytest.mark.parametrize("value", [0, -1])
+def test_nonpositive_counts_exit_2_at_load(tmp_path, driver, param, value):
+    raw = {"driver": driver, "matrix": SQUARE, "params": {param: value}}
+    with pytest.raises(bench.ConfigError, match=f"param '{param}'.*at least 1"):
+        bench.ExperimentConfig.from_dict(raw)
+    assert cli.main(["run", "--config",
+                     write_config(tmp_path / "bad.json", raw)]) == 2
+
+
+@pytest.mark.parametrize("driver, params", [
+    ("svd1", {"oversample": 0, "power_passes": 0}),
+    ("osid1", {"oversample": 0, "power_passes": 0}),
+    ("nystrom_pcg", {"oversample": 0}),
+    ("sps2", {"mu": 0})])
+def test_zero_oversample_passes_and_mu_stay_valid(tmp_path, driver, params):
+    cfg = write_config(tmp_path / "ok.json", {
+        "driver": driver, "matrix": SQUARE, "params": params})
+    assert cli.main(["run", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("driver", ["nystrom_pcg", "evd2", "girard_hutchinson",
+                                    "hutch_pp", "slq"])
+def test_psd_drivers_need_square_spec_at_load(tmp_path, driver):
+    raw = {"driver": driver, "matrix": {"m": 30, "n": 10}}
+    with pytest.raises(bench.ConfigError, match="square"):
+        bench.ExperimentConfig.from_dict(raw)
+    assert cli.main(["run", "--config",
+                     write_config(tmp_path / "bad.json", raw)]) == 2
 
 
 def test_bad_seed_flag_and_gen_spec_exit_2(tmp_path):

@@ -154,6 +154,13 @@ def test_subspace_leverage_sums_to_k():
     assert abs(out.scores.sum() - 6.0) <= 1e-6
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_subspace_leverage_rejects_nonpositive_rank(k):
+    A = np.random.default_rng(18).standard_normal((30, 10))
+    with pytest.raises(ValueError, match="k"):
+        lev.subspace_leverage(A, k, s=4)
+
+
 def test_subspace_leverage_scaling_stability():
     # top-score ordering is stable under global column scaling
     r = np.random.default_rng(16)

@@ -162,6 +162,84 @@ def test_qb2_orthonormality_and_b_identity():
     assert np.linalg.norm(qb.B - qb.Q.T @ A) <= 1e-8 * np.linalg.norm(A)
 
 
+def _qb2_explicit(A, k, block_size, seed, tol=0.0):
+    """Textbook blocked QB: rangefinder on an explicitly downdated copy of
+    A, the same per-block keys, stopped on the directly computed error."""
+    m, n = A.shape
+    A_work = A.copy()
+    Q, B = np.zeros((m, 0)), np.zeros((0, n))
+    block = 0
+    while Q.shape[1] < k:
+        Qi = lr.rf1(A_work, min(block_size, k - Q.shape[1]),
+                    seed=RngKey(seed).substream(block))
+        Qi = lr.orth(Qi - Q @ (Q.T @ Qi))
+        if Qi.shape[1] == 0:
+            break
+        Bi = Qi.T @ A_work
+        Q, B = np.hstack([Q, Qi]), np.vstack([B, Bi])
+        A_work -= Qi @ Bi
+        block += 1
+        if np.linalg.norm(A_work) <= tol * np.linalg.norm(A):
+            break
+    return Q, B
+
+
+@pytest.mark.parametrize("k, block_size, tol", [
+    (12, 3, 0.0), (20, 7, 0.0), (25, 25, 0.0), (9, 4, 0.0), (30, 5, 1e-3)])
+def test_qb2_implicit_deflation_matches_explicit_downdate(k, block_size, tol):
+    A, _, _ = factored(90, 60, np.arange(1, 61.0) ** -1.0, seed=70)
+    qb = lr.qb2(A, k, tol=tol, block_size=block_size, seed=71)
+    Q, B = _qb2_explicit(A, k, block_size, 71, tol)
+    assert qb.Q.shape[1] == Q.shape[1]
+    ref = Q @ B
+    assert np.linalg.norm(qb.approximation() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("k, block_size", [(20, 5), (30, 7)])
+def test_qb2_implicit_deflation_matches_explicit_on_rank_deficient(k, block_size):
+    # rank 12 with a flat spectrum: the block that crosses rank 12 loses
+    # columns to orth's rank cut, and the tracked error then meets tol
+    A, _, _ = factored(80, 50, np.linspace(2.0, 1.0, 12), seed=72)
+    qb = lr.qb2(A, k, tol=1e-6, block_size=block_size, seed=73)
+    Q, B = _qb2_explicit(A, k, block_size, 73, tol=1e-6)
+    assert qb.Q.shape[1] == Q.shape[1] == 12
+    ref = Q @ B
+    assert np.linalg.norm(qb.approximation() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("k", [11, 25, 40])
+def test_qb2_fixed_rank_default_block_is_qb1(k):
+    # tol 0 and no block_size: one block with qb2's first key is qb1's work
+    A, _, _ = factored(120, 70, np.arange(1, 71.0) ** -0.5, seed=74)
+    qb = lr.qb2(A, k, seed=RngKey(75))
+    ref = lr.qb1(A, k, seed=RngKey(75).substream(0))
+    assert qb.Q.shape[1] == ref.Q.shape[1] == k
+    assert (np.linalg.norm(qb.approximation() - ref.approximation())
+            <= 1e-12 * np.linalg.norm(ref.approximation()))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+def test_qb2_rank_budget_above_n_returns_rank_n(tol):
+    A = np.random.default_rng(76).standard_normal((60, 12))
+    qb = lr.qb2(A, 30, tol=tol, seed=77)
+    assert qb.Q.shape[1] == 12
+    assert np.linalg.norm(A - qb.approximation()) <= 1e-12 * np.linalg.norm(A)
+
+
+def test_qb2_tracked_error_matches_direct_after_many_blocks():
+    A, _, _ = factored(120, 80, np.arange(1, 81.0) ** -1.0, seed=78)
+    anorm = np.linalg.norm(A)
+    qb = lr.qb2(A, 60, tol=0.1, block_size=2, seed=79)
+    assert qb.Q.shape[1] > 8 * 2  # more than 8 blocks ran
+    direct = np.linalg.norm(A - qb.approximation())
+    tracked = np.sqrt(anorm ** 2 - np.linalg.norm(qb.B) ** 2)
+    assert abs(tracked - direct) <= 1e-10 * direct
+    assert direct <= 0.1 * anorm
+    # and the tracker stopped at the first block that met tol
+    Bprev = qb.B[:-2]
+    assert np.sqrt(anorm ** 2 - np.linalg.norm(Bprev) ** 2) > 0.1 * anorm
+
+
 def test_qb3_matches_qb2_error():
     # on a well-conditioned (cleanly decaying) spectrum both methods settle
     # on the dominant subspace, so their errors agree tightly at equal rank
@@ -244,6 +322,28 @@ def test_evd1_exact_psd_low_rank():
 def test_evd1_rejects_nonhermitian():
     with pytest.raises(ValueError):
         lr.evd1(np.triu(np.ones((4, 4))), 2, seed=0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("driver", [
+    lambda A, k: lr.qb1(A, k),
+    lambda A, k: lr.qb2(A, k),
+    lambda A, k: lr.qb2(A, k, tol=0.1),
+    lambda A, k: lr.qb3(A, k),
+    lambda A, k: lr.svd1(A, k),
+    lambda A, k: lr.evd1(A, k),
+    lambda A, k: lr.evd2(A, k),
+    lambda A, k: lr.osid1(A, k),
+    lambda A, k: lr.osid1(A, k, axis="row"),
+    lambda A, k: lr.osid_qrcp(A, k),
+    lambda A, k: lr.rocs1(A, k),
+    lambda A, k: lr.curd1(A, k),
+], ids=["qb1", "qb2", "qb2_tol", "qb3", "svd1", "evd1", "evd2", "osid1",
+        "osid1_row", "osid_qrcp", "rocs1", "curd1"])
+def test_drivers_reject_nonpositive_rank(driver, k):
+    r = np.random.default_rng(80).standard_normal((20, 20))
+    with pytest.raises(ValueError, match="k"):
+        driver(r @ r.T, k)
 
 
 def test_evd2_constructed_oracle():
