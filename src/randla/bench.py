@@ -76,6 +76,11 @@ def _positive(value):
 _Count = Annotated[int, _positive]
 
 
+def _above_zero(value):
+    if not value > 0:
+        raise ValueError("must be positive")
+
+
 def _bind(fn, given: dict, what: str) -> dict:
     """``given`` checked against ``schema(fn)``, each value coerced to the
     type of its default (int for None: ``fn`` computes it from the problem)."""
@@ -268,7 +273,9 @@ def _run_sketch_and_solve(A, spec, key, *, d: _Count = None,
     return out
 
 
-def _run_nystrom_pcg(A, spec, key, *, mu=1.0, preconditioned=True,
+def _run_nystrom_pcg(A, spec, key, *,
+                     mu: Annotated[float, _above_zero] = 1.0,
+                     preconditioned=True,
                      rank: _Count = 10, oversample=5, tol=1e-10, maxit=200):
     G = _psd_from(A, spec)
     h = _rng.gaussian_stream(RngKey(spec.seed).substream(9), spec.n)

@@ -208,9 +208,11 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     Block i runs the rangefinder (key ``seed.substream(i)``) on A - Q B,
     applied implicitly, reorthogonalizes against Q and appends Q_i^T A,
     until the tracked error ||A||_F^2 - sum ||B_i||_F^2 drops to
-    tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  ``block_size``
-    defaults to min(k, m, n) when ``tol <= 0`` (one block, as qb1) and
-    to min(k, 10) otherwise.
+    tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  A direction of Q_i
+    whose row of B_i is at rounding level, max(m, n) eps ||A||_F or less,
+    is rounding noise of A - Q B: it is dropped and no further block is
+    drawn.  ``block_size`` defaults to min(k, m, n) when ``tol <= 0`` (one
+    block, as qb1) and to min(k, 10) otherwise.
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
@@ -222,8 +224,10 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         raise ValueError("block_size must be positive")
     seed = as_key(seed)
 
-    anorm2 = np.linalg.norm(A, "fro") ** 2
+    anorm = np.linalg.norm(A, "fro")
+    anorm2 = anorm ** 2
     threshold2 = (max(tol, 0.0) ** 2) * anorm2
+    noise = max(m, n) * np.finfo(float).eps * anorm
     Q = np.zeros((m, 0))
     B = np.zeros((0, n))
     squared_error = anorm2
@@ -235,10 +239,13 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         if Qi.shape[1] == 0:
             break
         Bi = Qi.T @ A
+        signal = np.linalg.norm(Bi, axis=1) > noise
+        Qi, Bi = Qi[:, signal], Bi[signal]
         B = np.vstack([B, Bi])
         Q = np.hstack([Q, Qi])
         squared_error -= np.linalg.norm(Bi, "fro") ** 2
-        if squared_error <= threshold2 or Q.shape[1] >= rank_cap:
+        if (not signal.all() or squared_error <= threshold2
+                or Q.shape[1] >= rank_cap):
             break
     return QBFactors(Q, B)
 

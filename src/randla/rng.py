@@ -8,6 +8,13 @@ or one element at a time, and always agree bitwise.
 The generator is Philox 4x32 with 10 rounds and the published round/Weyl
 constants, frozen here for reproducibility.  Each counter value yields one
 double-precision uniform built from 53 bits of generator output.
+
+Streams are generated in cache-sized chunks of 2^14 counters.  A chunk's
+counters and Philox words live in chunk-sized buffers updated in place and
+its values go straight into the returned array, so scratch memory is
+O(chunk) whatever the stream length.  ``gaussian_stream`` and
+``rademacher_stream`` transform one ``uniform_stream`` chunk at a time.
+Chunking does not change any entry.
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Philox 4x32 multipliers and Weyl key increments.
-_PHILOX_M0 = np.uint64(0xD2511F53)
-_PHILOX_M1 = np.uint64(0xCD9E8D57)
+_PHILOX_M0 = 0xD2511F53
+_PHILOX_M1 = 0xCD9E8D57
 _WEYL_0 = 0x9E3779B9
 _WEYL_1 = 0xBB67AE85
 _ROUNDS = 10
@@ -78,64 +85,86 @@ def parse_seed_token(token) -> int:
     return int(s, base)
 
 
-_CHUNK = 1 << 14  # keep the working set cache-resident
+# Counters per kernel pass: a pass's buffers (about 1 MiB) stay in L2.
+_CHUNK = 1 << 14
+_RAMP = np.arange(_CHUNK, dtype=np.uint64)
 
 
-def _philox_block(key: int, counters: np.ndarray):
-    """Philox 4x32-10 on one block of 64-bit counters.
+def _fill(key: int, offsets: np.ndarray, n: int, dist: str,
+          out: np.ndarray) -> None:
+    """Write the ``dist`` stream of length ``n`` that starts at counter
+    ``offsets[j]`` (uint64) into row j of ``out``, a C-ordered
+    (len(offsets), n) float array.  The one generator path of this module.
 
-    The 128-bit counter block is (c_lo, c_hi, 0, 0) for each 64-bit counter
-    value.  Returns the first two 32-bit output words as uint64 arrays.
+    The (streams x counters) grid is taken in passes of at most _CHUNK
+    counters: whole rows while a row is shorter, pieces of one row
+    otherwise.  A pass runs Philox 4x32-10 on the 128-bit blocks
+    (c_lo, c_hi, 0, 0) in place in reused buffers and writes its uniforms,
+    or their ``_transform``, straight into ``out``, so scratch memory is
+    O(_CHUNK) for any ``n``.
     """
-    m32 = np.uint64(_MASK32)
-    sh = np.uint64(32)
-    c0 = counters & m32
-    c1 = counters >> sh
-    c2 = np.zeros_like(counters)
-    c3 = np.zeros_like(counters)
-    k0 = np.uint64(key & _MASK32)
-    k1 = np.uint64((key >> 32) & _MASK32)
-    for _ in range(_ROUNDS):
-        p0 = c0 * _PHILOX_M0
-        p1 = c2 * _PHILOX_M1
-        c0, c1, c2, c3 = (
-            (p1 >> sh) ^ c1 ^ k0,
-            p1 & m32,
-            (p0 >> sh) ^ c3 ^ k1,
-            p0 & m32,
-        )
-        k0 = (k0 + np.uint64(_WEYL_0)) & m32
-        k1 = (k1 + np.uint64(_WEYL_1)) & m32
-    return c0, c1
+    rows = len(offsets)
+    width = gaussian_counters_used(n) if dist == "gaussian" else n
+    if rows == 0 or width == 0:
+        return
+    step = min(width, _CHUNK)
+    per_pass = min(rows, _CHUNK // step)
+    size = per_pass * step
+    words = [np.empty(size, np.uint64) for _ in range(6)] + [np.empty(size)]
+    for r0 in range(0, rows, per_pass):
+        r = min(per_pass, rows - r0)
+        for col in range(0, width, step):
+            w = min(step, width - col)
+            a, b, c, d, p, q, v = (x[:r * w] for x in words)
+            starts = offsets[r0:r0 + r, None] + np.uint64(col)  # mod 2^64
+            np.add(starts, _RAMP[:w], out=a.reshape(r, w))
+            np.right_shift(a, 32, out=b)
+            np.bitwise_and(a, _MASK32, out=a)
+            c.fill(0)
+            d.fill(0)
+            k0, k1 = key & _MASK32, key >> 32
+            for _ in range(_ROUNDS):
+                np.multiply(a, _PHILOX_M0, out=p)
+                np.multiply(c, _PHILOX_M1, out=q)
+                np.right_shift(q, 32, out=a)
+                np.bitwise_xor(a, b, out=a)
+                np.bitwise_xor(a, k0, out=a)
+                np.bitwise_and(q, _MASK32, out=b)
+                np.right_shift(p, 32, out=c)
+                np.bitwise_xor(c, d, out=c)
+                np.bitwise_xor(c, k1, out=c)
+                np.bitwise_and(p, _MASK32, out=d)
+                k0, k1 = (k0 + _WEYL_0) & _MASK32, (k1 + _WEYL_1) & _MASK32
+            # doubles in [0, 1): 27 bits of word 0 above 26 bits of word 1
+            np.right_shift(a, 5, out=a)
+            np.left_shift(a, 26, out=a)
+            np.right_shift(b, 6, out=b)
+            np.bitwise_or(a, b, out=a)
+            if dist == "uniform":
+                np.multiply(a.reshape(r, w), 2.0 ** -53,
+                            out=out[r0:r0 + r, col:col + w])
+            else:
+                v = v.reshape(r, w)
+                np.multiply(a.reshape(r, w), 2.0 ** -53, out=v)
+                _transform(v, dist, out[r0:r0 + r, col:col + min(w, n - col)])
 
 
-def _philox(key: int, counters: np.ndarray):
-    """Chunked Philox evaluation; returns the first two output words."""
-    n = counters.size
-    if n <= _CHUNK:
-        return _philox_block(key, counters)
-    x0 = np.empty(n, dtype=np.uint64)
-    x1 = np.empty(n, dtype=np.uint64)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        a, b = _philox_block(key, counters[start:stop])
-        x0[start:stop] = a
-        x1[start:stop] = b
-    return x0, x1
-
-
-def _unit_doubles(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """Doubles in [0, 1) from Philox output words: 53 random bits, 27 from
-    the first word and 26 from the second."""
-    hi = (x0 >> np.uint64(5)) << np.uint64(26)
-    lo = x1 >> np.uint64(6)
-    return (hi | lo) * (2.0 ** -53)
-
-
-def _counters(k: RngKey, n: int) -> np.ndarray:
-    base = np.arange(n, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return base + np.uint64(k.counter_offset)
+def _transform(u: np.ndarray, dist: str, out: np.ndarray) -> None:
+    """Write the ``dist`` values of uniforms ``u`` into ``out`` along the
+    last axis.  Rademacher: -1.0 where u < 1/2, else +1.0.  Gaussian:
+    Box-Muller on pairs (2p, 2p + 1), cosine branch first; ``out`` may be
+    one entry shorter than ``u``, and then its last entry has no sine."""
+    if dist == "rademacher":
+        out[...] = np.where(u < 0.5, -1.0, 1.0)
+        return
+    r = np.maximum(u[..., 0::2], _TINY)
+    np.log(r, out=r)
+    np.multiply(r, -2.0, out=r)
+    np.sqrt(r, out=r)
+    theta = 2.0 * np.pi * u[..., 1::2]
+    out[..., 0::2] = r * np.cos(theta)
+    s = out.shape[-1] // 2
+    out[..., 1::2] = r[..., :s] * np.sin(theta[..., :s])
 
 
 def uniform_stream(k, n: int) -> np.ndarray:
@@ -144,9 +173,26 @@ def uniform_stream(k, n: int) -> np.ndarray:
     k = as_key(k)
     if n < 0:
         raise ValueError("stream length must be nonnegative")
-    if n == 0:
-        return np.empty(0)
-    return _unit_doubles(*_philox(k.key, _counters(k, n)))
+    out = np.empty(n)
+    _fill(k.key, np.array([k.counter_offset], dtype=np.uint64), n,
+          "uniform", out[None])
+    return out
+
+
+def _from_uniforms(k, n: int, dist: str) -> np.ndarray:
+    """The ``dist`` stream of length ``n`` at ``k``, transformed from
+    ``uniform_stream`` draws of at most _CHUNK counters each."""
+    k = as_key(k)
+    if n < 0:
+        raise ValueError("stream length must be nonnegative")
+    out = np.empty(n)
+    for col in range(0, n, _CHUNK):
+        dst = out[col:col + _CHUNK]
+        used = len(dst)
+        if dist == "gaussian":
+            used = gaussian_counters_used(used)
+        _transform(uniform_stream(k.advance(col), used), dist, dst)
+    return out
 
 
 def gaussian_stream(k, n: int) -> np.ndarray:
@@ -157,30 +203,13 @@ def gaussian_stream(k, n: int) -> np.ndarray:
     its pair.  A zero uniform is clamped to the smallest positive double
     before the logarithm.
     """
-    k = as_key(k)
-    if n < 0:
-        raise ValueError("stream length must be nonnegative")
-    if n == 0:
-        return np.empty(0)
-    return _box_muller(uniform_stream(k, gaussian_counters_used(n)))[:n]
+    return _from_uniforms(k, n, "gaussian")
 
 
 def rademacher_stream(k, n: int) -> np.ndarray:
-    """``n`` independent signs in {-1.0, +1.0} with equal probability."""
-    u = uniform_stream(k, n)
-    return np.where(u < 0.5, -1.0, 1.0)
-
-
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Normals from uniform pairs along the last axis: pair p uses entries
-    2p and 2p + 1, cosine branch first."""
-    u1 = np.maximum(u[..., 0::2], _TINY)
-    theta = 2.0 * np.pi * u[..., 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty(u.shape)
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
-    return out
+    """``n`` independent signs in {-1.0, +1.0} with equal probability:
+    -1.0 where the uniform stream is below 1/2."""
+    return _from_uniforms(k, n, "rademacher")
 
 
 def stream_block(keys, n: int, dist: str = "uniform") -> np.ndarray:
@@ -189,8 +218,8 @@ def stream_block(keys, n: int, dist: str = "uniform") -> np.ndarray:
     ``gaussian_stream`` or ``rademacher_stream`` called on that key.
 
     The keys must share one 64-bit key (they differ in counter offset, as
-    substreams and advanced keys of one seed do), so the whole block is one
-    Philox evaluation.  Columns are contiguous in memory.
+    substreams and advanced keys of one seed do), so that short streams
+    share kernel passes.  Columns are contiguous in memory.
     """
     keys = [as_key(k) for k in keys]
     if n < 0:
@@ -199,19 +228,11 @@ def stream_block(keys, n: int, dist: str = "uniform") -> np.ndarray:
         raise ValueError(f"unknown stream distribution {dist!r}")
     if len({k.key for k in keys}) > 1:
         raise ValueError("a stream block needs keys that share one 64-bit key")
-    if n == 0 or not keys:
-        return np.empty((n, len(keys)))
-    width = gaussian_counters_used(n) if dist == "gaussian" else n
-    offsets = np.array([k.counter_offset for k in keys], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        counters = offsets[:, None] + np.arange(width, dtype=np.uint64)
-    u = _unit_doubles(*_philox(keys[0].key, counters.ravel()))
-    u = u.reshape(len(keys), width)
-    if dist == "gaussian":
-        u = _box_muller(u)[:, :n]
-    elif dist == "rademacher":
-        u = np.where(u < 0.5, -1.0, 1.0)
-    return np.ascontiguousarray(u).T
+    out = np.empty((len(keys), n))
+    if keys:
+        offsets = np.array([k.counter_offset for k in keys], dtype=np.uint64)
+        _fill(keys[0].key, offsets, n, dist, out)
+    return out.T
 
 
 def uniform_grid(k, d: int, m: int) -> np.ndarray:

@@ -201,6 +201,16 @@ def test_zero_oversample_passes_and_mu_stay_valid(tmp_path, driver, params):
     assert cli.main(["run", "--config", cfg]) == 0
 
 
+@pytest.mark.parametrize("mu", [0, -1e-3])
+def test_nystrom_pcg_needs_positive_mu_at_load(tmp_path, mu):
+    # sps2 accepts mu = 0 (above); nystrom_pcg would fail every trial
+    raw = {"driver": "nystrom_pcg", "matrix": SQUARE, "params": {"mu": mu}}
+    with pytest.raises(bench.ConfigError, match="param 'mu'.*positive"):
+        bench.ExperimentConfig.from_dict(raw)
+    assert cli.main(["run", "--config",
+                     write_config(tmp_path / "bad.json", raw)]) == 2
+
+
 @pytest.mark.parametrize("driver", ["nystrom_pcg", "evd2", "girard_hutchinson",
                                     "hutch_pp", "slq"])
 def test_psd_drivers_need_square_spec_at_load(tmp_path, driver):

@@ -226,6 +226,21 @@ def test_qb2_rank_budget_above_n_returns_rank_n(tol):
     assert np.linalg.norm(A - qb.approximation()) <= 1e-12 * np.linalg.norm(A)
 
 
+@pytest.mark.parametrize("sig", [np.ones(12), np.logspace(0, -3, 12)],
+                         ids=["flat", "decaying"])
+@pytest.mark.parametrize("block_size", [None, 4, 10])
+def test_qb2_appends_no_rounding_noise_past_the_rank(sig, block_size):
+    # rank 12 and k 30 at tol 0: once Q spans range(A), the next block
+    # sketches rounding noise of A - Q B, which must not be appended
+    A, _, _ = factored(80, 50, sig, seed=1)
+    for s in range(6):
+        qb = lr.qb2(A, 30, block_size=block_size, seed=s)
+        assert qb.Q.shape[1] == 12
+        assert np.linalg.norm(qb.B, axis=1).min() > 1e-6
+        assert (np.linalg.norm(A - qb.approximation())
+                <= 1e-13 * np.linalg.norm(A))
+
+
 def test_qb2_tracked_error_matches_direct_after_many_blocks():
     A, _, _ = factored(120, 80, np.arange(1, 81.0) ** -1.0, seed=78)
     anorm = np.linalg.norm(A)
