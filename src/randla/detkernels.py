@@ -1,7 +1,26 @@
 """Deterministic building blocks.
 
-Dense factorizations are delegated to LAPACK through scipy behind this one
-seam; the iterative methods (LSQR, PCG, Lanczos tridiagonalization) are
+Dense factorizations go through this one seam.  QR, SVD, Hermitian
+eigendecomposition, Cholesky and the inverse of a triangular factor run on
+numpy's LAPACK, the same BLAS runtime as every matrix product in the
+library, so a driver's loop does not hand work back and forth between
+numpy's and scipy's BLAS thread pools.  Three calls stay on scipy, because
+numpy has no equivalent or moving them gains nothing:
+
+- ``qrcp``: numpy has no column-pivoted QR (``geqp3``);
+- ``solve_triangular``: numpy has no ``trtrs``, and an explicit inverse
+  applied to a tall right-hand side loses accuracy on ill-conditioned
+  factors;
+- ``scipy.linalg.eigh_tridiagonal`` in ``trace.slq``, which does not use
+  the BLAS threads.
+
+``chol`` also calls scipy's ``dpotrf`` after a failure, only to name the
+failing pivot.
+
+Like scipy, the seam rejects infs and NaNs with
+``ValueError("array must not contain infs or NaNs")``; ``chol`` instead
+raises ``CholeskyError`` at the first pivot that is not a positive finite
+number.  The iterative methods (LSQR, PCG, Lanczos tridiagonalization) are
 implemented here directly.
 """
 
@@ -63,12 +82,17 @@ class IterativeReport:
 
 
 # ---------------------------------------------------------------------------
-# dense factorizations (the scipy/LAPACK seam)
+# dense factorizations (the LAPACK seam)
 # ---------------------------------------------------------------------------
+
+def _finite(A):
+    """A as a float array; ValueError on infs or NaNs, as scipy checks."""
+    return np.asarray_chkfinite(A, dtype=float)
+
 
 def qr_econ(A):
     """Economic unpivoted (Householder) QR: A = Q R."""
-    return la.qr(np.asarray(A, dtype=float), mode="economic")
+    return np.linalg.qr(_finite(A), mode="reduced")
 
 
 def qrcp(A):
@@ -78,26 +102,39 @@ def qrcp(A):
 
 
 def chol(A):
-    """Upper-triangular R with R^T R = A; CholeskyError names the failing
-    pivot when A is not positive definite."""
+    """Upper-triangular R with R^T R = A, read from A's upper triangle;
+    CholeskyError names the first pivot that is not positive and finite."""
     A = np.asarray(A, dtype=float)
-    R, info = la.lapack.dpotrf(A, lower=0, overwrite_a=0)
-    if info > 0:
-        raise CholeskyError(int(info))
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return np.triu(R)
+    try:
+        R = np.linalg.cholesky(A, upper=True)
+    except np.linalg.LinAlgError:
+        # numpy does not say which pivot failed; LAPACK's info does.  scipy
+        # links another OpenBLAS build, which may round a pivot at the
+        # rounding floor the other way and pass; then pivot 1 is named.
+        info = la.lapack.dpotrf(A, lower=0, overwrite_a=0)[1]
+        raise CholeskyError(int(info) if info > 0 else 1) from None
+    bad = ~np.isfinite(R.diagonal())
+    if bad.any():
+        raise CholeskyError(int(np.argmax(bad)) + 1)
+    return R
+
+
+def triu_inv(R):
+    """R^{-1} for a nonsingular upper-triangular R.  Partial pivoting swaps
+    no rows of a triangular R, so this is back substitution against I."""
+    return np.linalg.inv(R)
 
 
 def svd(A):
     """Compact SVD: U, sigma (nonincreasing), V with A = U diag(sigma) V^T."""
-    U, s, Vt = la.svd(np.asarray(A, dtype=float), full_matrices=False)
+    U, s, Vt = np.linalg.svd(_finite(A), full_matrices=False)
     return U, s, Vt.T
 
 
 def eigh(A):
-    """Hermitian eigendecomposition, eigenvalues ascending (LAPACK order)."""
-    return la.eigh(np.asarray(A, dtype=float))
+    """Hermitian eigendecomposition from A's lower triangle, eigenvalues
+    ascending (LAPACK order)."""
+    return np.linalg.eigh(_finite(A))
 
 
 def solve_triangular(R, B, lower=False, trans=0):

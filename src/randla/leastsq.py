@@ -243,7 +243,7 @@ def make_precond_qr(A_sk, mu: float = 0.0) -> Preconditioner:
             )
     else:
         R = dk.chol(A_sk.T @ A_sk + mu * np.eye(n))
-    M = dk.solve_triangular(R, np.eye(n))
+    M = dk.triu_inv(R)
     aug_left = Q if mu == 0.0 else np.concatenate([A_sk @ M, np.sqrt(mu) * M])
     return Preconditioner(M, mu, aug_left)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
-from randla import detkernels as dk
+from randla import detkernels as dk, leastsq as ls
 
 
 def make_conditioned(m, n, cond, seed=0):
@@ -40,6 +41,17 @@ def test_chol_failure_pivot():
     with pytest.raises(dk.CholeskyError) as err:
         dk.chol(np.diag([1.0, 4.0, -1.0]))
     assert err.value.pivot == 3
+    # a negative diagonal entry at pivot p makes the Schur complement there
+    # negative while the leading (p - 1) block stays positive definite
+    n = 6
+    X = np.random.default_rng(15).standard_normal((n, n))
+    for p in (1, 2, n):
+        G = X.T @ X + np.eye(n)
+        G[p - 1, p - 1] = -1.0
+        for A in (G, np.diag(np.diag(G))):
+            with pytest.raises(dk.CholeskyError) as err:
+                dk.chol(A)
+            assert err.value.pivot == p
 
 
 def test_svd_diagonal():
@@ -57,6 +69,143 @@ def test_reconstruction_residuals():
     G = A.T @ A
     Rc = dk.chol(G)
     assert np.linalg.norm(G - Rc.T @ Rc) <= 1e-12 * np.linalg.norm(G)
+
+
+def _nonfinite(value, shape, at):
+    A = np.random.default_rng(16).standard_normal(shape)
+    A = A.T @ A if shape[0] == shape[1] else A
+    A[at] = A[at[::-1]] = value
+    return A
+
+
+NONFINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("factor", [
+    dk.qr_econ, dk.svd, dk.eigh, ls.make_precond_qr, ls.make_precond_svd])
+def test_nonfinite_input_raises_value_error(factor, value):
+    shape = (5, 5) if factor is dk.eigh else (7, 4)
+    for at in ((0, 0), (3, 1), (1, 3)):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            factor(_nonfinite(value, shape, at))
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+def test_nonfinite_input_fails_chol_at_its_pivot(value):
+    # Cholesky reads the upper triangle; the first pivot that meets the
+    # non-finite entry is not a positive finite number, and chol names it.
+    # OpenBLAS's dpotrf itself reports success on a NaN pivot.
+    for at, pivot in (((0, 0), 1), ((2, 2), 3), ((1, 3), 4)):
+        with pytest.raises(dk.CholeskyError) as err:
+            dk.chol(_nonfinite(value, (5, 5), at) + 10.0 * np.eye(5))
+        assert err.value.pivot == pivot
+    with pytest.raises(dk.CholeskyError) as err:
+        dk.chol(np.array([[1.0, value], [value, 1.0]]))
+    assert err.value.pivot == 2
+
+
+def _parity_inputs():
+    r = np.random.default_rng(17)
+    rank5 = r.standard_normal((30, 5)) @ r.standard_normal((5, 8))
+    return {"tall": r.standard_normal((30, 8)),
+            "wide": r.standard_normal((8, 30)),
+            "square": r.standard_normal((12, 12)),
+            "1x1": np.array([[-2.5]]),
+            "rank-deficient": rank5}
+
+
+PARITY = _parity_inputs()
+
+
+def _tol(A):
+    """Backward-stable rounding level: max(m, n) ulp of ||A||_2."""
+    return max(A.shape) * np.finfo(float).eps * np.linalg.norm(A, 2)
+
+
+@pytest.mark.parametrize("name", PARITY)
+def test_svd_and_eigh_match_scipy(name):
+    A = PARITY[name]
+    _, s, _ = dk.svd(A)
+    assert np.abs(s - la.svd(A, compute_uv=False)).max() <= _tol(A)
+    for G in (A.T @ A, A @ A.T):
+        # syevd (numpy) and syevr (scipy) agree to O(n eps ||G||), not ulp
+        lam, V = dk.eigh(G)
+        assert np.abs(lam - la.eigh(G)[0]).max() <= 4 * _tol(G)
+        assert np.linalg.norm(G @ V - V * lam) <= _tol(G) * G.shape[0]
+
+
+@pytest.mark.parametrize("name", PARITY)
+def test_qr_and_chol_match_scipy(name):
+    A = PARITY[name]
+    _, R = dk.qr_econ(A)
+    _, R_ref = la.qr(A, mode="economic")
+    assert np.abs(R - R_ref).max() <= _tol(A)
+    clear = np.abs(np.diag(R_ref)) > _tol(A)  # not rounding noise
+    assert clear.sum() == np.linalg.matrix_rank(A)
+    assert np.array_equal(np.sign(np.diag(R))[clear],
+                          np.sign(np.diag(R_ref))[clear])
+    G = A.T @ A + _tol(A.T @ A) * np.eye(A.shape[1])
+    Rc = dk.chol(G)
+    Rc_ref, info = la.lapack.dpotrf(G, lower=0)
+    assert info == 0
+    assert np.abs(Rc - np.triu(Rc_ref)).max() <= _tol(A)
+    assert np.all(np.diag(Rc) > 0) and np.array_equal(Rc, np.triu(Rc))
+
+
+@pytest.mark.parametrize("name", ["tall", "square", "1x1"])
+@pytest.mark.parametrize("mu", [0.0, 1e-3])
+def test_make_precond_qr_inverse_matches_triangular_solve(name, mu):
+    A = PARITY[name]
+    M = ls.make_precond_qr(A, mu).M
+    if mu == 0.0:
+        R = dk.qr_econ(A)[1]
+    else:
+        R = dk.chol(A.T @ A + mu * np.eye(A.shape[1]))
+    M_ref = la.solve_triangular(R, np.eye(A.shape[1]))
+    assert np.all(np.abs(M - M_ref) <= 2 * np.spacing(np.abs(M_ref)))
+
+
+def test_factorizations_stay_on_numpy_lapack(monkeypatch):
+    # numpy's and scipy's LAPACK link separate BLAS builds with separate
+    # thread pools; a driver's loop should use one.  Only column-pivoted QR,
+    # triangular solves and eigh_tridiagonal may use scipy.
+    from randla import errorest, fullrank, lowrank, trace
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"scipy.linalg.{name} was called")
+        return call
+
+    scipy_qr = la.qr
+
+    def pivoted_qr_only(*args, pivoting=False, **kwargs):
+        if not pivoting:
+            raise AssertionError("unpivoted scipy.linalg.qr was called")
+        return scipy_qr(*args, pivoting=pivoting, **kwargs)
+
+    monkeypatch.setattr(la, "svd", forbidden("svd"))
+    monkeypatch.setattr(la, "eigh", forbidden("eigh"))
+    monkeypatch.setattr(la, "qr", pivoted_qr_only)
+    monkeypatch.setattr(la.lapack, "dpotrf", forbidden("lapack.dpotrf"))
+
+    r = np.random.default_rng(18)
+    A = make_conditioned(300, 12, 1e3, seed=19)
+    b = r.standard_normal(300)
+    Q = np.linalg.qr(r.standard_normal((60, 60)))[0]
+    G = (Q * np.logspace(0, -4, 60)) @ Q.T
+    L = make_conditioned(80, 40, 1e4, seed=20)
+    lowrank.qb2(L, 12, block_size=4, seed=1)
+    lowrank.svd1(L, 6, seed=2)
+    lowrank.evd1(G, 6, seed=3)
+    lowrank.evd2(G, 6, seed=4)
+    ls.nystrom_pcg(G, 1e-2, r.standard_normal(60), rank=8, seed=5)
+    ls.spo1(A, b, tol=1e-10, seed=6)
+    ls.sps2(ls.SaddleProblem(A, b, None, 1e-2), tol=1e-10, seed=7)
+    fullrank.rand_chol_qr(A, seed=8)
+    _, A_sk, _ = ls.sketch_and_solve_ols(A, b, 60, seed=9)
+    trace.hutch_pp(G, 60, 30, seed=10)
+    errorest.bootstrap_svd(A_sk, 3, B=5, seed=11)
 
 
 def test_linear_operator_adjoint_consistency():
@@ -196,7 +345,6 @@ def test_lanczos_invariant_subspace_terminates():
 
 
 def test_lanczos_interlacing():
-    import scipy.linalg as la
     r = np.random.default_rng(11)
     Q = np.linalg.qr(r.standard_normal((20, 20)))[0]
     lam = np.sort(r.uniform(-3, 3, 20))
