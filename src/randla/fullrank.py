@@ -42,8 +42,7 @@ def chol_qr(A):
     """
     A = np.asarray(A, dtype=float)
     R = dk.chol(A.T @ A)
-    Q = dk.solve_triangular(R, A.T, lower=False, trans="T").T
-    return Q, R
+    return A @ dk.triu_inv(R), R
 
 
 def rand_chol_qr(A, d: int | None = None, seed=0,
@@ -69,8 +68,7 @@ def rand_chol_qr(A, d: int | None = None, seed=0,
             "sketch lost rank; the matrix looks rank-deficient "
             "(use sap_chol_qrcp)"
         )
-    A_pre = dk.solve_triangular(R_sk, A.T, lower=False, trans="T").T
-    Q, R_pre = chol_qr(A_pre)
+    Q, R_pre = chol_qr(A @ dk.triu_inv(R_sk))
     return Q, R_pre @ R_sk
 
 
@@ -97,11 +95,12 @@ def sap_chol_qrcp(A, d: int | None = None, seed=0,
     _, R_sk, J = dk.qrcp(S.apply(A))
     k = dk.numerical_rank(np.abs(np.diag(R_sk)), (d, n))
     while k > 0:
-        A_pre = dk.solve_triangular(
-            R_sk[:k, :k], A[:, J[:k]].T, lower=False, trans="T"
-        ).T
+        # A[:, J[:k]] R_sk[:k, :k]^{-1} as one GEMM over A, without
+        # gathering the pivoted columns
+        M = np.zeros((n, k))
+        M[J[:k]] = dk.triu_inv(R_sk[:k, :k])
         try:
-            Q, R_pre = chol_qr(A_pre)
+            Q, R_pre = chol_qr(A @ M)
             break
         except dk.CholeskyError as err:
             # sketch rank was over-estimated; retry below the failing pivot
