@@ -222,7 +222,8 @@ def _trace_error(est, truth):
             "rel_err": abs(est.value - truth) / abs(truth)}
 
 
-def _run_spo1(A, spec, key, *, tol=1e-11, maxit=100, sampling_factor=4.0,
+def _run_spo1(A, spec, key, *, tol=1e-11, maxit=100,
+              sampling_factor=leastsq.DEFAULT_SAMPLING_FACTOR,
               family: SketchFamily = "saso"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
     x, rep = leastsq.spo1(A, b, tol=tol, maxit=maxit,
@@ -237,7 +238,8 @@ def _run_spo1(A, spec, key, *, tol=1e-11, maxit=100, sampling_factor=4.0,
 
 
 def _run_sps2(A, spec, key, *, mu=0.0, tol=1e-12, maxit=200,
-              sampling_factor=4.0, family: SketchFamily = "saso"):
+              sampling_factor=leastsq.DEFAULT_SAMPLING_FACTOR,
+              family: SketchFamily = "saso"):
     data_key = RngKey(spec.seed)
     b = _lstsq_data(A, data_key.substream(7))
     c = _rng.gaussian_stream(data_key.substream(8), A.shape[1])

@@ -216,7 +216,8 @@ def lsqr(F, g, tol: float = 1e-12, maxit: int = 100, z0=None,
     ``maxit`` iterations.  ``||F||_est`` is the running Frobenius-style
     estimate accumulated from the bidiagonalization.  A warm start ``z0``
     shifts the problem to the residual system.  Bidiagonalization breakdown
-    (an exactly zero vector) returns the current iterate as converged.
+    (an exactly zero vector) returns the current iterate as converged; a
+    non-finite test value (NaN or inf in the data) stops it unconverged.
 
     With ``track_backward_error`` the report also records, per iteration,
     the Stewart rank-one data-perturbation norm ``||F^T r|| / ||r||`` and the
@@ -294,6 +295,8 @@ def lsqr(F, g, tol: float = 1e-12, maxit: int = 100, z0=None,
         if test2 <= tol:
             converged = True
             break
+        if not np.isfinite(test2):
+            break
 
     z = x if z0 is None else np.asarray(z0, dtype=float) + x
     return finish(it, converged, z)
@@ -309,7 +312,8 @@ def pcg(apply_G, mu: float, h, apply_Pinv=None, tol: float = 1e-10,
 
     ``apply_G`` and ``apply_Pinv`` may be LinearOperators, matrices, or
     callables; ``apply_Pinv`` defaults to the identity.  Stops on the
-    recursively-updated relative residual ||(G + mu I)x - h|| / ||h||.
+    recursively-updated relative residual ||(G + mu I)x - h|| / ||h||, and
+    unconverged at the first non-finite one.
     Detected negative curvature raises, since it certifies a non-psd input.
     """
     if mu < 0:
@@ -332,8 +336,8 @@ def pcg(apply_G, mu: float, h, apply_Pinv=None, tol: float = 1e-10,
     p = z.copy()
     rz = r @ z
     it = 0
-    converged = np.linalg.norm(r) / hnorm <= tol
-    while it < maxit and not converged:
+    relres = np.linalg.norm(r) / hnorm
+    while it < maxit and tol < relres < np.inf:
         it += 1
         q = op(p)
         curv = p @ q
@@ -347,14 +351,13 @@ def pcg(apply_G, mu: float, h, apply_Pinv=None, tol: float = 1e-10,
         r -= alpha * q
         relres = np.linalg.norm(r) / hnorm
         history.append(relres)
-        if relres <= tol:
-            converged = True
+        if not tol < relres < np.inf:
             break
         z = Pinv(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, IterativeReport(it, converged, history)
+    return x, IterativeReport(it, bool(relres <= tol), history)
 
 
 def _as_apply(A, n):

@@ -24,7 +24,12 @@ from . import sketching
 from .detkernels import IterativeReport, LinearOperator
 from .rng import as_key
 
-DEFAULT_SAMPLING_FACTOR = 4.0
+# d = 12n, from a sweep of 4n to 24n (CHANGES.md).  On 100000x100 and
+# 200000x50 at cond 1e6, spo1 needs 19-20 LSQR iterations instead of 29-34
+# at 4n and runs 20-31% faster.  Past 12n it gains 3% more on 100000x100
+# (16% on 200000x50) while every driver slows on 50000x400, where 12n
+# already makes sps2 13% and the fullrank drivers 23-24% slower.
+DEFAULT_SAMPLING_FACTOR = 12.0
 DEFAULT_PRECOND_FAMILY = "saso"
 
 

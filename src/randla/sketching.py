@@ -183,36 +183,57 @@ def sample_dense(family: str, d: int, m: int, seed, orientation: str = "wide") -
     return DenseSketchOp(family, d, m, seed, orientation, mat)
 
 
-# Pool entries per chunk of columns in ``_fisher_yates``: bounds its working
-# set whatever n is (a single column's pool of n entries is the floor).
-_FY_POOL_ENTRIES = 1 << 21
-
-
 def _fisher_yates(u: np.ndarray, n: int) -> np.ndarray:
     """First k entries of a Fisher-Yates shuffle of range(n), one shuffle per
     column of the (k, m) uniforms ``u``: at step t, column j swaps position t
-    with ``t + floor(u[t, j] * (n - t))``.
+    with its target ``r[t, j] = t + floor(u[t, j] * (n - t))``.
 
-    The k steps run across a chunk of columns at once on an (n, chunk) pool,
-    so the cost is O(k*m + n*m) with no Python loop over columns.
+    A column whose targets are distinct, each either t itself or at least k,
+    never moves an entry twice, so its k entries are its targets; when
+    k^2 << n that is most columns.  Only the other columns are replayed, on
+    2k slots each: positions 0..k-1, then one slot per distinct target >= k.
+    Cost and scratch memory are O(k log k * m) whatever n is, with no Python
+    loop over columns.  For n <= 4k the replay runs every column on the
+    whole of range(n), which is then no larger than the sort's temporaries.
     """
     k, m = u.shape
-    out = np.empty((k, m), dtype=np.int64)
-    chunk = max(1, min(m, _FY_POOL_ENTRIES // n))
-    for start in range(0, m, chunk):
-        c = min(chunk, m - start)
-        pool = np.empty((n, c), dtype=np.int64)
+    steps = np.arange(k)[:, None]
+    r = (u * (n - steps)).astype(np.int64)
+    r += steps
+    if n <= 4 * k:
+        pool = np.empty((n, m), dtype=np.int64)
         pool[:] = np.arange(n)[:, None]
-        flat = pool.reshape(-1)
-        cols = np.arange(c)
-        for t in range(k):
-            r = t + (u[t, start:start + c] * (n - t)).astype(np.int64)
-            swap = r * c + cols
-            head = flat[t * c:(t + 1) * c].copy()
-            flat[t * c:(t + 1) * c] = flat[swap]
-            flat[swap] = head
-        out[:, start:start + c] = pool[:k]
-    return out
+        return _swap_steps(r, pool).copy()  # drop the n-row pool
+    rs = np.sort(r, axis=0)
+    replay = ((r > steps) & (r < k)).any(axis=0) | (rs[1:] == rs[:-1]).any(axis=0)
+    if replay.any():
+        rb = r[:, replay]
+        order = np.argsort(rb, axis=0)
+        rbs = np.take_along_axis(rb, order, axis=0)
+        # a target >= k takes slot k + the sorted position of its first copy
+        first = np.zeros_like(rb)
+        first[1:] = np.where(rbs[1:] != rbs[:-1], steps[1:], 0)
+        np.maximum.accumulate(first, axis=0, out=first)
+        slot = np.empty_like(rb)
+        np.put_along_axis(slot, order, k + first, axis=0)
+        pool = np.concatenate([np.broadcast_to(steps, rb.shape), rbs])
+        r[:, replay] = _swap_steps(np.where(rb < k, rb, slot), pool)
+    return r
+
+
+def _swap_steps(slot: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Run the k steps of a (k, c) ``slot`` table on a (rows, c) ``pool``:
+    step t swaps ``pool[t, j]`` with ``pool[slot[t, j], j]`` in every column
+    j.  Returns the first k rows."""
+    k, c = slot.shape
+    flat = pool.reshape(-1)
+    cols = np.arange(c)
+    for t in range(k):
+        swap = slot[t] * c + cols
+        head = pool[t].copy()
+        pool[t] = flat[swap]
+        flat[swap] = head
+    return pool[:k]
 
 
 @dataclass(frozen=True)
@@ -243,7 +264,8 @@ class SASO(_OperatorBase):
         return self._mat.toarray() if dense else self._mat
 
     def nnz_per_column(self) -> np.ndarray:
-        return np.array([len(np.unique(self.rows[:, j])) for j in range(self.m)])
+        s = np.sort(self.rows, axis=0)
+        return 1 + np.count_nonzero(s[1:] != s[:-1], axis=0)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -262,8 +284,9 @@ def sample_saso(d: int, m: int, k: int, seed, method: str = "replacement_free") 
     """Sample a wide d-by-m SASO with k nonzeros per column.
 
     ``replacement_free`` draws each column's row indices uniformly without
-    replacement via partial Fisher-Yates; ``blocked`` takes one index from
-    each of k contiguous blocks of ceil(d/k) rows.
+    replacement via partial Fisher-Yates, in O(k log k * m) time and O(k * m)
+    memory whatever d is (see ``_fisher_yates``); ``blocked`` takes one index
+    from each of k contiguous blocks of ceil(d/k) rows.
     """
     seed = as_key(seed)
     if not 1 <= k <= d:

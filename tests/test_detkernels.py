@@ -331,6 +331,37 @@ def test_pcg_zero_rhs():
     assert rep.iterations == 0 and np.array_equal(x, np.zeros(3))
 
 
+@pytest.mark.parametrize("value", NONFINITE)
+def test_solvers_stop_at_nonfinite_convergence_test(value):
+    # a NaN or inf in the data makes every later test value non-finite, so
+    # running on to maxit only spends products
+    r = np.random.default_rng(12)
+    h = r.standard_normal(30)
+    h[7] = value
+    A = r.standard_normal((200, 10))
+    g = r.standard_normal(200)
+    g[3] = value
+    with np.errstate(invalid="ignore"):
+        x, rep = dk.pcg(np.diag(np.linspace(1.0, 2.0, 30)), 0.5, h, maxit=80)
+        assert rep.iterations == 0 and not rep.converged
+        z, rep = dk.lsqr(A, g, tol=1e-12, maxit=100)
+    assert rep.iterations == 1 and not rep.converged
+    assert not np.isfinite(rep.residual_history[-1])
+
+
+def test_pcg_nonfinite_operator_output_stops():
+    # the third product (second iteration) turns NaN
+    d, calls = np.array([1.0, 2.0, 3.0, 4.0]), []
+
+    def G(v):
+        calls.append(1)
+        return np.full_like(v, np.nan) if len(calls) > 2 else d * v
+
+    with np.errstate(invalid="ignore"):
+        x, rep = dk.pcg(G, 0.0, np.ones(4), maxit=80)
+    assert rep.iterations == 2 and not rep.converged
+
+
 # ---------------------------------------------------------------------------
 # Lanczos
 # ---------------------------------------------------------------------------

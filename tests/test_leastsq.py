@@ -92,6 +92,15 @@ def test_spo1_zero_rhs():
     assert rep.iterations == 0
 
 
+def test_spo1_nan_in_rhs_stops_unconverged():
+    A = make_tall(400, 10, seed=3)
+    b = np.random.default_rng(4).standard_normal(400)
+    b[17] = np.nan
+    with np.errstate(invalid="ignore"):
+        x, rep = ls.spo1(A, b, maxit=100, seed=5)
+    assert rep.iterations == 1 and not rep.converged
+
+
 def test_spo1_high_condition():
     A = make_tall(2000, 50, cond=1e8, seed=13)
     r = np.random.default_rng(14)

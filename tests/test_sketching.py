@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,17 +7,19 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from randla import rng, sketching as sk
 
 
 def fisher_yates_oracle(u, n, k):
-    # scripted replay of the documented partial shuffle
-    pool = list(range(n))
+    # scripted replay of the documented partial shuffle; a position that no
+    # step touched holds its own index
+    pool = {}
     for t in range(k):
         r = t + int(u[t] * (n - t))
-        pool[t], pool[r] = pool[r], pool[t]
-    return pool[:k]
+        pool[t], pool[r] = pool.get(r, r), pool.get(t, t)
+    return [pool.get(t, t) for t in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +143,58 @@ def test_saso_validation():
 
 @st.composite
 def fisher_yates_cases(draw):
-    d = draw(st.integers(1, 12))
-    k = draw(st.integers(1, d))
-    m = draw(st.integers(1, 6))
-    u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
-                      min_size=k * m, max_size=k * m))
-    pool = draw(st.integers(1, d * m + d))  # from one column per chunk to all
-    return d, k, np.array(u).reshape(k, m), pool
+    # up to 64 columns and n up to 10^6, so columns whose targets are their
+    # answer mix with columns that repeat a target or land in (t, k)
+    n = draw(st.one_of(st.integers(1, 48), st.integers(49, 2000),
+                       st.integers(2001, 10**6)))
+    k = draw(st.integers(1, min(n, 24)))
+    m = draw(st.integers(1, 64))
+    u = draw(arrays(np.float64, (k, m), fill=st.nothing(),
+                    elements=st.floats(0.0, 1.0, exclude_max=True)))
+    return n, k, u
+
+
+def _with_targets(n, *cols):
+    # (n, k, u) whose column j has step-t target cols[j][t]: the midpoint of
+    # that target's bucket
+    u = np.array([[(r - t + 0.5) / (n - t) for t, r in enumerate(col)]
+                  for col in cols]).T
+    return n, u.shape[0], u
 
 
 @settings(max_examples=200, deadline=None)
 @given(fisher_yates_cases())
-@example((5, 5, np.full((5, 3), 0.7), 64))     # k == d
-@example((9, 1, np.full((1, 4), 0.5), 9))      # k == 1, one column per chunk
-@example((6, 4, np.zeros((4, 2)), 1))          # every step swaps in place
-@example((10, 4, np.full((4, 3), 0.3), 20))    # swaps land in the first k
+@example((5, 5, np.full((5, 3), 0.7)))        # k == n
+@example((40, 40, np.linspace(0, 0.99, 40)[:, None]))  # one k == n column
+@example((9, 1, np.full((1, 4), 0.5)))        # k == 1
+@example((6, 4, np.zeros((4, 2))))            # every step swaps in place
+@example((10, 4, np.full((4, 3), 0.3)))       # swaps land in the first k
+# a repeated target; a target in (t, k); in place; distinct targets >= k
+@example(_with_targets(1000, [700, 700, 2, 3], [2, 999, 700, 3],
+                       [0, 1, 2, 3], [10, 11, 12, 13]))
+# a target in (t, k) that a later step swaps on; one target at every step
+@example(_with_targets(10**6, [3, 1, 2, 9], [10, 10, 10, 10],
+                       [10, 11, 12, 13]))
 def test_vectorized_fisher_yates_matches_oracle_in_order(case):
-    d, k, u, pool = case
-    with mock.patch.object(sk, "_FY_POOL_ENTRIES", pool):
-        rows = sk._fisher_yates(u, d)
+    n, k, u = case
+    rows = sk._fisher_yates(u, n)
+    assert rows.shape == (k, u.shape[1]) and rows.dtype == np.int64
     for j in range(u.shape[1]):
-        assert list(rows[:, j]) == fisher_yates_oracle(u[:, j], d, k)
+        assert list(rows[:, j]) == fisher_yates_oracle(u[:, j], n, k)
+
+
+def test_fisher_yates_memory_does_not_grow_with_n():
+    # a pool of range(n) would take 80 MB here; the targets take 3 KB
+    u = np.random.default_rng(0).random((8, 50))
+    tracemalloc.start()
+    try:
+        rows = sk._fisher_yates(u, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    for j in range(50):
+        assert list(rows[:, j]) == fisher_yates_oracle(u[:, j], 10**7, 8)
 
 
 @pytest.mark.parametrize("method", ["replacement_free", "blocked"])
@@ -286,11 +320,12 @@ def test_srft_right_apply_adjoint_consistency():
 
 
 def test_srft_signs_and_coords_match_scalar_oracle():
-    d, m, key = 40, 300, rng.RngKey(13, 2)  # m_pad = 512
-    S = sk.sample_srft(d, m, key)
-    u = rng.uniform_stream(key, m + d)
-    assert np.array_equal(S.signs, np.where(u[:m] < 0.5, -1.0, 1.0))
-    assert list(S.coords) == fisher_yates_oracle(u[m:], S.m_pad, d)
+    key = rng.RngKey(13, 2)
+    for d, m in [(40, 300), (400, 100000)]:  # m_pad 512 and 2^17
+        S = sk.sample_srft(d, m, key)
+        u = rng.uniform_stream(key, m + d)
+        assert np.array_equal(S.signs, np.where(u[:m] < 0.5, -1.0, 1.0))
+        assert list(S.coords) == fisher_yates_oracle(u[m:], S.m_pad, d)
 
 
 def _dense_hadamard_oracle(X):
