@@ -92,7 +92,6 @@ class IterativeReport:
     iterations: int
     converged: bool
     residual_history: list = field(default_factory=list)
-    backward_error_history: list | None = None
     op_norm_est: float = 0.0
 
 
@@ -207,8 +206,7 @@ def _sym_ortho(a, b):
     return c, s, r
 
 
-def lsqr(F, g, tol: float = 1e-12, maxit: int = 100, z0=None,
-         track_backward_error: bool = False):
+def lsqr(F, g, tol: float = 1e-12, maxit: int = 100, z0=None):
     """Golub-Kahan bidiagonalization solver for min ||F z - g||_2.
 
     Stops when the normalized normal-equation residual
@@ -218,10 +216,6 @@ def lsqr(F, g, tol: float = 1e-12, maxit: int = 100, z0=None,
     shifts the problem to the residual system.  Bidiagonalization breakdown
     (an exactly zero vector) returns the current iterate as converged; a
     non-finite test value (NaN or inf in the data) stops it unconverged.
-
-    With ``track_backward_error`` the report also records, per iteration,
-    the Stewart rank-one data-perturbation norm ``||F^T r|| / ||r||`` and the
-    consistent-system bound ``||r|| / ||g||`` (the eps_A = 0 convention).
     """
     F = aslinop(F)
     g = np.asarray(g, dtype=float)
@@ -234,11 +228,10 @@ def lsqr(F, g, tol: float = 1e-12, maxit: int = 100, z0=None,
     u = g.copy() if z0 is None else g - F.apply(np.asarray(z0, dtype=float))
     gnorm = np.linalg.norm(g)
     history: list = []
-    be_history: list = [] if track_backward_error else None
     anorm = 0.0
 
     def finish(it, conv, z):
-        rep = IterativeReport(it, conv, history, be_history, anorm)
+        rep = IterativeReport(it, conv, history, anorm)
         return z, rep
 
     beta = np.linalg.norm(u)
@@ -285,10 +278,6 @@ def lsqr(F, g, tol: float = 1e-12, maxit: int = 100, z0=None,
         arnorm = alpha * abs(s * phi)
         test2 = arnorm / (anorm * rnorm + eps)
         history.append(test2)
-        if track_backward_error:
-            be_history.append(
-                (arnorm / (rnorm + eps), rnorm / (gnorm + eps))
-            )
         if beta == 0 or alpha == 0:
             converged = True
             break

@@ -13,8 +13,6 @@ from . import sketching
 from .leastsq import DEFAULT_SAMPLING_FACTOR, _sketch_dim
 from .rng import as_key
 
-DEFAULT_SASO_K = 8
-
 
 @dataclass
 class PivotedQR:
@@ -45,6 +43,17 @@ def chol_qr(A):
     return A @ dk.triu_inv(R), R
 
 
+def _sketch(A, d: int | None, seed, op_family: str) -> np.ndarray:
+    """S A for a d-by-m operator of ``op_family``; d defaults to the
+    library's min(12n, m) and must lie in [n, m]."""
+    m, n = A.shape
+    if d is None:
+        d = _sketch_dim(n, m, DEFAULT_SAMPLING_FACTOR)
+    if not n <= d <= m:
+        raise ValueError("need n <= d <= m")
+    return sketching.sample_operator(op_family, d, m, as_key(seed)).apply(A)
+
+
 def rand_chol_qr(A, d: int | None = None, seed=0,
                  op_family: str = "saso"):
     """Sketch-preconditioned Cholesky QR for full-column-rank matrices.
@@ -55,14 +64,7 @@ def rand_chol_qr(A, d: int | None = None, seed=0,
     pointer to sap_chol_qrcp.
     """
     A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    if d is None:
-        d = _sketch_dim(n, m, DEFAULT_SAMPLING_FACTOR)
-    if not n <= d <= m:
-        raise ValueError("need n <= d <= m")
-    S = sketching.sample_operator(op_family, d, m, as_key(seed),
-                                  saso_k=DEFAULT_SASO_K)
-    _, R_sk = dk.qr_econ(S.apply(A))
+    _, R_sk = dk.qr_econ(_sketch(A, d, seed, op_family))
     if dk._qr_rank_deficient(R_sk):
         raise np.linalg.LinAlgError(
             "sketch lost rank; the matrix looks rank-deficient "
@@ -86,14 +88,9 @@ def sap_chol_qrcp(A, d: int | None = None, seed=0,
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
-    if d is None:
-        d = _sketch_dim(n, m, DEFAULT_SAMPLING_FACTOR)
-    if not n <= d <= m:
-        raise ValueError("need n <= d <= m")
-    S = sketching.sample_operator(op_family, d, m, as_key(seed),
-                                  saso_k=DEFAULT_SASO_K)
-    _, R_sk, J = dk.qrcp(S.apply(A))
-    k = dk.numerical_rank(np.abs(np.diag(R_sk)), (d, n))
+    SA = _sketch(A, d, seed, op_family)
+    _, R_sk, J = dk.qrcp(SA)
+    k = dk.numerical_rank(np.abs(np.diag(R_sk)), SA.shape)
     while k > 0:
         # A[:, J[:k]] R_sk[:k, :k]^{-1} as one GEMM over A, without
         # gathering the pivoted columns

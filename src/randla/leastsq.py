@@ -11,12 +11,9 @@ solutions x = (A^T A)^+ (A^T b - c), y = (A^T)^+ c + (I - A A^+) b.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from . import detkernels as dk
 from . import lowrank
@@ -81,16 +78,6 @@ class Preconditioner:
     @property
     def rank(self) -> int:
         return self.M.shape[1]
-
-
-def load_saddle_problem(a_path: str, b_path: str = None, c_path: str = None,
-                        mu: float = 0.0) -> SaddleProblem:
-    """Load A from a Matrix Market file and b, c from plain-text vectors."""
-    A = scipy.io.mmread(a_path)
-    A = np.asarray(A.todense() if scipy.sparse.issparse(A) else A, dtype=float)
-    b = np.loadtxt(b_path).ravel() if b_path and os.path.exists(b_path) else None
-    c = np.loadtxt(c_path).ravel() if c_path and os.path.exists(c_path) else None
-    return SaddleProblem(A, b, c, mu)
 
 
 def _sketch_dim(n: int, m: int, sampling_factor: float) -> int:

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -23,13 +22,6 @@ class LeverageScores:
     scores: np.ndarray
     kind: str = "standard"
     k: int | None = None
-
-    def to_csv(self, path: str):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["row", "score"])
-            for i, s in enumerate(self.scores):
-                writer.writerow([i, repr(float(s))])
 
 
 @dataclass

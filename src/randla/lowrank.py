@@ -9,12 +9,10 @@ and randomized norm estimators.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from . import detkernels as dk
@@ -49,10 +47,6 @@ class QBFactors:
     def approximation(self) -> np.ndarray:
         return self.Q @ self.B
 
-    def save(self, prefix: str):
-        scipy.io.mmwrite(f"{prefix}_Q.mtx", self.Q)
-        scipy.io.mmwrite(f"{prefix}_B.mtx", self.B)
-
 
 @dataclass
 class SVDFactors:
@@ -65,11 +59,6 @@ class SVDFactors:
     def approximation(self) -> np.ndarray:
         return (self.U * self.sigma) @ self.V.T
 
-    def save(self, prefix: str):
-        scipy.io.mmwrite(f"{prefix}_U.mtx", self.U)
-        scipy.io.mmwrite(f"{prefix}_sigma.mtx", self.sigma[:, None])
-        scipy.io.mmwrite(f"{prefix}_V.mtx", self.V)
-
 
 @dataclass
 class EVDFactors:
@@ -81,10 +70,6 @@ class EVDFactors:
 
     def approximation(self) -> np.ndarray:
         return (self.V * self.lam) @ self.V.T
-
-    def save(self, prefix: str):
-        scipy.io.mmwrite(f"{prefix}_V.mtx", self.V)
-        scipy.io.mmwrite(f"{prefix}_lam.mtx", self.lam[:, None])
 
 
 @dataclass
@@ -104,11 +89,6 @@ class OneSidedID:
             return A[:, self.skeleton] @ self.M
         return self.M @ A[self.skeleton, :]
 
-    def save(self, prefix: str):
-        scipy.io.mmwrite(f"{prefix}_M.mtx", self.M)
-        with open(f"{prefix}_skeleton.json", "w") as f:
-            json.dump({"axis": self.axis, "skeleton": self.skeleton.tolist()}, f)
-
 
 @dataclass
 class CURFactors:
@@ -120,11 +100,6 @@ class CURFactors:
 
     def approximate(self, A: np.ndarray) -> np.ndarray:
         return A[:, self.J] @ self.U @ A[self.I, :]
-
-    def save(self, prefix: str):
-        scipy.io.mmwrite(f"{prefix}_U.mtx", self.U)
-        with open(f"{prefix}_indices.json", "w") as f:
-            json.dump({"J": self.J.tolist(), "I": self.I.tolist()}, f)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +388,17 @@ def osid_qrcp(Y, k: int, axis: str = "column") -> OneSidedID:
     return OneSidedID(X, J[:k].copy(), "column")
 
 
+def _axis_sketch(A, ell: int, axis: str, seed, power_passes: int,
+                 family: str) -> np.ndarray:
+    """The power-iteration sketch that row or column selection reads: A S
+    (m-by-ell, rows of A) or S^T A (ell-by-n, columns of A), S from tsog1."""
+    if axis == "row":
+        return A @ tsog1(A, ell, p=power_passes, seed=seed, family=family)
+    if axis == "column":
+        return tsog1(A.T, ell, p=power_passes, seed=seed, family=family).T @ A
+    raise ValueError("axis must be 'row' or 'column'")
+
+
 def osid1(A, k: int, s: int = 5, axis: str = "column", seed=0,
           power_passes: int = 2, family: str = "gaussian") -> OneSidedID:
     """Randomized one-sided ID: a full-rank ID of a power-iteration sketch,
@@ -420,15 +406,8 @@ def osid1(A, k: int, s: int = 5, axis: str = "column", seed=0,
     A = np.asarray(A, dtype=float)
     if not 1 <= k <= min(A.shape) - s:
         raise ValueError("need 1 <= k and k + s <= min(A.shape)")
-    if axis == "row":
-        S = tsog1(A, k + s, p=power_passes, seed=seed, family=family)
-        Y = A @ S
-        return osid_qrcp(Y, k, axis="row")
-    if axis == "column":
-        S = tsog1(A.T, k + s, p=power_passes, seed=seed, family=family)
-        Y = S.T @ A
-        return osid_qrcp(Y, k, axis="column")
-    raise ValueError("axis must be 'row' or 'column'")
+    Y = _axis_sketch(A, k + s, axis, seed, power_passes, family)
+    return osid_qrcp(Y, k, axis=axis)
 
 
 def rocs1(A, k: int, s: int = 5, axis: str = "column", seed=0,
@@ -437,16 +416,8 @@ def rocs1(A, k: int, s: int = 5, axis: str = "column", seed=0,
     power-iteration sketch."""
     A = np.asarray(A, dtype=float)
     _check_rank(k)
-    if axis == "row":
-        S = tsog1(A, k + s, p=power_passes, seed=seed, family=family)
-        Y = A @ S
-        _, _, piv = dk.qrcp(Y.T)
-    elif axis == "column":
-        S = tsog1(A.T, k + s, p=power_passes, seed=seed, family=family)
-        Y = S.T @ A
-        _, _, piv = dk.qrcp(Y)
-    else:
-        raise ValueError("axis must be 'row' or 'column'")
+    Y = _axis_sketch(A, k + s, axis, seed, power_passes, family)
+    _, _, piv = dk.qrcp(Y.T if axis == "row" else Y)
     return piv[:k].copy()
 
 

@@ -104,18 +104,16 @@ class TransposedOp(_OperatorBase):
 
 @dataclass(frozen=True)
 class DenseSketchOp(_OperatorBase):
-    """Dense d-by-m operator with iid entries, or a Haar orthonormal one.
-
-    ``orientation`` records which axis is short: wide requires d <= m and
-    tall requires d >= m.  Entries are unscaled (rademacher entries are
-    exactly +-1); drivers apply any 1/sqrt(d) normalization themselves.
+    """Wide (d <= m) dense operator with iid entries, or a Haar one with
+    orthonormal rows; use ``.T`` for the tall dual.  Entries are unscaled
+    (rademacher entries are exactly +-1); drivers apply any 1/sqrt(d)
+    normalization themselves.
     """
 
     family: str
     d: int
     m: int
     seed: RngKey
-    orientation: str = "wide"
     _mat: np.ndarray = field(default=None, repr=False, compare=False)
 
     def matrix(self) -> np.ndarray:
@@ -128,7 +126,6 @@ class DenseSketchOp(_OperatorBase):
                 "family": self.family,
                 "d": self.d,
                 "m": self.m,
-                "orientation": self.orientation,
                 "seed": {"key": self.seed.key, "offset": self.seed.counter_offset},
             }
         )
@@ -150,8 +147,8 @@ def _entry_grid(family: str, seed: RngKey, d: int, m: int) -> np.ndarray:
     raise ValueError(f"unknown dense family {family!r}")
 
 
-def sample_dense(family: str, d: int, m: int, seed, orientation: str = "wide") -> DenseSketchOp:
-    """Sample a dense sketching operator of shape (d, m).
+def sample_dense(family: str, d: int, m: int, seed) -> DenseSketchOp:
+    """Sample a wide dense sketching operator of shape (d, m), d <= m.
 
     Haar operators come from QR of a Gaussian sample with the triangular
     factor's diagonal signs fixed, so the result is Haar-distributed and
@@ -160,27 +157,17 @@ def sample_dense(family: str, d: int, m: int, seed, orientation: str = "wide") -
     seed = as_key(seed)
     if d < 1 or m < 1:
         raise ValueError("operator dimensions must be positive")
-    if orientation not in ("wide", "tall"):
-        raise ValueError("orientation must be 'wide' or 'tall'")
-    if orientation == "wide" and d > m:
-        raise ValueError("wide operators require d <= m")
-    if orientation == "tall" and d < m:
-        raise ValueError("tall operators require d >= m")
+    if d > m:
+        raise ValueError("dense operators are wide (d <= m); use .T for the tall dual")
     if family == "haar":
-        if orientation == "wide":
-            G = _entry_grid("gaussian", seed, d, m)
-            Q, R = np.linalg.qr(G.T)
-            Q = Q * np.sign(np.diag(R))
-            mat = Q.T
-        else:
-            G = _entry_grid("gaussian", seed, d, m)
-            Q, R = np.linalg.qr(G)
-            mat = Q * np.sign(np.diag(R))
+        G = _entry_grid("gaussian", seed, d, m)
+        Q, R = np.linalg.qr(G.T)
+        mat = (Q * np.sign(np.diag(R))).T
     elif family in DENSE_FAMILIES:
         mat = _entry_grid(family, seed, d, m)
     else:
         raise ValueError(f"unknown dense family {family!r}")
-    return DenseSketchOp(family, d, m, seed, orientation, mat)
+    return DenseSketchOp(family, d, m, seed, mat)
 
 
 def _fisher_yates(u: np.ndarray, n: int) -> np.ndarray:
@@ -256,7 +243,6 @@ class SASO(_OperatorBase):
     m: int
     k: int
     seed: RngKey
-    method: str
     rows: np.ndarray = field(repr=False, compare=False)  # (k, m) row indices
     _mat: sp.csc_array = field(repr=False, compare=False)
 
@@ -274,43 +260,31 @@ class SASO(_OperatorBase):
                 "d": self.d,
                 "m": self.m,
                 "k": self.k,
-                "method": self.method,
                 "seed": {"key": self.seed.key, "offset": self.seed.counter_offset},
             }
         )
 
 
-def sample_saso(d: int, m: int, k: int, seed, method: str = "replacement_free") -> SASO:
+def sample_saso(d: int, m: int, k: int, seed) -> SASO:
     """Sample a wide d-by-m SASO with k nonzeros per column.
 
-    ``replacement_free`` draws each column's row indices uniformly without
-    replacement via partial Fisher-Yates, in O(k log k * m) time and O(k * m)
-    memory whatever d is (see ``_fisher_yates``); ``blocked`` takes one index
-    from each of k contiguous blocks of ceil(d/k) rows.
+    Each column's row indices are drawn uniformly without replacement via
+    partial Fisher-Yates, in O(k log k * m) time and O(k * m) memory
+    whatever d is (see ``_fisher_yates``).
     """
     seed = as_key(seed)
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d for a wide SASO")
     if d > m:
         raise ValueError("SASOs are wide (d <= m); use .T for the tall dual")
-    if method not in ("replacement_free", "blocked"):
-        raise ValueError(f"unknown SASO method {method!r}")
     u = rng.uniform_grid(seed, 2 * k, m)
-    if method == "replacement_free":
-        rows = _fisher_yates(u[:k], d)
-    else:
-        bsize = -(-d // k)  # ceil(d / k)
-        starts = np.arange(k) * bsize
-        lengths = np.minimum(starts + bsize, d) - starts
-        if np.any(lengths <= 0):
-            raise ValueError("blocked method needs k blocks of positive size")
-        rows = (starts[:, None] + np.floor(u[:k] * lengths[:, None])).astype(np.int64)
+    rows = _fisher_yates(u[:k], d)
     vals = np.where(u[k:] < 0.5, -1.0, 1.0) / np.sqrt(k)
     indptr = np.arange(0, k * (m + 1), k)
     mat = sp.csc_array(
         (vals.ravel(order="F"), rows.ravel(order="F"), indptr), shape=(d, m)
     )
-    return SASO(d, m, k, seed, method, rows, mat)
+    return SASO(d, m, k, seed, rows, mat)
 
 
 @dataclass(frozen=True)
@@ -501,17 +475,24 @@ def sample_operator(family: str, d: int, m: int, seed, saso_k: int = 8):
     raise ValueError(f"unknown sketching family {family!r}")
 
 
+# Keys that descriptors of earlier versions carry with the one value this
+# version builds: a dense operator's axis and a SASO's row construction.
+_FIXED_DESCRIPTOR_KEYS = {"orientation": "wide", "method": "replacement_free"}
+
+
 def operator_from_json(s: str):
     """Rebuild an operator from its JSON descriptor."""
     desc = json.loads(s)
+    for key, value in _FIXED_DESCRIPTOR_KEYS.items():
+        if desc.get(key, value) != value:
+            raise ValueError(f"cannot rebuild an operator with {key} "
+                             f"{desc[key]!r}; only {value!r} is supported")
     seed = RngKey(desc["seed"]["key"], desc["seed"]["offset"])
     kind = desc["kind"]
     if kind == "dense":
-        return sample_dense(desc["family"], desc["d"], desc["m"], seed,
-                            desc.get("orientation", "wide"))
+        return sample_dense(desc["family"], desc["d"], desc["m"], seed)
     if kind == "saso":
-        return sample_saso(desc["d"], desc["m"], desc["k"], seed,
-                           desc.get("method", "replacement_free"))
+        return sample_saso(desc["d"], desc["m"], desc["k"], seed)
     if kind == "srft":
         return sample_srft(desc["d"], desc["m"], seed)
     raise ValueError(f"unknown operator kind {kind!r}")

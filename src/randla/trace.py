@@ -109,31 +109,23 @@ def girard_hutchinson(apply_A, n: int, m: int, dist: str = "rademacher",
     return _make_estimate(samples)
 
 
-def hutch_pp(apply_A, n: int, m: int, seed=0, dist: str = "rademacher",
-             sketch_fraction: float = 1.0 / 3.0) -> TraceEstimate:
+def hutch_pp(apply_A, n: int, m: int, seed=0,
+             dist: str = "rademacher") -> TraceEstimate:
     """Hutch++: deflate with Q = orth(A S), take trace(Q^T A Q) exactly, and
     run Girard-Hutchinson on the deflated remainder.
 
-    The matrix-vector budget m splits as: floor(m * sketch_fraction)
-    columns for S, as many again for A Q, and the rest (plus any slack when
-    orth drops columns) as probes.  Requires m >= 6 and at least one probe
-    left after the two sketch stages.  ``apply_A`` receives S and Q as
-    blocks, then the remainder probes in (n, 32) blocks aligned from probe
-    index floor(m * sketch_fraction).
+    The matrix-vector budget m >= 6 splits in thirds: floor(m / 3) columns
+    for S, as many again for A Q, and the rest (at least m / 3, plus any
+    slack when orth drops columns) as probes.  ``apply_A`` receives S and Q
+    as blocks, then the remainder probes in (n, 32) blocks aligned from
+    probe index floor(m / 3).
 
     Per-probe samples include the exact deflated part, so value ==
     mean(samples) and the variance reflects only the residual estimator.
     """
     if m < 6:
         raise ValueError("hutch_pp needs a matrix-vector budget of at least 6")
-    if not 0 < sketch_fraction < 1:
-        raise ValueError("sketch_fraction must be in (0, 1)")
-    n_sketch = max(1, int(m * sketch_fraction))
-    if m - 2 * n_sketch < 1:
-        raise ValueError(
-            f"hutch_pp budget m={m} with sketch_fraction={sketch_fraction} "
-            f"leaves no probes after the two sketch stages of {n_sketch} "
-            "columns each")
+    n_sketch = m // 3
     seed = as_key(seed)
     A = dk._as_apply(apply_A, n)
 

@@ -168,13 +168,17 @@ def test_params_and_spec_fields_coerced_at_load():
         "driver": "sketch_and_solve",
         "matrix": {"m": "40", "n": 4.0,
                    "spectrum": {"kind": "step", "r": 2.0, "gap": 5}},
-        "params": {"d": 12.0, "check_bound": 1, "family": "saso"},
+        "params": {"d": 12.0, "family": "saso"},
         "trials": 3.0})
-    assert cfg.params == {"d": 12, "check_bound": True, "family": "saso"}
+    assert cfg.params == {"d": 12, "family": "saso"}
     assert type(cfg.params["d"]) is int
     assert (cfg.matrix.m, cfg.matrix.n, cfg.trials) == (40, 4, 3)
     assert cfg.matrix.spectrum == {"kind": "step", "r": 2, "gap": 5.0}
     assert type(cfg.matrix.spectrum["r"]) is int
+    pcg = ExperimentConfig.from_dict({
+        "driver": "nystrom_pcg", "matrix": {"m": 12, "n": 12},
+        "params": {"preconditioned": 1}})
+    assert pcg.params["preconditioned"] is True
 
 
 def test_unknown_param_error_lists_accepted_names():

@@ -139,7 +139,7 @@ def _with_matrix(**changes):
     {"driver": "svd1", "params": {"k": "five"}},
     {"driver": "svd1", "params": {"k": 2.5}},
     {"driver": "svd1", "params": {"tol": [0.1]}},
-    {"driver": "sketch_and_solve", "params": {"check_bound": "yes"}},
+    {"driver": "nystrom_pcg", "params": {"preconditioned": "yes"}},
     {"trails": 5},
     {"trials": 2.7},
     {"trials": "two"},
@@ -159,6 +159,8 @@ def _with_matrix(**changes):
     {"driver": "bootstrap_ls", "params": {"norm": "l1"}},
     {"driver": "osid1", "params": {"axis": "columns"}},
     {"driver": "slq", "params": {"f": "sqrt"}},
+    {"driver": "hutch_pp", "matrix": {"m": 40, "n": 40, "seed": 3},
+     "params": {"budget": 5}},
     {"driver": "exact_leverage", "params": {"k": 3}},
     {"driver": ["spo1"]},
 ], ids=json.dumps)

@@ -275,15 +275,6 @@ def test_lsqr_contraction_rate():
     assert measured_rate <= (kappa - 1) / (kappa + 1) + 0.05
 
 
-def test_lsqr_backward_error_diagnostic():
-    F = make_conditioned(50, 6, 10, seed=8)
-    g = np.random.default_rng(9).standard_normal(50)
-    _, rep = dk.lsqr(F, g, tol=1e-10, maxit=50, track_backward_error=True)
-    assert len(rep.backward_error_history) == rep.iterations
-    data_pert, rhs_pert = rep.backward_error_history[-1]
-    assert data_pert >= 0 and rhs_pert >= 0
-
-
 def test_lsqr_validation():
     with pytest.raises(ValueError):
         dk.lsqr(np.eye(2), np.ones(2), tol=-1.0)

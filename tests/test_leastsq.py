@@ -403,26 +403,8 @@ def test_nystrom_pcg_condition_bound():
 
 
 # ---------------------------------------------------------------------------
-# problem loading
+# problem validation
 # ---------------------------------------------------------------------------
-
-def test_load_saddle_problem(tmp_path):
-    import scipy.io
-
-    A = make_tall(20, 4, seed=46)
-    b = np.arange(20.0)
-    c = np.arange(4.0)
-    scipy.io.mmwrite(str(tmp_path / "A.mtx"), A)
-    np.savetxt(tmp_path / "b.txt", b)
-    np.savetxt(tmp_path / "c.txt", c)
-    prob = ls.load_saddle_problem(str(tmp_path / "A.mtx"),
-                                  str(tmp_path / "b.txt"),
-                                  str(tmp_path / "c.txt"), mu=0.5)
-    assert np.allclose(prob.A, A)
-    assert np.allclose(prob.b, b)
-    assert np.allclose(prob.c, c)
-    assert prob.mu == 0.5
-
 
 def test_saddle_problem_validation():
     with pytest.raises(ValueError):

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -199,16 +197,6 @@ def test_leverage_distribution_accepts_scores_object():
     scores = lev.exact_leverage(A)
     d = lev.leverage_distribution(scores)
     assert np.isclose(d.probs.sum(), 1.0)
-
-
-def test_scores_csv_export(tmp_path):
-    scores = lev.LeverageScores(np.array([0.25, 0.5, 0.125]))
-    path = tmp_path / "scores.csv"
-    scores.to_csv(str(path))
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["row", "score"]
-    assert [float(r[1]) for r in rows[1:]] == [0.25, 0.5, 0.125]
 
 
 def test_leverage_sampling_separation_small():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -561,22 +559,8 @@ def test_frob_estimate_rank_one_expansion():
 
 
 # ---------------------------------------------------------------------------
-# serialization and optimality floor
+# optimality floor
 # ---------------------------------------------------------------------------
-
-def test_factor_serialization_roundtrip(tmp_path):
-    import scipy.io
-    A, _, _ = factored(20, 15, [3, 2], seed=56)
-    qb = lr.qb1(A, 2, seed=57)
-    qb.save(str(tmp_path / "qb"))
-    Q = scipy.io.mmread(str(tmp_path / "qb_Q.mtx"))
-    assert np.allclose(np.asarray(Q), qb.Q)
-    cur = lr.curd1(A, 2, s=3, seed=58)
-    cur.save(str(tmp_path / "cur"))
-    with open(tmp_path / "cur_indices.json") as f:
-        idx = json.load(f)
-    assert idx["J"] == cur.J.tolist()
-
 
 def test_no_driver_beats_eckart_young():
     sig = np.logspace(0, -2, 10)

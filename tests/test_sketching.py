@@ -53,15 +53,17 @@ def test_haar_wide_row_orthonormal():
 
 
 def test_haar_tall_column_orthonormal():
-    S = sk.sample_dense("haar", 6, 2, 1, orientation="tall").matrix()
+    # a tall operator is the .T view of a wide sample
+    S = sk.sample_dense("haar", 2, 6, 1).T.matrix()
+    assert S.shape == (6, 2)
     assert np.abs(S.T @ S - np.eye(2)).max() < 1e-12
 
 
 def test_orientation_validation():
-    with pytest.raises(ValueError):
-        sk.sample_dense("haar", 5, 3, 0)  # wide with d > m
-    with pytest.raises(ValueError):
-        sk.sample_dense("gaussian", 2, 3, 0, orientation="tall")
+    with pytest.raises(ValueError, match="use .T"):
+        sk.sample_dense("haar", 5, 3, 0)  # d > m
+    with pytest.raises(ValueError, match="use .T"):
+        sk.sample_dense("gaussian", 4, 3, 0)
 
 
 def test_gaussian_norm_preservation_monte_carlo():
@@ -108,15 +110,6 @@ def test_saso_fisher_yates_trace():
 def test_saso_replacement_free_exact_nnz():
     S = sk.sample_saso(20, 50, 8, 13)
     assert (S.nnz_per_column() == 8).all()
-
-
-def test_saso_blocked_one_per_block():
-    d, m, k = 12, 16, 4
-    S = sk.sample_saso(d, m, k, 17, method="blocked")
-    bsize = -(-d // k)
-    for j in range(m):
-        blocks = sorted(S.rows[:, j] // bsize)
-        assert blocks == list(range(k))
 
 
 def test_saso_apply_matches_dense_oracle():
@@ -197,17 +190,15 @@ def test_fisher_yates_memory_does_not_grow_with_n():
         assert list(rows[:, j]) == fisher_yates_oracle(u[:, j], 10**7, 8)
 
 
-@pytest.mark.parametrize("method", ["replacement_free", "blocked"])
-def test_saso_signs_use_second_half_of_column_counters(method):
+def test_saso_signs_use_second_half_of_column_counters():
     # column j: indices from counters [2kj, 2kj + k), the sign of the t-th
     # index from counter 2kj + k + t
     d, m, k, key = 9, 14, 3, rng.RngKey(31, 5)
-    S = sk.sample_saso(d, m, k, key, method=method)
+    S = sk.sample_saso(d, m, k, key)
     M = S.matrix(dense=True)
     for j in range(m):
         u = rng.uniform_stream(key.advance(2 * k * j), 2 * k)
-        if method == "replacement_free":
-            assert list(S.rows[:, j]) == fisher_yates_oracle(u[:k], d, k)
+        assert list(S.rows[:, j]) == fisher_yates_oracle(u[:k], d, k)
         expected = np.where(u[k:] < 0.5, -1.0, 1.0) / np.sqrt(k)
         assert np.array_equal(M[S.rows[:, j], j], expected)
 
@@ -429,14 +420,36 @@ def test_json_descriptor_roundtrip():
                sk.sample_saso(4, 9, 2, 5),
                sk.sample_srft(4, 9, 5)):
         desc = json.loads(op.to_json())
-        assert set(desc) <= {"kind", "family", "d", "m", "k", "method",
-                             "orientation", "seed"}
+        assert set(desc) <= {"kind", "family", "d", "m", "k", "seed"}
         clone = sk.operator_from_json(op.to_json())
         a = op.matrix()
         b = clone.matrix()
         if hasattr(a, "toarray"):
             a, b = a.toarray(), b.toarray()
         assert np.array_equal(a, b)
+
+
+# descriptors as earlier versions wrote them, with the one dense axis and
+# the one SASO construction recorded as keys
+OLD_DENSE = ('{"kind": "dense", "family": "haar", "d": 3, "m": 7, '
+             '"orientation": "wide", "seed": {"key": 4, "offset": 0}}')
+OLD_SASO = ('{"kind": "saso", "d": 5, "m": 9, "k": 2, '
+            '"method": "replacement_free", "seed": {"key": 4, "offset": 3}}')
+
+
+def test_old_descriptors_rebuild_bitwise_and_unsupported_values_raise():
+    pairs = ((OLD_DENSE, sk.sample_dense("haar", 3, 7, 4), "tall"),
+             (OLD_SASO, sk.sample_saso(5, 9, 2, rng.RngKey(4, 3)), "blocked"))
+    for old, op, unsupported in pairs:
+        clone = sk.operator_from_json(old)
+        a, b = op.matrix(), clone.matrix()
+        if hasattr(a, "toarray"):
+            a, b = a.toarray(), b.toarray()
+        assert np.array_equal(a, b)
+        key = next(k for k in ("orientation", "method") if k in old)
+        desc = dict(json.loads(old), **{key: unsupported})
+        with pytest.raises(ValueError, match=f"{key} '{unsupported}'"):
+            sk.operator_from_json(json.dumps(desc))
 
 
 def test_saso_nan_caveat():
