@@ -24,7 +24,9 @@ Two calls stay on scipy, because numpy has no equivalent or moving them
 gains nothing:
 
 - ``qrcp``: numpy has no column-pivoted QR (``geqp3``); ``sap_chol_qrcp``
-  runs it on the small sketch only;
+  runs it on the small sketch only, and ``lowrank``'s ID, subset selection
+  and CUR on a sketch or a k-row or k-column panel.  Every caller reads only
+  R and the pivots, so it returns those and never forms Q;
 - ``solve_triangular``, for ``lowrank.evd2``'s Nystrom core, ``qb3`` and
   ``osid_qrcp``, whose right-hand sides are small;
 
@@ -109,10 +111,21 @@ def qr_econ(A):
     return np.linalg.qr(_finite(A), mode="reduced")
 
 
+def qr_r(A):
+    """The min(m, n)-by-n triangular factor R of A = Q R, without forming
+    Q.  R is bitwise the R of ``qr_econ``; skipping Q's accumulation
+    (``orgqr``) more than halves the QR of a 1200 x 100 sketch."""
+    return np.linalg.qr(_finite(A), mode="r")
+
+
 def qrcp(A):
-    """Economic QR with column pivoting: A[:, J] = Q R, |R_ii| nonincreasing."""
-    Q, R, J = la.qr(np.asarray(A, dtype=float), mode="economic", pivoting=True)
-    return Q, R, J
+    """QR with column pivoting, without forming Q: returns (R, J) with
+    A[:, J] = Q R for an orthonormal Q, R min(m, n)-by-n upper trapezoidal
+    and |R_ii| nonincreasing.  R and J are bitwise those of scipy's
+    ``mode="economic"`` call."""
+    R, J = la.qr(np.asarray(A, dtype=float), mode="r", pivoting=True)
+    # for a tall A, scipy returns the full m-by-n R, zero below row n
+    return R[:min(R.shape)], J
 
 
 def chol(A):

@@ -64,7 +64,7 @@ def rand_chol_qr(A, d: int | None = None, seed=0,
     pointer to sap_chol_qrcp.
     """
     A = np.asarray(A, dtype=float)
-    _, R_sk = dk.qr_econ(_sketch(A, d, seed, op_family))
+    R_sk = dk.qr_r(_sketch(A, d, seed, op_family))
     if dk._qr_rank_deficient(R_sk):
         raise np.linalg.LinAlgError(
             "sketch lost rank; the matrix looks rank-deficient "
@@ -89,7 +89,7 @@ def sap_chol_qrcp(A, d: int | None = None, seed=0,
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     SA = _sketch(A, d, seed, op_family)
-    _, R_sk, J = dk.qrcp(SA)
+    R_sk, J = dk.qrcp(SA)
     k = dk.numerical_rank(np.abs(np.diag(R_sk)), SA.shape)
     while k > 0:
         # A[:, J[:k]] R_sk[:k, :k]^{-1} as one GEMM over A, without

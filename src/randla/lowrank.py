@@ -106,6 +106,22 @@ class CURFactors:
 # data-aware sketching via power iteration
 # ---------------------------------------------------------------------------
 
+def _times(A, X) -> np.ndarray:
+    """A @ X for the full input A (or a transposed view of it) and a skinny
+    block X, computed as (X^T A^T)^T so that A is the right-hand operand of
+    the GEMM.  A ``_Deflated`` operator is applied as it is.
+
+    OpenBLAS streams a large right-hand operand faster: at 4000 x 2000 with
+    k = 10 and 2 threads, A @ X takes 8.3 ms this way against 11.2 ms, and
+    A^T @ Y 6.9 ms against 18.4 ms.  At that size the result is bitwise the
+    plain product; at small sizes the two can differ in the last bits, as
+    accumulation order inside a product is the backend's business.
+    """
+    if isinstance(A, _Deflated):
+        return A @ X
+    return (X.T @ A.T).T
+
+
 def _tall_oblivious(family: str, nrows: int, k: int, seed) -> np.ndarray:
     """Materialized tall nrows-by-k operator (transpose of a wide sample)."""
     op = sketching.sample_operator(family, k, nrows, seed)
@@ -130,7 +146,7 @@ def tsog1(A, k: int, p: int = 2, q: int = 1, seed=0, family: str = "gaussian") -
     S = _tall_oblivious(family, m if p % 2 else n, k, as_key(seed))
     for done in range(1, p + 1):
         # the products alternate and the last one is with A^T
-        S = (A.T if (p - done) % 2 == 0 else A) @ S
+        S = _times(A.T if (p - done) % 2 == 0 else A, S)
         if done % q == 0:
             S = np.linalg.qr(S)[0]
     return S
@@ -141,7 +157,7 @@ def rf1(A, k: int, seed=0, power_passes: int = 2, family: str = "gaussian") -> n
     A @ tsog1(A, k).  Returns at most min(k, rank A) columns."""
     A = A if isinstance(A, _Deflated) else np.asanyarray(A, dtype=float)
     S = tsog1(A, k, p=power_passes, seed=seed, family=family)
-    return orth(A @ S)
+    return orth(_times(A, S))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +171,7 @@ def _check_rank(k: int):
 
 def qb1(A, k: int, seed=0, power_passes: int = 2, family: str = "gaussian") -> QBFactors:
     """One-shot QB: Q from the rangefinder, B = Q^T A."""
-    A = np.asarray(A, dtype=float)
+    A = np.asanyarray(A, dtype=float)
     _check_rank(k)
     Q = rf1(A, k, seed=seed, power_passes=power_passes, family=family)
     return QBFactors(Q, Q.T @ A)
@@ -163,13 +179,14 @@ def qb1(A, k: int, seed=0, power_passes: int = 2, family: str = "gaussian") -> Q
 
 class _Deflated:
     """A - Q B, applied without forming it as A X - Q (B X); its transpose
-    A^T - B^T Q^T has the same form."""
+    A^T - B^T Q^T has the same form.  The A X term goes through ``_times``,
+    so A (or the A^T view) is the right-hand operand of its GEMM."""
 
     def __init__(self, A, Q, B):
         self.A, self.Q, self.B, self.shape = A, Q, B, A.shape
 
     def __matmul__(self, X):
-        return self.A @ X - self.Q @ (self.B @ X)
+        return _times(self.A, X) - self.Q @ (self.B @ X)
 
     @property
     def T(self):
@@ -189,7 +206,7 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     drawn.  ``block_size`` defaults to min(k, m, n) when ``tol <= 0`` (one
     block, as qb1) and to min(k, 10) otherwise.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asanyarray(A, dtype=float)
     m, n = A.shape
     _check_rank(k)
     rank_cap = min(k, m, n)
@@ -242,8 +259,8 @@ def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     seed = as_key(seed)
 
     S = tsog1(A, k, p=power_passes, seed=seed, family=family)
-    G = A @ S
-    H = A.T @ G
+    G = _times(A, S)
+    H = _times(A.T, G)
     anorm2 = np.linalg.norm(A, "fro") ** 2
     threshold2 = (max(tol, 0.0) ** 2) * anorm2
 
@@ -282,7 +299,7 @@ def svd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
     The QB phase is ``qb2`` at rank k + s: with ``tol <= 0`` that is one
     rangefinder block of k + s columns, otherwise blocks of 10 until the
     tracked error meets ``tol``."""
-    A = np.asarray(A, dtype=float)
+    A = np.asanyarray(A, dtype=float)
     _check_rank(k)
     qb = qb2(A, k + s, tol=tol, seed=seed, power_passes=power_passes, family=family)
     U, sig, V = dk.svd(qb.B)
@@ -296,7 +313,7 @@ def evd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
     The QB phase is ``qb2`` at rank k + s and tolerance tol/2, so the
     symmetrized approximation meets tol; with ``tol <= 0`` it is one
     rangefinder block of k + s columns."""
-    A = np.asarray(A, dtype=float)
+    A = np.asanyarray(A, dtype=float)
     _check_rank(k)
     scale = np.abs(A).max() if A.size else 0.0
     if A.shape[0] != A.shape[1] or np.abs(A - A.T).max() > 1e-10 * max(scale, 1e-300):
@@ -319,14 +336,14 @@ def evd2(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
     any that do not clear nu.  A Cholesky failure escalates the shift by
     10x, at most three times.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asanyarray(A, dtype=float)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("evd2 requires a square psd input")
     if not 1 <= k <= n - s:
         raise ValueError("need 1 <= k and k + s <= n")
     S = tsog1(A, k + s, p=power_passes, seed=seed, family=family)
-    Y = A @ S
+    Y = _times(A, S)
     ynorm = np.linalg.norm(Y, 2) if Y.size else 0.0
     if ynorm == 0.0:
         return EVDFactors(np.zeros((n, 0)), np.zeros(0))
@@ -370,7 +387,7 @@ def osid_qrcp(Y, k: int, axis: str = "column") -> OneSidedID:
     ell, w = Y.shape
     if not 1 <= k <= min(ell, w):
         raise ValueError("need 1 <= k <= min(Y.shape)")
-    _, R, J = dk.qrcp(Y)
+    R, J = dk.qrcp(Y)
     diag = np.abs(np.diag(R))
     if diag.size and diag[0] > 0:
         k_num = int(np.sum(diag[:k] > min(ell, w) * _EPS * diag[0]))
@@ -393,7 +410,8 @@ def _axis_sketch(A, ell: int, axis: str, seed, power_passes: int,
     """The power-iteration sketch that row or column selection reads: A S
     (m-by-ell, rows of A) or S^T A (ell-by-n, columns of A), S from tsog1."""
     if axis == "row":
-        return A @ tsog1(A, ell, p=power_passes, seed=seed, family=family)
+        return _times(A, tsog1(A, ell, p=power_passes, seed=seed,
+                               family=family))
     if axis == "column":
         return tsog1(A.T, ell, p=power_passes, seed=seed, family=family).T @ A
     raise ValueError("axis must be 'row' or 'column'")
@@ -403,7 +421,7 @@ def osid1(A, k: int, s: int = 5, axis: str = "column", seed=0,
           power_passes: int = 2, family: str = "gaussian") -> OneSidedID:
     """Randomized one-sided ID: a full-rank ID of a power-iteration sketch,
     re-used verbatim for the original matrix."""
-    A = np.asarray(A, dtype=float)
+    A = np.asanyarray(A, dtype=float)
     if not 1 <= k <= min(A.shape) - s:
         raise ValueError("need 1 <= k and k + s <= min(A.shape)")
     Y = _axis_sketch(A, k + s, axis, seed, power_passes, family)
@@ -414,10 +432,10 @@ def rocs1(A, k: int, s: int = 5, axis: str = "column", seed=0,
           power_passes: int = 2, family: str = "gaussian") -> np.ndarray:
     """Row or column subset selection: the first k QRCP pivots of a
     power-iteration sketch."""
-    A = np.asarray(A, dtype=float)
+    A = np.asanyarray(A, dtype=float)
     _check_rank(k)
     Y = _axis_sketch(A, k + s, axis, seed, power_passes, family)
-    _, _, piv = dk.qrcp(Y.T if axis == "row" else Y)
+    _, piv = dk.qrcp(Y.T if axis == "row" else Y)
     return piv[:k].copy()
 
 
@@ -426,20 +444,20 @@ def curd1(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
     """CUR decomposition built from a randomized one-sided ID plus QRCP
     subset selection on the chosen panel; the linking matrix applies one
     pseudoinverse and tolerates rank deficiency."""
-    A = np.asarray(A, dtype=float)
+    A = np.asanyarray(A, dtype=float)
     m, n = A.shape
     if m >= n:
         cid = osid1(A, k, s=s, axis="column", seed=seed,
                     power_passes=power_passes, family=family)
         J = cid.skeleton
-        _, _, I = dk.qrcp(A[:, J].T)
+        _, I = dk.qrcp(A[:, J].T)
         I = I[: J.size].copy()
         U = cid.M @ np.linalg.pinv(A[I, :])
     else:
         rid = osid1(A, k, s=s, axis="row", seed=seed,
                     power_passes=power_passes, family=family)
         I = rid.skeleton
-        _, _, J = dk.qrcp(A[I, :])
+        _, J = dk.qrcp(A[I, :])
         J = J[: I.size].copy()
         U = np.linalg.pinv(A[:, J]) @ rid.M
     return CURFactors(J, U, I)

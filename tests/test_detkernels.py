@@ -20,17 +20,34 @@ def make_conditioned(m, n, cond, seed=0):
 def test_qrcp_hand_oracle():
     # hand QR: only column 1 is nonzero with norm sqrt(5), so it pivots first
     A = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.0]])
-    Q, R, J = dk.qrcp(A)
+    R, J = dk.qrcp(A)
     assert list(J) == [1, 0]
+    assert R.shape == (2, 2) and R[1, 0] == 0.0
     assert np.isclose(abs(R[0, 0]), np.sqrt(5))
-    assert np.linalg.norm(A[:, J] - Q @ R) < 1e-14
+    # A[:, J] = Q R with Q orthonormal, so the Gram matrices agree
+    assert np.linalg.norm(A[:, J].T @ A[:, J] - R.T @ R) < 1e-14
 
 
 def test_qrcp_diagonal_nonincreasing():
     A = make_conditioned(40, 10, 1e4, seed=1)
-    _, R, _ = dk.qrcp(A)
+    R, _ = dk.qrcp(A)
     d = np.abs(np.diag(R))
     assert np.all(d[:-1] >= d[1:] - 1e-12)
+
+
+@pytest.mark.parametrize("shape, rank", [
+    ((120, 10), 10), ((10, 120), 10), ((60, 20), 5)],
+    ids=["tall", "wide", "rank_deficient"])
+def test_r_only_factors_match_the_economic_calls(shape, rank):
+    # the R-only seam returns bitwise the R (and the pivots) that the
+    # economic calls return alongside Q
+    r = np.random.default_rng(3)
+    A = r.standard_normal((shape[0], rank)) @ r.standard_normal((rank, shape[1]))
+    assert np.array_equal(dk.qr_r(A), np.linalg.qr(A, mode="reduced")[1])
+    _, R_econ, J_econ = la.qr(A, mode="economic", pivoting=True)
+    R, J = dk.qrcp(A)
+    assert R.shape == R_econ.shape == (min(shape), shape[1])
+    assert np.array_equal(R, R_econ) and np.array_equal(J, J_econ)
 
 
 def test_chol_identity():
@@ -89,7 +106,8 @@ NONFINITE = [np.nan, np.inf, -np.inf]
 
 @pytest.mark.parametrize("value", NONFINITE)
 @pytest.mark.parametrize("factor", [
-    dk.qr_econ, dk.svd, dk.eigh, ls.make_precond_qr, ls.make_precond_svd])
+    dk.qr_econ, dk.svd, dk.eigh, ls.make_precond_qr, ls.make_precond_svd,
+    dk.qr_r, dk.qrcp])
 def test_nonfinite_input_raises_value_error(factor, value):
     shape = (5, 5) if factor is dk.eigh else (7, 4)
     for at in ((0, 0), (3, 1), (1, 3)):

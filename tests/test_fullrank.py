@@ -201,6 +201,34 @@ def test_fullrank_stays_off_scipy_solves(monkeypatch):
     assert res.rank == 16
 
 
+def test_sketch_factorizations_never_form_q(monkeypatch):
+    # every caller of the sketch's QR or QRCP reads only R and the pivots;
+    # the low-rank drivers run without power steps, whose stabilizing QR
+    # needs its Q
+    A = tall(1e6, 800, 20, seed=75)
+    np_qr, la_qr = np.linalg.qr, la.qr
+
+    def np_r_only(M, mode="reduced"):
+        if mode != "r":
+            raise AssertionError(f"np.linalg.qr formed Q (mode={mode!r})")
+        return np_qr(M, mode=mode)
+
+    def la_r_only(M, *args, mode="full", **kwargs):
+        if mode != "r":
+            raise AssertionError(f"scipy.linalg.qr formed Q (mode={mode!r})")
+        return la_qr(M, *args, mode=mode, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", np_r_only)
+    monkeypatch.setattr(la, "qr", la_r_only)
+    fr.rand_chol_qr(A, seed=76)
+    assert fr.sap_chol_qrcp(A, seed=77).rank == 20
+    for axis in ("column", "row"):
+        lowrank.osid1(A, 5, axis=axis, seed=78, power_passes=0)
+        lowrank.rocs1(A, 5, axis=axis, seed=79, power_passes=0)
+    for B in (A, A.T):
+        lowrank.curd1(B, 5, seed=80, power_passes=0)
+
+
 def column_scaled(cond, m, n, seed=0):
     r = np.random.default_rng(seed)
     return r.standard_normal((m, n)) * np.logspace(0, -np.log10(cond), n)

@@ -6,16 +6,20 @@ from randla.rng import RngKey
 
 
 class CountingMatrix(np.ndarray):
-    """ndarray that counts matrix products it participates in."""
+    """ndarray that counts matrix products it participates in, and logs
+    for each one the side it stood on and its shape."""
 
     count = 0
+    sides: list = []
 
     def __matmul__(self, other):
         CountingMatrix.count += 1
+        CountingMatrix.sides.append(("left", self.shape))
         return np.asarray(self) @ np.asarray(other)
 
     def __rmatmul__(self, other):
         CountingMatrix.count += 1
+        CountingMatrix.sides.append(("right", self.shape))
         return np.asarray(other) @ np.asarray(self)
 
 
@@ -418,8 +422,8 @@ def test_osid_qrcp_truncation_error_matches_qrcp_tail():
     Y = np.random.default_rng(46).standard_normal((4, 8))
     k = 3
     oid = lr.osid_qrcp(Y, k, axis="column")
-    Q, R, J = dk.qrcp(Y)
-    tail = np.linalg.norm(Q[:, k:] @ R[k:, :], "fro")
+    R, J = dk.qrcp(Y)
+    tail = np.linalg.norm(R[k:, :], "fro")  # Q is orthogonal
     err = np.linalg.norm(Y - oid.approximate(Y), "fro")
     assert abs(err - tail) <= 1e-10 * max(tail, 1e-12)
 
@@ -556,6 +560,38 @@ def test_frob_estimate_rank_one_expansion():
         z = _rng.gaussian_stream(seed.advance(j * stride), 4)
         total += (v @ z) ** 2
     assert np.isclose(est, (u @ u) * total / r)
+
+
+# ---------------------------------------------------------------------------
+# product layout
+# ---------------------------------------------------------------------------
+
+_RECT = factored(40, 30, np.logspace(0, -4, 30), seed=64)[0]
+_PSD = _RECT.T @ _RECT
+
+
+@pytest.mark.parametrize("A, driver", [
+    (_RECT, lambda A: lr.svd1(A, 4, seed=65)),
+    (_RECT, lambda A: lr.qb2(A, 20, tol=1e-2, block_size=3, seed=66)),
+    (_RECT, lambda A: lr.qb3(A, 8, block_size=3, seed=67)),
+    (_PSD, lambda A: lr.evd2(A, 4, seed=68)),
+    (_RECT, lambda A: lr.osid1(A, 4, axis="column", seed=69)),
+    (_RECT, lambda A: lr.osid1(A, 4, axis="row", seed=70)),
+    (_RECT, lambda A: lr.rocs1(A, 4, axis="column", seed=71)),
+    (_RECT, lambda A: lr.rocs1(A, 4, axis="row", seed=72)),
+    (_RECT, lambda A: lr.curd1(A, 4, seed=73)),
+    (_RECT.T, lambda A: lr.curd1(A, 4, seed=74)),
+], ids=["svd1", "qb2", "qb3", "evd2", "osid1_column", "osid1_row",
+        "rocs1_column", "rocs1_row", "curd1_tall", "curd1_wide"])
+def test_drivers_put_a_on_the_right_of_every_product(A, driver):
+    # OpenBLAS streams a large right-hand operand faster, so every product
+    # of A or A^T with a skinny block is laid out with A on the right
+    A = np.ascontiguousarray(A).view(CountingMatrix)
+    CountingMatrix.sides = []
+    driver(A)
+    full = [side for side, shape in CountingMatrix.sides
+            if shape in (A.shape, A.shape[::-1])]
+    assert full and set(full) == {"right"}, CountingMatrix.sides
 
 
 # ---------------------------------------------------------------------------
