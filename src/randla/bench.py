@@ -205,9 +205,10 @@ def _psd_from(A: np.ndarray, spec: MatrixSpec) -> np.ndarray:
     return (V * lam) @ V.T
 
 
-def _sketch_dim(A, d):
-    """``d``, or min(4n, m) when it is None."""
-    return min(4 * A.shape[1], A.shape[0]) if d is None else d
+def _sketch_dim(shape, d):
+    """``d``, or min(4n, m) for an m-by-n matrix when it is None."""
+    m, n = shape
+    return min(4 * n, m) if d is None else d
 
 
 def _lowrank_error(A, Ahat, sig, k):
@@ -257,7 +258,7 @@ def _run_sps2(A, spec, key, *, mu=0.0, tol=1e-12, maxit=200,
 def _run_sketch_and_solve(A, spec, key, *, d: _Count = None,
                           family: SketchFamily = "gaussian"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
-    d = _sketch_dim(A, d)
+    d = _sketch_dim(A.shape, d)
     x, _, _ = leastsq.sketch_and_solve_ols(A, b, d, seed=key, op_family=family)
     x_star = np.linalg.lstsq(A, b, rcond=None)[0]
     num = np.linalg.norm(A @ x - b)
@@ -286,7 +287,8 @@ def _run_distortion(A, spec, key, *, d: _Count = None,
                     family: SketchFamily = "gaussian"):
     """Effective distortion of an oblivious sketch on range(A), plus the
     condition number of the induced preconditioned matrix."""
-    S = sketching.sample_operator(family, _sketch_dim(A, d), A.shape[0], key)
+    S = sketching.sample_operator(family, _sketch_dim(A.shape, d), A.shape[0],
+                                  key)
     U = lowrank.orth(A)
     rep = sketching.distortion_diagnostics(S, U)
     P = leastsq.make_precond_svd(S.apply(A), 0.0)
@@ -297,7 +299,8 @@ def _run_distortion(A, spec, key, *, d: _Count = None,
 def _run_precond_spectrum(A, spec, key, *, d: _Count = None,
                           family: SketchFamily = "gaussian"):
     """Worst relative deviation between sv(A M) and 1/sv(S U)."""
-    S = sketching.sample_operator(family, _sketch_dim(A, d), A.shape[0], key)
+    S = sketching.sample_operator(family, _sketch_dim(A.shape, d), A.shape[0],
+                                  key)
     P = leastsq.make_precond_svd(S.apply(A), 0.0)
     U = lowrank.orth(A)
     sv_am = np.sort(np.linalg.svd(A @ P.M, compute_uv=False))
@@ -423,7 +426,7 @@ def _run_approx_leverage(A, spec, key, *, d1: _Count = None,
     m, n = A.shape
     if d2 is None:
         d2 = int(np.ceil(8 * np.log(m)))
-    approx = leverage.approx_leverage(A, _sketch_dim(A, d1), d2,
+    approx = leverage.approx_leverage(A, _sketch_dim(A.shape, d1), d2,
                                       seed=key).scores
     exact = leverage.exact_leverage(A).scores
     mask = exact > 1e-12
@@ -443,7 +446,7 @@ def _run_bootstrap_ls(A, spec, key, *, d: _Count = None,
                       alpha=0.1, norm: Literal["l2", "linf"] = "l2"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
     x_hat, A_hat, b_hat = leastsq.sketch_and_solve_ols(
-        A, b, _sketch_dim(A, d), seed=key, op_family=family)
+        A, b, _sketch_dim(A.shape, d), seed=key, op_family=family)
     res = errorest.bootstrap_ls(A_hat, b_hat, x_hat, B=B, alpha=alpha,
                                 norm=norm, seed=key.substream(500))
     x_star = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -455,7 +458,7 @@ def _run_bootstrap_ls(A, spec, key, *, d: _Count = None,
 def _run_bootstrap_svd(A, spec, key, *, d: _Count = None, k: _Count = 3,
                        family: SketchFamily = "gaussian", B: _Count = 100,
                        alpha=0.1):
-    d = _sketch_dim(A, d)
+    d = _sketch_dim(A.shape, d)
     S = sketching.sample_operator(family, d, A.shape[0], key)
     A_hat = S.apply(A) / np.sqrt(d)
     q_sig, q_v = errorest.bootstrap_svd(A_hat, k, B=B, alpha=alpha,
@@ -498,9 +501,21 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.driver in _SQUARE_ONLY and self.matrix.m != self.matrix.n:
+        m, n = self.matrix.m, self.matrix.n
+        if self.driver in _SQUARE_ONLY and m != n:
             raise ConfigError(f"{self.driver} needs a square matrix spec "
                               f"(m == n)")
+        if self.driver == "approx_leverage":
+            d1 = _sketch_dim((m, n), self.params.get("d1"))
+            if not n <= d1 <= m:
+                raise ConfigError(f"approx_leverage param 'd1' = {d1} must "
+                                  f"lie in [n, m] = [{n}, {m}]")
+        if self.driver == "bootstrap_svd":
+            k = self.params.get("k", schema(_run_bootstrap_svd)["k"].default)
+            top = min(_sketch_dim((m, n), self.params.get("d")), n)
+            if k > top:
+                raise ConfigError(f"bootstrap_svd param 'k' = {k} must be at "
+                                  f"most min(d, n) = {top}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

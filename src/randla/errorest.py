@@ -111,8 +111,8 @@ def bootstrap_svd(A_hat, k: int, B: int = 100, alpha: float = 0.1, seed=0):
     """
     A_hat = np.asarray(A_hat, dtype=float)
     d, n = A_hat.shape
-    if d < k:
-        raise ValueError("need d >= k")
+    if k > min(d, n):
+        raise ValueError("need k <= min(d, n)")
     _check_args(B, alpha)
     seed = as_key(seed)
     _, sig_hat, V_hat = dk.svd(A_hat)

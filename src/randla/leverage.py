@@ -48,10 +48,13 @@ def approx_leverage(A, d1: int, d2: int, seed=0, s2=None) -> LeverageScores:
 
     Stage one pseudo-inverts through a d1-by-m SRFT sketch: the SVD of
     S1 A yields V1 Sigma1^{-1}, and the squared row norms of
-    A V1 Sigma1^{-1} already estimate the scores.  Stage two compresses
-    that product from the right with a 1/sqrt(d2)-scaled Gaussian test
-    matrix, so A is touched exactly twice.  A rank-deficient stage-one
-    sketch falls back to the truncated pseudoinverse with a warning.
+    A V1 Sigma1^{-1} already estimate the scores.  The SRFT computes only
+    its d1 sampled rows of the transform (``sketching.fwht``).  Stage two
+    compresses that product from the right with a 1/sqrt(d2)-scaled
+    Gaussian test matrix, so A is touched exactly twice; the row norms of
+    the m-by-d2 product are summed in place, with no second m-by-d2 array.
+    A rank-deficient stage-one sketch falls back to the truncated
+    pseudoinverse with a warning.
     ``s2`` overrides the stage-two test matrix (used by exactness tests).
 
     The documented defaults d1 = 4n, d2 = ceil(8 ln m) target the
@@ -79,7 +82,7 @@ def approx_leverage(A, d1: int, d2: int, seed=0, s2=None) -> LeverageScores:
     else:
         s2 = np.asarray(s2, dtype=float)
     T = A @ (M @ s2[:r, :])  # second and last access to A
-    return LeverageScores(np.sum(T * T, axis=1), "standard")
+    return LeverageScores(np.einsum("ij,ij->i", T, T), "standard")
 
 
 def subspace_leverage(A, k: int, s: int = 5, seed=0,

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import hadamard
 
 from . import rng
 from .rng import RngKey, as_key
@@ -342,31 +341,85 @@ def next_pow_two(m: int) -> int:
     return p
 
 
-def fwht(X: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along axis 0 (length a power of
-    two), vectorized over remaining axes; the input is not modified.
+def _hadamard(rows: np.ndarray, cols: int) -> np.ndarray:
+    """``H[rows, :cols]`` of any Sylvester Hadamard matrix H of order above
+    both, from bit parity: H[i, j] = (-1)^popcount(i & j)."""
+    return np.where(np.bitwise_count(rows[:, None] & np.arange(cols)) & 1,
+                    -1.0, 1.0)
 
-    The Sylvester matrix H_n factors as H_{n1} (x) H_{n2} (x) H_{n3} with
-    n1*n2*n3 = n split as evenly as possible, so the transform is three BLAS
-    matmuls against small Hadamard blocks: 2*n*(n1 + n2 + n3) flops per
-    column.
+
+def _wht_split(rows: np.ndarray, n: int, m: int):
+    """Split H_n = H_f2 (x) H_f1 on the high and low bits of an index, for
+    the output ``rows`` of a transform of m <= n inputs.
+
+    f2 is the power of two nearest sqrt(4 len(rows)) on a log scale, at
+    most n.  Returns f1; ``used``, the number of f1-blocks that hold inputs;
+    ``H2``, the rows of H_f2 for the blocks that hold a wanted output, cut
+    to its first ``used`` columns; and a generator of one ``(positions in
+    rows, rows of H_f1)`` pair per such block, in the order of H2's rows.
+    Each block's rows of H_f1 are made as the loop reaches it, so no
+    f1-by-f1 matrix, and no len(rows)-by-f1 one, is ever built.
+    """
+    if n < 1 or n & (n - 1):
+        raise ValueError("fwht length must be a power of two")
+    if not m <= n:
+        raise ValueError("fwht input has more rows than the transform")
+    if rows.size and not 0 <= rows.min() <= rows.max() < n:
+        raise ValueError("fwht rows must lie in [0, n)")
+    f2 = min(1 << ((4 * rows.size).bit_length() // 2), n)
+    f1 = n // f2
+    hi, lo = np.divmod(rows, f1)
+    order = np.argsort(hi, kind="stable")
+    blocks, starts = np.unique(hi[order], return_index=True)
+    bounds = np.append(starts, rows.size)
+    groups = ((order[a:b], _hadamard(lo[order[a:b]], f1))
+              for a, b in zip(bounds[:-1], bounds[1:]))
+    used = -(-m // f1)
+    return f1, used, _hadamard(blocks, used), groups
+
+
+def fwht(X: np.ndarray, signs, rows, n: int) -> np.ndarray:
+    """Rows ``rows`` of the unnormalized Walsh-Hadamard transform of order n
+    (a power of two) of D X zero-padded to n rows, D = diag(signs):
+    ``H_n[rows, :m] @ D X`` along axis 0 for the m <= n rows of X,
+    vectorized over the remaining axes.  The input is not modified.
+
+    Only the wanted rows are computed (Woolfe, Liberty, Rokhlin and Tygert,
+    2008).  With H_n = H_f2 (x) H_f1 (see ``_wht_split``), stage one is one
+    GEMM of H_f2's needed entries against D X viewed as ``(used, f1 * c)``;
+    stage two multiplies, per f1-block, the needed rows of H_f1 by that
+    block's stage-one output.  That is 2*n*f2 + 2*len(rows)*n/f2 flops per
+    column, and about (m + n) * c floats of scratch memory.
     """
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if n & (n - 1):
-        raise ValueError("fwht length must be a power of two")
-    if n <= 1:
-        return X.copy()
-    p = n.bit_length() - 1
-    cols = math.prod(X.shape[1:])
-    Y, before = X, 1
-    for i in range(3):
-        f = 1 << (p // 3 + (i < p % 3))
-        if f > 1:
-            after = n // (before * f) * cols
-            Y = np.matmul(hadamard(f, dtype=float), Y.reshape(before, f, after))
-        before *= f
-    return Y.reshape(X.shape)
+    rows = np.asarray(rows, dtype=np.int64)
+    m, rest = X.shape[0], X.shape[1:]
+    f1, used, H2, groups = _wht_split(rows, n, m)
+    c = math.prod(rest)
+    DX = np.zeros((used * f1, c))
+    np.multiply(X.reshape(m, c), np.reshape(signs, (m, 1)), out=DX[:m])
+    Z = H2 @ DX.reshape(used, f1 * c)
+    out = np.empty((rows.size, c))
+    for Zb, (idx, H1) in zip(Z, groups):
+        out[idx] = H1 @ Zb.reshape(f1, c)
+    return out.reshape(rows.shape + rest)
+
+
+def fwht_adjoint(Y: np.ndarray, signs, rows, n: int) -> np.ndarray:
+    """The adjoint of ``fwht`` for m = len(signs) inputs:
+    ``D H_n[:m, rows] @ Y``, on the same split and at the same cost."""
+    Y = np.asarray(Y, dtype=float)
+    rows = np.asarray(rows, dtype=np.int64)
+    m, rest = len(signs), Y.shape[1:]
+    f1, used, H2, groups = _wht_split(rows, n, m)
+    c = math.prod(rest)
+    Y2 = Y.reshape(rows.size, c)
+    Z = np.empty((H2.shape[0], f1 * c))
+    for Zb, (idx, H1) in zip(Z, groups):
+        np.matmul(H1.T, Y2[idx], out=Zb.reshape(f1, c))
+    out = (H2.T @ Z).reshape(used * f1, c)[:m]
+    out *= np.reshape(signs, (m, 1))
+    return out.reshape((m,) + rest)
 
 
 @dataclass(frozen=True)
@@ -376,9 +429,10 @@ class SRFTOp(_OperatorBase):
     Acting on an m-vector x: flip signs, zero-pad to the next power of two
     m_pad, apply the orthonormal Walsh-Hadamard transform, keep d distinct
     coordinates, and scale by sqrt(m_pad/d) so the pre-sampling product is
-    orthogonal.  The transform is three matmuls against Hadamard blocks of
-    order about m_pad^(1/3) (see ``fwht``), so an apply costs about
-    6 * m_pad^(4/3) flops per column, all in BLAS.
+    orthogonal.  Only the d kept coordinates are computed (see ``fwht``):
+    with f2 the power of two nearest sqrt(4d), an apply costs
+    2*m_pad*f2 + 2*d*m_pad/f2 flops per column, all in BLAS, and about
+    (m + m_pad) floats of scratch memory per column.
     """
 
     d: int
@@ -392,17 +446,13 @@ class SRFTOp(_OperatorBase):
         return self._apply_left(np.eye(self.m))
 
     def _apply_left(self, A):
-        B = np.zeros((self.m_pad, A.shape[1]))
-        B[: self.m] = self.signs[:, None] * A
-        B = fwht(B)
         # sqrt(m_pad/d) * (H/sqrt(m_pad)) == 1/sqrt(d) on the raw transform
-        return B[self.coords] / np.sqrt(self.d)
+        B = fwht(A, self.signs, self.coords, self.m_pad)
+        return B / np.sqrt(self.d)
 
     def _apply_right(self, A):
-        B = np.zeros((self.m_pad, A.shape[0]))
-        B[self.coords] = A.T
-        B = fwht(B)
-        return (self.signs[None, :] * B[: self.m].T) / np.sqrt(self.d)
+        B = fwht_adjoint(A.T, self.signs, self.coords, self.m_pad)
+        return B.T / np.sqrt(self.d)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -192,6 +192,33 @@ def test_nonpositive_counts_exit_2_at_load(tmp_path, driver, param, value):
                      write_config(tmp_path / "bad.json", raw)]) == 2
 
 
+@pytest.mark.parametrize("driver, params, match", [
+    ("approx_leverage", {"d1": 5}, r"'d1' = 5 must lie in \[n, m\] = \[10, 40\]"),
+    ("approx_leverage", {"d1": 41}, r"'d1' = 41 must lie in \[n, m\]"),
+    ("bootstrap_svd", {"k": 11}, r"'k' = 11 must be at most min\(d, n\) = 10"),
+    ("bootstrap_svd", {"k": 7, "d": 6}, r"'k' = 7 .* min\(d, n\) = 6")],
+    ids=["d1 below n", "d1 above m", "k above n", "k above d"])
+def test_shape_dependent_ranges_exit_2_at_load(tmp_path, driver, params,
+                                                match):
+    # these ran every trial into a library ValueError and exited 3
+    raw = {"driver": driver, "matrix": {"m": 40, "n": 10, "seed": 3},
+           "params": params}
+    with pytest.raises(bench.ConfigError, match=match):
+        bench.ExperimentConfig.from_dict(raw)
+    assert cli.main(["run", "--config",
+                     write_config(tmp_path / "bad.json", raw)]) == 2
+
+
+@pytest.mark.parametrize("driver, params", [
+    ("approx_leverage", {"d1": 10}), ("approx_leverage", {"d1": 40}),
+    ("bootstrap_svd", {"k": 6, "d": 6, "B": 5})])
+def test_shape_dependent_ranges_accept_their_ends(tmp_path, driver, params):
+    cfg = write_config(tmp_path / "ok.json", {
+        "driver": driver, "matrix": {"m": 40, "n": 10, "seed": 3},
+        "params": params})
+    assert cli.main(["run", "--config", cfg]) == 0
+
+
 @pytest.mark.parametrize("driver, params", [
     ("svd1", {"oversample": 0, "power_passes": 0}),
     ("osid1", {"oversample": 0, "power_passes": 0}),

@@ -113,6 +113,14 @@ def test_validation():
         ee.bootstrap_svd(np.eye(3), 5)
 
 
+def test_bootstrap_svd_rejects_k_above_the_column_count():
+    # a 5-by-3 sketch has 3 singular values; k = 5 used to fail in a
+    # broadcast deep inside the replicate loop
+    A_hat = np.random.default_rng(0).standard_normal((5, 3))
+    with pytest.raises(ValueError, match=r"need k <= min\(d, n\)"):
+        ee.bootstrap_svd(A_hat, 5, B=4)
+
+
 @pytest.mark.parametrize("B, d", [(1, 7), (40, 200), (7, 300_000)])
 def test_resample_indices_match_per_replicate_streams(B, d):
     # the block draw (in chunks of at most 2^20 counters) gives replicate

@@ -272,7 +272,7 @@ def test_srft_full_sampling_is_orthogonal():
 
 def test_hadamard_2x2_oracle():
     # unnormalized H2 on (1, 1) is (2, 0); the orthonormal scale gives sqrt(2)
-    out = sk.fwht(np.array([1.0, 1.0]))
+    out = sk.fwht(np.array([1.0, 1.0]), np.ones(2), [0, 1], 2)
     assert np.array_equal(out, [2.0, 0.0])
     S = sk.sample_srft(2, 2, 4)
     x = S.signs * np.array([1.0, 1.0])
@@ -319,38 +319,150 @@ def test_srft_signs_and_coords_match_scalar_oracle():
         assert list(S.coords) == fisher_yates_oracle(u[m:], S.m_pad, d)
 
 
-def _dense_hadamard_oracle(X):
-    n = X.shape[0]
-    H = scipy.linalg.hadamard(n, dtype=np.int8)
-    X2 = X.reshape(n, -1)
-    blocks = [h.astype(float) @ X2 for h in np.array_split(H, -(-n // 256))]
-    return np.vstack(blocks).reshape(X.shape)
+def _hadamard_products(H, rows, m, X, Y):
+    """``Hs @ X`` and ``Hs.T @ Y`` for ``Hs = H[rows, :m]``, H an int8
+    Sylvester matrix; Hs is made in 256-row float blocks, so no rows-by-m
+    float matrix is held."""
+    HX = np.empty((rows.size, X.shape[1]))
+    HtY = np.zeros((m, Y.shape[1]))
+    for a in range(0, rows.size, 256):
+        h = H[rows[a:a + 256], :m].astype(float)
+        HX[a:a + 256] = h @ X
+        HtY += h.T @ Y[a:a + 256]
+    return HX, HtY
+
+
+def _pruned_cases(n, r):
+    """(m, rows) pairs: odd m, one block, m = n and m = 1, against one row,
+    a handful, a sorted run and every row."""
+    ms = sorted({1, n, max(1, n - 3), max(1, n // 2 + 1), min(n, 5)})
+    counts = sorted({1, max(1, n // 7), n})
+    for m in ms:
+        for c in counts:
+            yield m, r.choice(n, c, replace=False)
+    yield n, np.arange(n)
 
 
 @pytest.mark.parametrize("p", range(13))
 def test_fwht_matches_dense_hadamard(p):
+    # fwht = H_n[rows, :m] @ D X and fwht_adjoint = D H_n[:m, rows] @ Y,
+    # D = I and D random, 1-D and 3-D, inputs not mutated, outputs not
+    # aliased
     n = 2 ** p
     r = np.random.default_rng(p)
-    for X in (r.standard_normal(n), r.standard_normal((n, 3, 2))):
-        before = X.copy()
-        out = sk.fwht(X)
-        expected = _dense_hadamard_oracle(X)
-        assert out.shape == X.shape
-        assert np.linalg.norm(out - expected) <= 1e-14 * np.linalg.norm(expected)
-        assert np.array_equal(X, before)
-        assert not np.shares_memory(out, X)
+    H = scipy.linalg.hadamard(n, dtype=np.int8)
+    for m, rows in _pruned_cases(n, r):
+        signs = np.where(r.random(m) < 0.5, -1.0, 1.0)
+        full = m == n == rows.size
+        for tail in ((), (3, 2)):
+            X = r.standard_normal((m,) + tail)
+            Y = r.standard_normal((rows.size,) + tail)
+            X2, Y2 = X.reshape(m, -1), Y.reshape(rows.size, -1)
+            c = X2.shape[1]
+            HX, HtY = _hadamard_products(
+                H, rows, m, np.hstack([X2, signs[:, None] * X2]), Y2)
+            # errors are relative to sum |H_ij| |x_j|, since single sums
+            # of random terms can cancel
+            forward, back = np.abs(X2).sum(0), np.abs(Y2).sum(0)
+            for got, want, scale, inp in [
+                (sk.fwht(X, np.ones(m), rows, n), HX[:, :c], forward, X),
+                (sk.fwht(X, signs, rows, n), HX[:, c:], forward, X),
+                (sk.fwht_adjoint(Y, np.ones(m), rows, n), HtY, back, Y),
+                (sk.fwht_adjoint(Y, signs, rows, n), signs[:, None] * HtY,
+                 back, Y)]:
+                before = inp.copy()
+                assert got.shape == want.shape[:1] + tail
+                got = got.reshape(want.shape)
+                assert np.all(np.abs(got - want) <= 1e-14 * scale)
+                if full:
+                    # the whole transform, in any row order: no output
+                    # cancels in aggregate, so the error is norm-relative
+                    assert (np.linalg.norm(got - want)
+                            <= 1e-14 * np.linalg.norm(want))
+                assert np.array_equal(inp, before)
+                assert not np.shares_memory(got, inp)
 
 
 def test_fwht_rejects_non_power_of_two():
     for shape in ((6,), (12, 2), (3, 1, 1)):
         with pytest.raises(ValueError):
-            sk.fwht(np.ones(shape))
+            sk.fwht(np.ones(shape), np.ones(shape[0]), [0], shape[0])
+        with pytest.raises(ValueError):
+            sk.fwht_adjoint(np.ones((1,) + shape[1:]), [1.0], [0], shape[0])
+
+
+def test_fwht_rejects_rows_and_inputs_outside_the_transform():
+    for rows in ([4], [-1]):
+        with pytest.raises(ValueError):
+            sk.fwht(np.ones(3), np.ones(3), rows, 4)
+        with pytest.raises(ValueError):
+            sk.fwht_adjoint(np.ones(1), np.ones(3), rows, 4)
+    with pytest.raises(ValueError):
+        sk.fwht(np.ones(5), np.ones(5), [0], 4)
 
 
 def test_fwht_empty_input():
     for shape in ((0,), (0, 3)):
-        out = sk.fwht(np.empty(shape))
+        out = sk.fwht(np.empty(shape), [], [0, 3], 4)  # no inputs: zeros
+        assert out.shape == (2,) + shape[1:] and not out.any()
+        out = sk.fwht(np.ones((4,) + shape[1:]), np.ones(4), [], 4)
         assert out.shape == shape
+        back = sk.fwht_adjoint(np.empty(shape), np.ones(3), [], 4)
+        assert back.shape == (3,) + shape[1:] and not back.any()
+
+
+@pytest.mark.parametrize("p", range(13))
+def test_srft_apply_matches_dense_hadamard(p):
+    # both sides against the dense S = H_{m_pad}[coords, :m] D / sqrt(d),
+    # over odd m, one block, m = m_pad, m = 1, d = 1 and d = m
+    n = 2 ** p
+    r = np.random.default_rng(100 + p)
+    H = scipy.linalg.hadamard(n, dtype=np.int8)
+    for m in sorted({1, n, max(1, n - 3), max(1, n // 2 + 1)}):
+        for d in sorted({1, max(1, m // 5), m}):
+            S = sk.sample_srft(d, m, rng.RngKey(p, m + d))
+            A = r.standard_normal((m, 3))
+            B = r.standard_normal((4, d))
+            # H_{m_pad} is the leading block of the Sylvester H_n
+            SA, StBt = _hadamard_products(H, S.coords, m,
+                                          S.signs[:, None] * A, B.T)
+            SA /= np.sqrt(d)
+            StBt *= S.signs[:, None] / np.sqrt(d)
+            # every |S_ij| is 1/sqrt(d), so errors are relative to
+            # sum_j |a_j| / sqrt(d)
+            for got, want, scale in [
+                    (S.apply(A), SA, np.abs(A).sum(0)),
+                    (S.apply(B, side="right"), StBt.T,
+                     np.abs(B).sum(1)[:, None]),
+                    (S.T.apply(B.T), StBt, np.abs(B.T).sum(0))]:
+                assert got.shape == want.shape
+                assert np.all(np.abs(got - want) <= 1e-14 * scale / np.sqrt(d))
+
+
+def test_srft_matrix_entries_are_exactly_pm_inv_sqrt_d():
+    for d, m, seed in [(1, 1, 0), (3, 5, 1), (64, 1000, 2), (300, 300, 3),
+                       (400, 1025, 4)]:
+        S = sk.sample_srft(d, m, seed)
+        H = scipy.linalg.hadamard(S.m_pad, dtype=np.int8)[S.coords, :m]
+        M = S.matrix()
+        assert np.array_equal(M, H * S.signs / np.sqrt(d))
+        assert set(np.unique(M)) <= {-1 / np.sqrt(d), 1 / np.sqrt(d)}
+
+
+def test_srft_apply_scratch_memory_is_about_two_copies():
+    # the full transform held three m_pad-by-n arrays; the pruned one holds
+    # the signed, block-padded input and the stage-one output
+    for m in (2 ** 14, 2 ** 14 - 1000):
+        n, d = 64, 200
+        S = sk.sample_srft(d, m, 7)
+        A = np.random.default_rng(0).standard_normal((m, n))
+        tracemalloc.start()
+        try:
+            S.apply(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * S.m_pad * n * 8
 
 
 # ---------------------------------------------------------------------------
