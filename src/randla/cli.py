@@ -21,6 +21,17 @@ from . import bench
 from .bench import FAMILIES, ConfigError, ExperimentConfig, MatrixSpec
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return count
+
+
 def _add_common(parser):
     parser.add_argument("--config", required=True,
                         help="path to a JSON config file")
@@ -28,7 +39,8 @@ def _add_common(parser):
                         help="override the config seed (decimal or 0x-hex)")
     parser.add_argument("--out", default=None,
                         help="output path (base name for run reports)")
-    parser.add_argument("--parallel", type=int, default=1, metavar="T",
+    parser.add_argument("--parallel", type=_thread_count, default=1,
+                        metavar="T",
                         help="run trials concurrently on T threads")
 
 

@@ -391,6 +391,11 @@ def _apply_block(A, W, square: bool = True):
 # Lanczos tridiagonalization
 # ---------------------------------------------------------------------------
 
+# memory budget of one start group's Lanczos basis during full
+# reorthogonalization (see lanczos_tridiag)
+_CGS_GROUP_BYTES = 2 ** 20
+
+
 def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
                     return_basis: bool = False):
     """s-step Lanczos on a Hermitian operator, started at the unit vector v0
@@ -411,6 +416,13 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
     marks only breakdown).  The basis is then (n, steps, k), zero past a
     column's breakdown.  A 1-D v0 calls B with 1-D vectors and
     returns 1-D coefficients and an (n, steps) basis.
+
+    Full reorthogonalization keeps k * s * n floats of basis (about 24 MB
+    at n = 2000, s = 30, k = 50).  It runs both Gram-Schmidt passes on one
+    group of max(1, 2**20 // (8 s n)) starts before it moves to the next,
+    so a group's basis (at most 1 MiB) stays in cache between the passes.
+    Each start is projected on its own basis alone, so the coefficients are
+    bitwise those of one batched product over all k starts.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.ndim not in (1, 2):
@@ -437,6 +449,8 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
     if keep:
         basis = np.zeros((k, s, n))
         basis[:, 0] = V
+    # starts per CGS2 group: a group's basis fits in _CGS_GROUP_BYTES
+    group = max(1, _CGS_GROUP_BYTES // (8 * s * n))
     active = np.ones(k, dtype=bool)
     V_prev = np.zeros_like(V)
     beta_prev = np.zeros(k)
@@ -447,10 +461,11 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
         alpha = np.einsum("ij,ij->i", V, W)
         W = W - alpha[:, None] * V - beta_prev[:, None] * V_prev
         if reorth == "full":
-            Q = basis[:, :j + 1]
-            for _ in range(2):
-                W -= np.matmul(Q.transpose(0, 2, 1),
-                               np.matmul(Q, W[:, :, None]))[:, :, 0]
+            for a in range(0, k, group):
+                Q, Wg = basis[a:a + group, :j + 1], W[a:a + group]
+                for _ in range(2):
+                    Wg -= np.matmul(Q.transpose(0, 2, 1),
+                                    np.matmul(Q, Wg[:, :, None]))[:, :, 0]
         if not np.all(np.isfinite(alpha[active])):
             raise ValueError("Lanczos coefficient is not finite; the operator "
                              "returned non-finite values")

@@ -6,13 +6,19 @@ Probe i is drawn from ``seed.substream(i)``, so every probe is bitwise a
 pure function of ``(seed, i)``.  Operators are applied to blocks: a
 callable (or LinearOperator) receives an (n, k) array and must return an
 (n, k) array, one product per column.  The estimators take probes in fixed
-blocks of ``PROBE_BLOCK`` = 32 consecutive indices, aligned at multiples of
-32 from the first probe index, and apply the operator once per block; the
-last block is filled up with the next probe indices, whose results are
-dropped, so at most 31 extra probes are applied per estimator stage.  The
-alignment keeps each sample a pure function of ``(seed, i)``: a product's
-last bits can depend on the block width, and every sample sees the same
-block whatever the probe count.
+blocks of ``PROBE_BLOCK`` = 64 consecutive indices, aligned at multiples of
+64 from the first probe index, and apply the operator once per block (once
+per Lanczos step, for ``slq``); the last block is filled up with the next
+probe indices, whose results are dropped, so at most 63 padding probes are
+applied per estimator stage.  ``slq`` runs no Lanczos recurrence for its
+padding probes: their columns of every product input hold their unit start
+vectors.
+
+Each sample stays a pure function of ``(seed, i)`` as long as a product's
+column does not depend on the values in the other columns, which every
+matrix product meets.  Its last bits may depend on the block width and on
+the column's place in the block; the alignment gives every sample the same
+width and place whatever the probe count.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ def _make_estimate(samples) -> TraceEstimate:
 
 # probes per operator call; blocks start at multiples of this from the
 # first probe index of an estimator stage
-PROBE_BLOCK = 32
+PROBE_BLOCK = 64
 
 
 def _column_norms(W) -> np.ndarray:
@@ -97,7 +103,8 @@ def girard_hutchinson(apply_A, n: int, m: int, dist: str = "rademacher",
                       seed=0) -> TraceEstimate:
     """Average of m quadratic forms w^T A w over isotropic probes
     (E[w w^T] = I for every supported distribution).  ``apply_A`` receives
-    (n, 32) probe blocks."""
+    (n, 64) probe blocks; a product column must not depend on the values in
+    the other columns."""
     if m < 1:
         raise ValueError("need at least one probe")
     seed = as_key(seed)
@@ -117,8 +124,9 @@ def hutch_pp(apply_A, n: int, m: int, seed=0,
     The matrix-vector budget m >= 6 splits in thirds: floor(m / 3) columns
     for S, as many again for A Q, and the rest (at least m / 3, plus any
     slack when orth drops columns) as probes.  ``apply_A`` receives S and Q
-    as blocks, then the remainder probes in (n, 32) blocks aligned from
-    probe index floor(m / 3).
+    as blocks, then the remainder probes in (n, 64) blocks aligned from
+    probe index floor(m / 3), with at most 63 padding probes; a product
+    column must not depend on the values in the other columns.
 
     Per-probe samples include the exact deflated part, so value ==
     mean(samples) and the variance reflects only the residual estimator.
@@ -164,24 +172,43 @@ def lanczos_quadrature(apply_B, probe, steps: int,
     return _quadrature_rule(alpha, beta, pnorm)
 
 
+def _padded(B, U, live: int):
+    """B on (n, live) blocks, applied as one product on the full-width block
+    U whose first ``live`` columns are replaced by the input; the other
+    columns of the output are dropped."""
+    def apply(V):
+        X = U.copy()
+        X[:, :live] = V
+        return dk._apply_block(B, X)[:, :live]
+    return apply
+
+
 def slq(apply_B, n: int, f, m: int, s: int, seed=0, reorth: str = "full",
         dist: str = "rademacher") -> TraceEstimate:
     """Stochastic Lanczos quadrature estimate of trace(f(B)) for Hermitian B.
 
     Each probe's quadratic form w^T f(B) w is approximated by an s-node
     Gaussian quadrature of its spectral measure (exact for polynomials of
-    degree <= 2s - 1).  The probes of one (n, 32) block run their Lanczos
-    recurrences in lockstep, so ``apply_B`` receives (n, 32) blocks.  A
+    degree <= 2s - 1).  The live probes of one 64-wide block run their
+    Lanczos recurrences in lockstep, and ``apply_B`` receives (n, 64)
+    blocks.  In a partial last block only the live probes run a recurrence:
+    each product input holds the padding probes' unit start vectors in
+    their columns, and those output columns are dropped.  So a product
+    column must not depend on the values in the other columns.  A
     non-finite f value surfaces the offending node.
     """
     if m < 1 or s < 1:
         raise ValueError("need m >= 1 probes and s >= 1 Lanczos steps")
     seed = as_key(seed)
+    B = dk._as_apply(apply_B, n)
     samples = np.empty(m)
     for q, W in _probe_blocks(dist, seed, 0, m, n):
+        live = min(PROBE_BLOCK, m - q)
         pnorm = _column_norms(W)
-        alpha, beta = dk.lanczos_tridiag(apply_B, W / pnorm, s, reorth=reorth)
-        for j in range(min(PROBE_BLOCK, m - q)):
+        U = W / pnorm
+        alpha, beta = dk.lanczos_tridiag(_padded(B, U, live), U[:, :live], s,
+                                         reorth=reorth)
+        for j in range(live):
             steps = int(np.sum(~np.isnan(alpha[:, j])))
             rule = _quadrature_rule(alpha[:steps, j], beta[:steps - 1, j],
                                     pnorm[j])

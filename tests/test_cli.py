@@ -77,6 +77,14 @@ def test_reproducible_rerun(tmp_path, lstsq_config):
                {k: v for k, v in r2.items() if k != "wall_ms"}
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_parallel_below_one_exits_2(lstsq_config, threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lstsq", "--config", lstsq_config, "--parallel", threads])
+    assert exc.value.code == 2
+    assert "--parallel: must be an integer of at least 1" in capsys.readouterr().err
+
+
 def test_all_trials_failed_exit_code(tmp_path):
     cfg = write_config(tmp_path / "bad.json", {
         "driver": "spo1",

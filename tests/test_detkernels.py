@@ -470,17 +470,55 @@ def test_lanczos_lockstep_stops_when_all_columns_break_down():
     assert np.array_equal(basis[:, 0, :], np.eye(6)[:, :3])
 
 
+def _batched_cgs2_lanczos(B, V0, s):
+    """Lockstep Lanczos whose two CGS passes are each one batched product
+    over all starts; the input must not break down."""
+    V = V0.T.copy()
+    k, n = V.shape
+    basis = np.zeros((k, s, n))
+    basis[:, 0] = V
+    V_prev, beta_prev = np.zeros_like(V), np.zeros(k)
+    alphas, betas = [], []
+    for j in range(s):
+        W = np.ascontiguousarray((B @ V.T).T)
+        alpha = np.einsum("ij,ij->i", V, W)
+        W = W - alpha[:, None] * V - beta_prev[:, None] * V_prev
+        Q = basis[:, :j + 1]
+        for _ in range(2):
+            W -= np.matmul(Q.transpose(0, 2, 1),
+                           np.matmul(Q, W[:, :, None]))[:, :, 0]
+        alphas.append(alpha)
+        if j == s - 1:
+            break
+        beta_prev = np.linalg.norm(W, axis=1)
+        betas.append(beta_prev)
+        V_prev, V = V, W / beta_prev[:, None]
+        basis[:, j + 1] = V
+    return np.array(alphas), np.array(betas)
+
+
 def test_lanczos_block_basis_is_orthonormal_per_column():
     r = np.random.default_rng(14)
     Q = np.linalg.qr(r.standard_normal((80, 80)))[0]
-    B = (Q * np.logspace(-6, 0, 80)) @ Q.T
-    V0 = r.standard_normal((80, 5))
-    V0 /= np.linalg.norm(V0, axis=0)
-    _, _, basis = dk.lanczos_tridiag(B, V0, 30, return_basis=True)
-    assert basis.shape == (80, 30, 5)
-    for j in range(5):
-        gram = basis[:, :, j].T @ basis[:, :, j]
-        assert np.abs(gram - np.eye(30)).max() <= 1e-10
+    inputs = [((Q * np.logspace(-6, 0, 80)) @ Q.T, 80)]
+    # five outliers over a bulk: without reorthogonalization every column
+    # loses orthogonality.  At n = 1500, s = 30 the CGS2 groups hold 2, 2
+    # and 1 starts, so a wrong group bound leaves a start unprojected.
+    n, s, k = 1500, 30, 5
+    assert dk._CGS_GROUP_BYTES // (8 * s * n) == 2
+    spectrum = np.concatenate([np.logspace(-6, -1, n - 5), [1, 2, 4, 8, 16]])
+    inputs.append((np.diag(spectrum), n))
+    for B, n in inputs:
+        V0 = r.standard_normal((n, k))
+        V0 /= np.linalg.norm(V0, axis=0)
+        alpha, beta, basis = dk.lanczos_tridiag(B, V0, s, return_basis=True)
+        assert basis.shape == (n, s, k)
+        for j in range(k):
+            gram = basis[:, :, j].T @ basis[:, :, j]
+            assert np.abs(gram - np.eye(s)).max() <= 1e-10
+    ref_alpha, ref_beta = _batched_cgs2_lanczos(B, V0, s)
+    assert np.array_equal(alpha, ref_alpha)
+    assert np.array_equal(beta, ref_beta)
 
 
 def test_lanczos_vector_start_calls_operator_with_vectors():

@@ -235,18 +235,24 @@ def test_probe_columns_match_per_probe_streams():
         assert np.array_equal(W[:, j], g * (np.sqrt(n) / np.linalg.norm(g)))
 
 
-@pytest.mark.parametrize("m", [5, 31, 32, 33, 70])
+# the edges of a PROBE_BLOCK-wide block, and mid-block counts that leave
+# most of a block as padding; the reference spans three blocks
+P = tr.PROBE_BLOCK
+EDGES = sorted({5, 31, 32, 33, 70, P - 1, P, P + 1, 2 * P + 2})
+
+
+@pytest.mark.parametrize("m", EDGES)
 def test_gh_samples_bitwise_stable_across_block_edges(m):
     A = random_psd(50, np.linspace(1, 2, 50), seed=41)
-    ref = tr.girard_hutchinson(A, 50, 70, "gaussian", seed=42)
+    ref = tr.girard_hutchinson(A, 50, 2 * P + 2, "gaussian", seed=42)
     est = tr.girard_hutchinson(A, 50, m, "gaussian", seed=42)
     assert np.array_equal(est.samples, ref.samples[:m])
 
 
-@pytest.mark.parametrize("m", [5, 31, 32, 33, 70])
+@pytest.mark.parametrize("m", EDGES)
 def test_slq_samples_bitwise_stable_across_block_edges(m):
     B = random_psd(50, np.linspace(1, 2, 50), seed=43)
-    ref = tr.slq(B, 50, np.log, 70, 6, seed=44)
+    ref = tr.slq(B, 50, np.log, 2 * P + 2, 6, seed=44)
     est = tr.slq(B, 50, np.log, m, 6, seed=44)
     assert np.array_equal(est.samples, ref.samples[:m])
 
@@ -256,14 +262,14 @@ def test_estimators_apply_the_operator_once_per_block():
     A = random_psd(n, np.linspace(1, 2, n), seed=45)
     op = CountingOperator(A)
     tr.girard_hutchinson(op, n, 70, seed=46)
-    assert op.shapes == [(n, 32)] * 3
+    assert op.shapes == [(n, 64)] * 2
     op = CountingOperator(A)
     est = tr.hutch_pp(op, n, 60, seed=47)  # S and Q of 20 columns, 20 probes
     assert est.probes_used == 20
-    assert op.shapes == [(n, 20), (n, 20), (n, 32)]
+    assert op.shapes == [(n, 20), (n, 20), (n, 64)]
     op = CountingOperator(A)
-    tr.slq(op, n, np.log, 40, 5, seed=48)
-    assert op.shapes == [(n, 32)] * 10
+    tr.slq(op, n, np.log, 40, 5, seed=48)  # one block, one product per step
+    assert op.shapes == [(n, 64)] * 5
 
 
 def test_slq_samples_match_single_probe_quadrature():
