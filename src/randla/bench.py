@@ -554,7 +554,10 @@ def _run_trial(config: ExperimentConfig, A, trial: int):
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1):
     """Run all trials; write CSV rows and a JSON summary when ``config.out``
-    is set.  Returns (rows, summary)."""
+    is set.  Returns (rows, summary).  ``parallel`` is the number of
+    threads that run trials; it must be at least 1."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be at least 1, got {parallel!r}")
     A = gen_matrix(config.matrix)
     trials = range(config.trials)
     if parallel > 1 and config.trials > 1:

@@ -1,38 +1,53 @@
 """Deterministic building blocks.
 
-Dense factorizations go through this one seam.  QR, SVD, Hermitian
-eigendecomposition, Cholesky and the inverse of a triangular factor run on
-numpy's LAPACK, the same BLAS runtime as every matrix product in the
-library, so a driver's loop does not hand work back and forth between
-numpy's and scipy's BLAS thread pools.
+Dense factorizations go through this one seam.  QR, QR with column
+pivoting, SVD, Hermitian eigendecomposition, Cholesky, triangular solves
+and the inverse of a triangular factor run on numpy's LAPACK or on numpy
+alone, the same BLAS runtime as every matrix product in the library, so a
+driver's loop does not hand work back and forth between numpy's and
+scipy's BLAS thread pools.  Such a hand-off was measured to stall: with
+``qrcp`` on scipy's ``geqp3``, a 100 x 100 ``triu_inv`` right after it
+took 59 ms inside ``sap_chol_qrcp`` against 1.3 ms inside
+``rand_chol_qr``, and on a 4000 x 2000 input ``osid1``'s QRCP took 52 ms
+and ``curd1``'s two 126 ms, against 12-25 ms when timed alone; on numpy,
+``osid1`` fell from 0.18 to 0.11 s on that input.  The only scipy LAPACK
+call left in the library is ``scipy.linalg.eigh_tridiagonal`` in
+``trace.slq``, which uses no BLAS threads.
 
-numpy has no triangular solve (``trtrs``).  ``make_precond_qr`` builds its
-preconditioner ``M = R^{-1}`` with ``triu_inv``, and the ``fullrank``
-drivers apply R^{-1} to the tall A as one GEMM, ``A @ triu_inv(R)``:
-``chol_qr`` its Cholesky factor, ``rand_chol_qr`` and ``sap_chol_qrcp``
-the sketch's R and then, through ``chol_qr``, the Cholesky factor.  An
-explicit inverse is said to lose accuracy on ill-conditioned factors; for
-these drivers it does not.  Over rotated and column-scaled 3000 x 50
-inputs at cond 1e2 to 1e12, with SASO, Gaussian and SRFT sketches
-(d = 200), the worst of ||A - QR|| / ||A|| and max |Q^T Q - I| for
-``rand_chol_qr`` and ``sap_chol_qrcp`` was 5.8e-15, against 2.0e-15 with
-``trtrs``.  Plain ``chol_qr``'s reconstruction error rose from 1.4e-16 to
-2.2e-15 at cond 1e7; its orthogonality, governed by cond^2, did not
-change.
+numpy has neither a pivoted QR nor a triangular solve:
 
-Two calls stay on scipy, because numpy has no equivalent or moving them
-gains nothing:
+- ``qrcp`` is a blocked Householder QR with column pivoting written with
+  numpy, after LAPACK's ``geqp3``.  ``sap_chol_qrcp`` runs it on the
+  sketch, and ``lowrank``'s ID, subset selection and CUR on a sketch or a
+  k-row or k-column panel.  Every caller reads only R and the pivots, so
+  it returns those and never forms Q.  Its per-step Python work makes it
+  slower than ``geqp3`` on small square inputs (3-6 ms against 0.6 ms at
+  100 x 100, and 1.5-1.7 times ``geqp3``'s time on a 1200 x 100 sketch);
+  on the wide panels of ``osid1`` and ``curd1`` and at 4800 x 400 it is
+  as fast or faster.  Its R may differ from earlier versions in the signs of its
+  rows and in the last bits, as the other factorizations' did when they
+  moved to numpy.
+- ``solve_triangular`` is ``np.linalg.solve`` on the triangle.  Partial
+  pivoting on an upper-triangular matrix swaps no rows and eliminates
+  nothing, so LU's solve is ``trsm``'s back substitution; a
+  lower-triangular system is solved with rows and columns reversed, which
+  makes it upper triangular.  ``lowrank.evd2``'s Nystrom core, ``qb3`` and
+  ``osid_qrcp`` use it.
+- ``make_precond_qr`` builds its preconditioner ``M = R^{-1}`` with
+  ``triu_inv``, and the ``fullrank`` drivers apply R^{-1} to the tall A
+  as one GEMM, ``A @ triu_inv(R)``: ``chol_qr`` its Cholesky factor,
+  ``rand_chol_qr`` and ``sap_chol_qrcp`` the sketch's R and then, through
+  ``chol_qr``, the Cholesky factor.  An explicit inverse is said to lose
+  accuracy on ill-conditioned factors; for these drivers it does not.
+  Over rotated and column-scaled 3000 x 50 inputs at cond 1e2 to 1e12,
+  with SASO, Gaussian and SRFT sketches (d = 200), the worst of
+  ||A - QR|| / ||A|| and max |Q^T Q - I| for ``rand_chol_qr`` and
+  ``sap_chol_qrcp`` was 5.8e-15, against 2.0e-15 with ``trtrs``.  Plain
+  ``chol_qr``'s reconstruction error rose from 1.4e-16 to 2.2e-15 at cond
+  1e7; its orthogonality, governed by cond^2, did not change.
 
-- ``qrcp``: numpy has no column-pivoted QR (``geqp3``); ``sap_chol_qrcp``
-  runs it on the small sketch only, and ``lowrank``'s ID, subset selection
-  and CUR on a sketch or a k-row or k-column panel.  Every caller reads only
-  R and the pivots, so it returns those and never forms Q;
-- ``solve_triangular``, for ``lowrank.evd2``'s Nystrom core, ``qb3`` and
-  ``osid_qrcp``, whose right-hand sides are small;
-
-and ``scipy.linalg.eigh_tridiagonal`` in ``trace.slq`` does not use the
-BLAS threads.  ``chol`` names a failing pivot with numpy alone, by
-bisecting for the first leading principal block that numpy rejects.
+``chol`` names a failing pivot with numpy alone, by bisecting for the
+first leading principal block that numpy rejects.
 
 Like scipy, the seam rejects infs and NaNs with
 ``ValueError("array must not contain infs or NaNs")``; ``chol`` instead
@@ -43,10 +58,10 @@ implemented here directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 
 class CholeskyError(np.linalg.LinAlgError):
@@ -118,14 +133,99 @@ def qr_r(A):
     return np.linalg.qr(_finite(A), mode="r")
 
 
+# columns per panel of qrcp's delayed (blocked) update
+_QRCP_BLOCK = 16
+# LAPACK's tol3z: a downdated column norm whose square falls to this
+# fraction of its last recomputed square has too few digits left, and is
+# recomputed
+_NORM_RECOMPUTE = math.sqrt(np.finfo(float).eps)
+
+
 def qrcp(A):
     """QR with column pivoting, without forming Q: returns (R, J) with
     A[:, J] = Q R for an orthonormal Q, R min(m, n)-by-n upper trapezoidal
-    and |R_ii| nonincreasing.  R and J are bitwise those of scipy's
-    ``mode="economic"`` call."""
-    R, J = la.qr(np.asarray(A, dtype=float), mode="r", pivoting=True)
-    # for a tall A, scipy returns the full m-by-n R, zero below row n
-    return R[:min(R.shape)], J
+    and |R_ii| nonincreasing.
+
+    Householder QR with column pivoting (Businger and Golub), blocked as in
+    LAPACK's ``geqp3``: step j swaps in the column of largest remaining
+    norm (the lowest index on a tie) and reflects it onto R_jj with
+    LAPACK's reflector (``dlarfg``).  A tall A is first reduced to its
+    n-by-n R with ``qr_r``, which leaves column norms, and so the pivots,
+    unchanged in exact arithmetic.  Away from near-ties in the column
+    norms, J is ``geqp3``'s pivot order and R is its R to rounding, up to
+    the signs of R's rows."""
+    A = _finite(A)
+    m, n = A.shape
+    if m > n:
+        A = qr_r(A)
+    k = A.shape[0]
+    A = np.array(A, order="F")
+    J = np.arange(n)
+    norms = np.linalg.norm(A, axis=0)
+    ref = norms.copy()  # each norm at its last recomputation
+    j = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while j < k:
+            j = _qrcp_panel(A, J, norms, ref, j)
+    return np.triu(A), J
+
+
+def _qrcp_panel(A, J, norms, ref, j):
+    """Pivoted Householder steps j, j+1, ... on the k-by-n A in place (LAPACK's
+    ``dlaqps``), returning the first step not taken.  Within the panel the
+    trailing columns are updated only in the rows that become R's; F
+    accumulates the rest, which one GEMM applies at the end.  The panel
+    stops early when a downdated norm must be recomputed, since that needs
+    the updated trailing column."""
+    k, n = A.shape
+    F = np.zeros((n - j, _QRCP_BLOCK))
+    t, stale = 0, None
+    while t < min(_QRCP_BLOCK, k - j) and stale is None:
+        c = j + t
+        p = c + int(norms[c:].argmax())
+        if p != c:
+            col = A[:, c].copy()
+            A[:, c] = A[:, p]
+            A[:, p] = col
+            row = F[c - j, :t].copy()
+            F[c - j, :t] = F[p - j, :t]
+            F[p - j, :t] = row
+            J[c], J[p] = J[p], J[c]
+            norms[p], ref[p] = norms[c], ref[c]
+        if t:
+            A[c:, c] -= A[c:, j:c] @ F[c - j, :t]
+        # reflector I - tau [1; v] [1; v]^T taking [alpha; x] to [beta; 0]
+        alpha = float(A[c, c])
+        x = A[c + 1:, c]
+        xnorm = float(np.linalg.norm(x))
+        tau, beta = 0.0, alpha
+        if xnorm > 0.0:
+            beta = -math.copysign(math.hypot(alpha, xnorm), alpha)
+            tau = (beta - alpha) / beta
+            x *= 1.0 / (alpha - beta)
+        A[c, c] = 1.0
+        v = A[c:, c]
+        F[c + 1 - j:, t] = tau * (v @ A[c:, c + 1:])
+        if t:
+            F[:, t] += F[:, :t] @ (-tau * (v @ A[c:, j:c]))
+        A[c, c + 1:] -= A[c, j:c + 1] @ F[c + 1 - j:, :t + 1].T
+        if c + 1 < k:
+            # downdate the trailing norms by the row just formed; a zero
+            # column gives 0/0, which fmax turns into a zero downdate
+            tail, tail_ref = norms[c + 1:], ref[c + 1:]
+            shrink = np.fmax(1.0 - (A[c, c + 1:] / tail) ** 2, 0.0)
+            lost = shrink * (tail / tail_ref) ** 2 <= _NORM_RECOMPUTE
+            tail *= np.sqrt(shrink)
+            if lost.any():
+                stale = c + 1 + np.flatnonzero(lost)
+        A[c, c] = beta
+        t += 1
+    e = j + t
+    if e < k:
+        A[e:, e:] -= A[e:, j:e] @ F[t:, :t].T
+        if stale is not None:
+            norms[stale] = ref[stale] = np.linalg.norm(A[e:, stale], axis=0)
+    return e
 
 
 def chol(A):
@@ -176,7 +276,23 @@ def eigh(A):
 
 
 def solve_triangular(R, B, lower=False, trans=0):
-    return la.solve_triangular(R, B, lower=lower, trans=trans)
+    """X with op(T) X = B, for T the upper (or, if ``lower``, the lower)
+    triangle of R and op(T) = T, or T^T for ``trans`` 1, 2, "T" or "C".
+
+    numpy's LU solve (``gesv``) does the work.  When op(T) is upper
+    triangular, partial pivoting swaps no rows and the elimination
+    subtracts only zero multiples, so this is ``trsm`` back substitution.
+    A lower-triangular op(T) is solved with its rows and columns reversed,
+    which makes it upper triangular."""
+    T = np.tril(_finite(R)) if lower else np.triu(_finite(R))
+    B = _finite(B)
+    if trans in (1, 2, "T", "C"):
+        T, lower = T.T, not lower
+    elif trans not in (0, "N"):
+        raise ValueError(f"trans must be 0, 1, 2, 'N', 'T' or 'C', got {trans!r}")
+    if lower:
+        return np.linalg.solve(T[::-1, ::-1], B[::-1])[::-1]
+    return np.linalg.solve(T, B)
 
 
 def numerical_rank(s: np.ndarray, shape) -> int:

@@ -83,6 +83,18 @@ def test_zero_trials_empty_csv(tmp_path):
     assert summary["completed"] == 0 and summary["failed"] == 0
 
 
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_parallel_below_one_raises(parallel, tmp_path):
+    # the CLI rejects such --parallel values at parsing; the library call
+    # used to run the trials serially and return normally
+    cfg = ExperimentConfig.from_dict({
+        "driver": "spo1", "matrix": {"m": 40, "n": 4}, "trials": 2,
+        "out": str(tmp_path / "spo1")})
+    with pytest.raises(ValueError, match="parallel must be at least 1"):
+        bench.run_experiment(cfg, parallel=parallel)
+    assert not (tmp_path / "spo1.csv").exists()
+
+
 def test_spo1_experiment_schema(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "driver": "spo1",

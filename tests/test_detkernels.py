@@ -36,18 +36,32 @@ def test_qrcp_diagonal_nonincreasing():
 
 
 @pytest.mark.parametrize("shape, rank", [
-    ((120, 10), 10), ((10, 120), 10), ((60, 20), 5)],
-    ids=["tall", "wide", "rank_deficient"])
+    ((120, 10), 10), ((10, 120), 10), ((60, 20), 5), ((1200, 100), 100),
+    ((55, 2000), 55), ((50, 4000), 50), ((1, 30), 1), ((30, 1), 1),
+    ((20, 12), 0)],
+    ids=["tall", "wide", "rank_deficient", "1200x100", "55x2000", "50x4000",
+         "1xn", "mx1", "zero"])
 def test_r_only_factors_match_the_economic_calls(shape, rank):
-    # the R-only seam returns bitwise the R (and the pivots) that the
-    # economic calls return alongside Q
+    # qr_r returns bitwise the R that the economic call returns alongside Q.
+    # qrcp runs on numpy, so scipy's geqp3 is a reference to rounding: the
+    # same pivots (past the rank they pick among rounding noise) and the
+    # same leading rows of R up to their signs
     r = np.random.default_rng(3)
     A = r.standard_normal((shape[0], rank)) @ r.standard_normal((rank, shape[1]))
     assert np.array_equal(dk.qr_r(A), np.linalg.qr(A, mode="reduced")[1])
-    _, R_econ, J_econ = la.qr(A, mode="economic", pivoting=True)
+    _, R_ref, J_ref = la.qr(A, mode="economic", pivoting=True)
     R, J = dk.qrcp(A)
-    assert R.shape == R_econ.shape == (min(shape), shape[1])
-    assert np.array_equal(R, R_econ) and np.array_equal(J, J_econ)
+    assert R.shape == R_ref.shape == (min(shape), shape[1])
+    assert np.array_equal(R, np.triu(R))
+    full = rank == min(shape)
+    assert np.array_equal(J, J_ref) if full else np.array_equal(J[:rank], J_ref[:rank])
+    signs = np.sign(np.diag(R)[:rank] * np.diag(R_ref)[:rank])
+    assert np.all(signs != 0)
+    cols = slice(None) if full else slice(rank)
+    lead, lead_ref = signs[:, None] * R[:rank, cols], R_ref[:rank, cols]
+    assert np.abs(lead - lead_ref).max(initial=0.0) <= _tol(A)
+    AJ = A[:, J]
+    assert np.abs(AJ.T @ AJ - R.T @ R).max() <= _tol(A) * np.linalg.norm(A, 2)
 
 
 def test_chol_identity():
@@ -104,10 +118,21 @@ def _nonfinite(value, shape, at):
 NONFINITE = [np.nan, np.inf, -np.inf]
 
 
+def solve_triangular_lhs(A):
+    """dk.solve_triangular with A's leading square block as the triangle."""
+    n = A.shape[1]
+    return dk.solve_triangular(A[:n], np.ones(n))
+
+
+def solve_triangular_rhs(A):
+    """dk.solve_triangular with A as the right-hand side."""
+    return dk.solve_triangular(np.eye(A.shape[0]), A)
+
+
 @pytest.mark.parametrize("value", NONFINITE)
 @pytest.mark.parametrize("factor", [
     dk.qr_econ, dk.svd, dk.eigh, ls.make_precond_qr, ls.make_precond_svd,
-    dk.qr_r, dk.qrcp])
+    dk.qr_r, dk.qrcp, solve_triangular_lhs, solve_triangular_rhs])
 def test_nonfinite_input_raises_value_error(factor, value):
     shape = (5, 5) if factor is dk.eigh else (7, 4)
     for at in ((0, 0), (3, 1), (1, 3)):
@@ -190,10 +215,32 @@ def test_make_precond_qr_inverse_matches_triangular_solve(name, mu):
     assert np.all(np.abs(M - M_ref) <= 2 * np.spacing(np.abs(M_ref)))
 
 
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e12])
+@pytest.mark.parametrize("lower", [False, True])
+@pytest.mark.parametrize("trans", [0, "T"])
+def test_solve_triangular_matches_scipy(cond, lower, trans):
+    # both are backward stable, so each solution is within gamma_n
+    # |op^{-1}| |op| |X| of the exact one (Higham, Thm 8.5); neither reads
+    # the other triangle
+    r = np.random.default_rng(21)
+    n = 40
+    R = dk.qr_r(make_conditioned(n + 20, n, cond, seed=22))
+    T = R.T if lower else R
+    junk = np.tril(r.standard_normal((n, n)), -1)
+    T_junk = T + (junk.T if lower else junk)
+    op = T.T if trans == "T" else T
+    for B in (r.standard_normal(n), r.standard_normal((n, 7))):
+        X = dk.solve_triangular(T_junk, B, lower=lower, trans=trans)
+        X_ref = la.solve_triangular(T_junk, B, lower=lower, trans=trans)
+        assert X.shape == B.shape
+        bound = np.abs(np.linalg.inv(op)) @ (np.abs(op) @ np.abs(X_ref))
+        assert np.all(np.abs(X - X_ref) <= 4 * n * np.finfo(float).eps * bound)
+
+
 def test_factorizations_stay_on_numpy_lapack(monkeypatch):
     # numpy's and scipy's LAPACK link separate BLAS builds with separate
-    # thread pools; a driver's loop should use one.  Only column-pivoted QR,
-    # triangular solves and eigh_tridiagonal may use scipy.
+    # thread pools; a driver's loop should use one.  Only eigh_tridiagonal
+    # may use scipy.
     from randla import errorest, fullrank, lowrank, trace
 
     def forbidden(name):
@@ -201,17 +248,10 @@ def test_factorizations_stay_on_numpy_lapack(monkeypatch):
             raise AssertionError(f"scipy.linalg.{name} was called")
         return call
 
-    scipy_qr = la.qr
-
-    def pivoted_qr_only(*args, pivoting=False, **kwargs):
-        if not pivoting:
-            raise AssertionError("unpivoted scipy.linalg.qr was called")
-        return scipy_qr(*args, pivoting=pivoting, **kwargs)
-
-    monkeypatch.setattr(la, "svd", forbidden("svd"))
-    monkeypatch.setattr(la, "eigh", forbidden("eigh"))
-    monkeypatch.setattr(la, "qr", pivoted_qr_only)
-    monkeypatch.setattr(la.lapack, "dpotrf", forbidden("lapack.dpotrf"))
+    for name in ("svd", "eigh", "qr", "solve_triangular"):
+        monkeypatch.setattr(la, name, forbidden(name))
+    for name in ("dpotrf", "dgeqp3", "dtrtrs"):
+        monkeypatch.setattr(la.lapack, name, forbidden(f"lapack.{name}"))
 
     r = np.random.default_rng(18)
     A = make_conditioned(300, 12, 1e3, seed=19)
@@ -220,13 +260,20 @@ def test_factorizations_stay_on_numpy_lapack(monkeypatch):
     G = (Q * np.logspace(0, -4, 60)) @ Q.T
     L = make_conditioned(80, 40, 1e4, seed=20)
     lowrank.qb2(L, 12, block_size=4, seed=1)
+    lowrank.qb3(L, 12, block_size=4, seed=12)
     lowrank.svd1(L, 6, seed=2)
     lowrank.evd1(G, 6, seed=3)
     lowrank.evd2(G, 6, seed=4)
     ls.nystrom_pcg(G, 1e-2, r.standard_normal(60), rank=8, seed=5)
+    for axis in ("column", "row"):
+        lowrank.osid1(L, 6, axis=axis, seed=13)
+        lowrank.rocs1(L, 6, axis=axis, seed=14)
+    for M in (L, L.T):
+        lowrank.curd1(M, 6, seed=15)
     ls.spo1(A, b, tol=1e-10, seed=6)
     ls.sps2(ls.SaddleProblem(A, b, None, 1e-2), tol=1e-10, seed=7)
     fullrank.rand_chol_qr(A, seed=8)
+    fullrank.sap_chol_qrcp(A, seed=16)
     _, A_sk, _ = ls.sketch_and_solve_ols(A, b, 60, seed=9)
     trace.hutch_pp(G, 60, 30, seed=10)
     errorest.bootstrap_svd(A_sk, 3, B=5, seed=11)

@@ -172,15 +172,17 @@ def test_sap_chol_qrcp_retry_rebuilds_the_panel(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_fullrank_stays_off_scipy_solves(monkeypatch):
-    # R^{-1} is applied as a GEMM with numpy's inverse, and chol names its
-    # pivot without scipy; only the sketch's pivoted QR may use scipy
+    # R^{-1} is applied as a GEMM with numpy's inverse, chol names its
+    # pivot and the sketch's pivoted QR runs, all without scipy
     def forbidden(name):
         def call(*args, **kwargs):
             raise AssertionError(f"scipy.linalg.{name} was called")
         return call
 
     monkeypatch.setattr(la, "solve_triangular", forbidden("solve_triangular"))
-    monkeypatch.setattr(la.lapack, "dpotrf", forbidden("lapack.dpotrf"))
+    monkeypatch.setattr(la, "qr", forbidden("qr"))
+    for name in ("dpotrf", "dgeqp3", "dtrtrs"):
+        monkeypatch.setattr(la.lapack, name, forbidden(f"lapack.{name}"))
     A = tall(1e6, 800, 20, seed=23)
     fr.chol_qr(tall(1e2, 800, 20, seed=24))
     fr.rand_chol_qr(A, seed=25)
