@@ -81,6 +81,26 @@ def _above_zero(value):
         raise ValueError("must be positive")
 
 
+def _nonnegative(value):
+    if not value >= 0:
+        raise ValueError("must be nonnegative")
+
+
+def _open_unit(value):
+    if not 0 < value < 1:
+        raise ValueError("must lie in (0, 1)")
+
+
+# Zero or more: a tolerance or sps2's mu; a count that may be 0
+# (oversampling, power passes).
+_NonNegative = Annotated[float, _nonnegative]
+_Count0 = Annotated[int, _nonnegative]
+# A sampling factor or nystrom_pcg's mu.
+_Positive = Annotated[float, _above_zero]
+# A bootstrap's alpha or an embedding's eps: strictly between 0 and 1.
+_Fraction = Annotated[float, _open_unit]
+
+
 def _bind(fn, given: dict, what: str) -> dict:
     """``given`` checked against ``schema(fn)``, each value coerced to the
     type of its default (int for None: ``fn`` computes it from the problem)."""
@@ -152,8 +172,12 @@ class MatrixSpec:
         return spec
 
     def singular_values(self) -> np.ndarray:
+        """The spectrum's min(m, n) values, sorted nonincreasing (a
+        ``step`` with gap < 1 or a negative ``decay`` lists them
+        increasing)."""
         spectrum = dict(self.spectrum)
-        return SPECTRA[spectrum.pop("kind")](min(self.m, self.n), **spectrum)
+        sig = SPECTRA[spectrum.pop("kind")](min(self.m, self.n), **spectrum)
+        return np.sort(sig)[::-1]
 
 
 def _orth_gaussian(key: RngKey, rows: int, cols: int) -> np.ndarray:
@@ -223,8 +247,9 @@ def _trace_error(est, truth):
             "rel_err": abs(est.value - truth) / abs(truth)}
 
 
-def _run_spo1(A, spec, key, *, tol=1e-11, maxit=100,
-              sampling_factor=leastsq.DEFAULT_SAMPLING_FACTOR,
+def _run_spo1(A, spec, key, *, tol: _NonNegative = 1e-11,
+              maxit: _Count = 100,
+              sampling_factor: _Positive = leastsq.DEFAULT_SAMPLING_FACTOR,
               family: SketchFamily = "saso"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
     x, rep = leastsq.spo1(A, b, tol=tol, maxit=maxit,
@@ -238,8 +263,9 @@ def _run_spo1(A, spec, key, *, tol=1e-11, maxit=100,
             "converged": int(rep.converged)}
 
 
-def _run_sps2(A, spec, key, *, mu=0.0, tol=1e-12, maxit=200,
-              sampling_factor=leastsq.DEFAULT_SAMPLING_FACTOR,
+def _run_sps2(A, spec, key, *, mu: _NonNegative = 0.0,
+              tol: _NonNegative = 1e-12, maxit: _Count = 200,
+              sampling_factor: _Positive = leastsq.DEFAULT_SAMPLING_FACTOR,
               family: SketchFamily = "saso"):
     data_key = RngKey(spec.seed)
     b = _lstsq_data(A, data_key.substream(7))
@@ -267,9 +293,9 @@ def _run_sketch_and_solve(A, spec, key, *, d: _Count = None,
 
 
 def _run_nystrom_pcg(A, spec, key, *,
-                     mu: Annotated[float, _above_zero] = 1.0,
-                     preconditioned=True,
-                     rank: _Count = 10, oversample=5, tol=1e-10, maxit=200):
+                     mu: _Positive = 1.0, preconditioned=True,
+                     rank: _Count = 10, oversample: _Count0 = 5,
+                     tol: _NonNegative = 1e-10, maxit: _Count = 200):
     G = _psd_from(A, spec)
     h = _rng.gaussian_stream(RngKey(spec.seed).substream(9), spec.n)
     if preconditioned:
@@ -309,7 +335,8 @@ def _run_precond_spectrum(A, spec, key, *, d: _Count = None,
 
 
 def _run_row_sample_embedding(
-        A, spec, key, *, eps=0.5, d: _Count = None, vectors: _Count = 50,
+        A, spec, key, *, eps: _Fraction = 0.5, d: _Count = None,
+        vectors: _Count = 50,
         dist: Literal["leverage", "uniform"] = "leverage"):
     """Two-sided norm-preservation check for row sampling driven by either
     the exact leverage distribution or the uniform one."""
@@ -330,15 +357,15 @@ def _run_row_sample_embedding(
             "worst_ratio": float(np.max(np.abs(vals / norms2 - 1.0)))}
 
 
-def _run_svd1(A, spec, key, *, k: _Count = 5, tol=0.0, oversample=5,
-              power_passes=2):
+def _run_svd1(A, spec, key, *, k: _Count = 5, tol: _NonNegative = 0.0,
+              oversample: _Count0 = 5, power_passes: _Count0 = 2):
     out = lowrank.svd1(A, k, tol=tol, s=oversample, seed=key,
                        power_passes=power_passes)
     return _lowrank_error(A, out.approximation(), spec.singular_values(), k)
 
 
-def _run_qb2(A, spec, key, *, k: _Count = 5, tol=0.0, block_size: _Count = None,
-             power_passes=2):
+def _run_qb2(A, spec, key, *, k: _Count = 5, tol: _NonNegative = 0.0,
+             block_size: _Count = None, power_passes: _Count0 = 2):
     qb = lowrank.qb2(A, k, tol=tol, block_size=block_size, seed=key,
                      power_passes=power_passes)
     out = _lowrank_error(A, qb.approximation(), spec.singular_values(), k)
@@ -346,22 +373,25 @@ def _run_qb2(A, spec, key, *, k: _Count = 5, tol=0.0, block_size: _Count = None,
     return out
 
 
-def _run_evd2(A, spec, key, *, k: _Count = 5, oversample=5, power_passes=2):
+def _run_evd2(A, spec, key, *, k: _Count = 5, oversample: _Count0 = 5,
+              power_passes: _Count0 = 2):
     G = _psd_from(A, spec)
     out = lowrank.evd2(G, k, s=oversample, seed=key, power_passes=power_passes)
-    lam = np.sort(spec.singular_values())[::-1]
+    lam = spec.singular_values()
     return {"fro_err": float(np.linalg.norm(G - out.approximation(), "fro")),
             "top_eig_rel_err": float(abs(out.lam[0] - lam[0]) / lam[0])}
 
 
-def _run_osid1(A, spec, key, *, k: _Count = 5, oversample=5, power_passes=2,
+def _run_osid1(A, spec, key, *, k: _Count = 5, oversample: _Count0 = 5,
+               power_passes: _Count0 = 2,
                axis: Literal["row", "column"] = "column"):
     oid = lowrank.osid1(A, k, s=oversample, axis=axis, seed=key,
                         power_passes=power_passes)
     return _lowrank_error(A, oid.approximate(A), spec.singular_values(), k)
 
 
-def _run_curd1(A, spec, key, *, k: _Count = 5, oversample=5, power_passes=2):
+def _run_curd1(A, spec, key, *, k: _Count = 5, oversample: _Count0 = 5,
+               power_passes: _Count0 = 2):
     cur = lowrank.curd1(A, k, s=oversample, seed=key,
                         power_passes=power_passes)
     return _lowrank_error(A, cur.approximate(A), spec.singular_values(), k)
@@ -434,8 +464,8 @@ def _run_approx_leverage(A, spec, key, *, d1: _Count = None,
     return {"max_mult_dev": float(dev)}
 
 
-def _run_subspace_leverage(A, spec, key, *, k: _Count = 5, oversample=5,
-                           power_passes=2):
+def _run_subspace_leverage(A, spec, key, *, k: _Count = 5,
+                           oversample: _Count0 = 5, power_passes: _Count0 = 2):
     scores = leverage.subspace_leverage(A, k, s=oversample, seed=key,
                                         power_passes=power_passes).scores
     return {"sum": float(scores.sum()), "k": k}
@@ -443,7 +473,8 @@ def _run_subspace_leverage(A, spec, key, *, k: _Count = 5, oversample=5,
 
 def _run_bootstrap_ls(A, spec, key, *, d: _Count = None,
                       family: SketchFamily = "gaussian", B: _Count = 100,
-                      alpha=0.1, norm: Literal["l2", "linf"] = "l2"):
+                      alpha: _Fraction = 0.1,
+                      norm: Literal["l2", "linf"] = "l2"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
     x_hat, A_hat, b_hat = leastsq.sketch_and_solve_ols(
         A, b, _sketch_dim(A.shape, d), seed=key, op_family=family)
@@ -457,7 +488,7 @@ def _run_bootstrap_ls(A, spec, key, *, d: _Count = None,
 
 def _run_bootstrap_svd(A, spec, key, *, d: _Count = None, k: _Count = 3,
                        family: SketchFamily = "gaussian", B: _Count = 100,
-                       alpha=0.1):
+                       alpha: _Fraction = 0.1):
     d = _sketch_dim(A.shape, d)
     S = sketching.sample_operator(family, d, A.shape[0], key)
     A_hat = S.apply(A) / np.sqrt(d)
@@ -485,8 +516,74 @@ FAMILIES = {family: {run.__name__.removeprefix("_run_"): run for run in runs}
     ("bootstrap", (_run_bootstrap_ls, _run_bootstrap_svd))]}
 DRIVERS = {name: run for drivers in FAMILIES.values()
            for name, run in drivers.items()}
-# drivers that run on ``_psd_from``'s square psd matrix
-_SQUARE_ONLY = ("nystrom_pcg", "evd2", "girard_hutchinson", "hutch_pp", "slq")
+
+
+# ---------------------------------------------------------------------------
+# shape rules, checked at load: each takes (m, n, params with their
+# defaults) and returns what is wrong, or None
+# ---------------------------------------------------------------------------
+
+def _square(m, n, p):
+    if m != n:
+        return "needs a square matrix spec (m == n)"
+
+
+def _tall(m, n, p):
+    if m < n:
+        return "needs a tall matrix spec (m >= n)"
+
+
+def _sketch_rows(name, tall=True):
+    """Sketch dimension ``name`` (None: min(4n, m)) in [n, m], or at most m
+    when the sketch need not be tall."""
+    def rule(m, n, p):
+        d = _sketch_dim((m, n), p[name])
+        if tall and not n <= d <= m:
+            return f"param {name!r} = {d} must lie in [n, m] = [{n}, {m}]"
+        if d > m:
+            return f"param {name!r} = {d} must be at most m = {m}"
+    return rule
+
+
+def _rank_in_sketch(m, n, p):
+    top = min(_sketch_dim((m, n), p["d"]), n)
+    if p["k"] > top:
+        return f"param 'k' = {p['k']} must be at most min(d, n) = {top}"
+
+
+def _rank_fits(name):
+    """Rank ``name`` plus its oversampling at most min(m, n)."""
+    def rule(m, n, p):
+        total, top = p[name] + p["oversample"], min(m, n)
+        if total > top:
+            return (f"params {name!r} + 'oversample' = {total} must be at "
+                    f"most min(m, n) = {top}")
+    return rule
+
+
+def _nystrom_rank_fits(m, n, p):
+    if p["preconditioned"]:  # plain CG builds no Nystrom approximation
+        return _rank_fits("rank")(m, n, p)
+
+
+# The drivers that run on ``_psd_from``'s square psd matrix are the ones
+# with ``_square``.
+_SHAPE_RULES = {
+    "spo1": (_tall,), "sps2": (_tall,),
+    "sketch_and_solve": (_tall, _sketch_rows("d")),
+    "bootstrap_ls": (_tall, _sketch_rows("d")),
+    "rand_chol_qr": (_tall, _sketch_rows("d")),
+    "sap_chol_qrcp": (_tall, _sketch_rows("d")),
+    "approx_leverage": (_tall, _sketch_rows("d1")),
+    "distortion": (_sketch_rows("d", tall=False),),
+    "precond_spectrum": (_sketch_rows("d", tall=False),),
+    "bootstrap_svd": (_sketch_rows("d", tall=False), _rank_in_sketch),
+    "nystrom_pcg": (_square, _nystrom_rank_fits),
+    "evd2": (_square, _rank_fits("k")),
+    "girard_hutchinson": (_square,), "hutch_pp": (_square,), "slq": (_square,),
+    "osid1": (_rank_fits("k"),), "curd1": (_rank_fits("k"),),
+    "subspace_leverage": (_rank_fits("k"),),
+}
 
 
 @dataclass(frozen=True)
@@ -501,21 +598,13 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        m, n = self.matrix.m, self.matrix.n
-        if self.driver in _SQUARE_ONLY and m != n:
-            raise ConfigError(f"{self.driver} needs a square matrix spec "
-                              f"(m == n)")
-        if self.driver == "approx_leverage":
-            d1 = _sketch_dim((m, n), self.params.get("d1"))
-            if not n <= d1 <= m:
-                raise ConfigError(f"approx_leverage param 'd1' = {d1} must "
-                                  f"lie in [n, m] = [{n}, {m}]")
-        if self.driver == "bootstrap_svd":
-            k = self.params.get("k", schema(_run_bootstrap_svd)["k"].default)
-            top = min(_sketch_dim((m, n), self.params.get("d")), n)
-            if k > top:
-                raise ConfigError(f"bootstrap_svd param 'k' = {k} must be at "
-                                  f"most min(d, n) = {top}")
+        params = {name: p.default
+                  for name, p in schema(DRIVERS[self.driver]).items()}
+        params.update(self.params)
+        for rule in _SHAPE_RULES.get(self.driver, ()):
+            problem = rule(self.matrix.m, self.matrix.n, params)
+            if problem:
+                raise ConfigError(f"{self.driver} {problem}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -29,10 +29,10 @@ numpy has neither a pivoted QR nor a triangular solve:
   moved to numpy.
 - ``solve_triangular`` is ``np.linalg.solve`` on the triangle.  Partial
   pivoting on an upper-triangular matrix swaps no rows and eliminates
-  nothing, so LU's solve is ``trsm``'s back substitution; a
-  lower-triangular system is solved with rows and columns reversed, which
-  makes it upper triangular.  ``lowrank.evd2``'s Nystrom core, ``qb3`` and
-  ``osid_qrcp`` use it.
+  nothing, so LU's solve is ``trsm``'s back substitution; the transposed
+  (lower-triangular) system is solved with rows and columns reversed,
+  which makes it upper triangular.  ``lowrank.evd2``'s Nystrom core,
+  ``qb3`` and ``osid_qrcp`` use it.
 - ``make_precond_qr`` builds its preconditioner ``M = R^{-1}`` with
   ``triu_inv``, and the ``fullrank`` drivers apply R^{-1} to the tall A
   as one GEMM, ``A @ triu_inv(R)``: ``chol_qr`` its Cholesky factor,
@@ -75,7 +75,7 @@ class CholeskyError(np.linalg.LinAlgError):
 class LinearOperator:
     """A linear map given by its action and the action of its adjoint."""
 
-    def __init__(self, nrows, ncols, apply, apply_adjoint=None):
+    def __init__(self, nrows, ncols, apply, apply_adjoint):
         self.nrows = nrows
         self.ncols = ncols
         self._apply = apply
@@ -85,8 +85,6 @@ class LinearOperator:
         return self._apply(v)
 
     def apply_adjoint(self, v):
-        if self._apply_adjoint is None:
-            raise ValueError("operator has no adjoint")
         return self._apply_adjoint(v)
 
     @property
@@ -275,24 +273,24 @@ def eigh(A):
     return np.linalg.eigh(_finite(A))
 
 
-def solve_triangular(R, B, lower=False, trans=0):
-    """X with op(T) X = B, for T the upper (or, if ``lower``, the lower)
-    triangle of R and op(T) = T, or T^T for ``trans`` 1, 2, "T" or "C".
+def solve_triangular(R, B, trans=0):
+    """X with op(T) X = B, for T the upper triangle of R (the strict lower
+    triangle is not read) and op(T) = T for ``trans`` 0 or T^T for
+    ``trans`` "T".  A lower-triangular L is solved as op of the upper
+    triangle L^T.
 
-    numpy's LU solve (``gesv``) does the work.  When op(T) is upper
-    triangular, partial pivoting swaps no rows and the elimination
-    subtracts only zero multiples, so this is ``trsm`` back substitution.
-    A lower-triangular op(T) is solved with its rows and columns reversed,
-    which makes it upper triangular."""
-    T = np.tril(_finite(R)) if lower else np.triu(_finite(R))
+    numpy's LU solve (``gesv``) does the work.  On the upper-triangular T,
+    partial pivoting swaps no rows and the elimination subtracts only zero
+    multiples, so this is ``trsm`` back substitution.  The lower-triangular
+    T^T is solved with its rows and columns reversed, which makes it upper
+    triangular."""
+    T = np.triu(_finite(R))
     B = _finite(B)
-    if trans in (1, 2, "T", "C"):
-        T, lower = T.T, not lower
-    elif trans not in (0, "N"):
-        raise ValueError(f"trans must be 0, 1, 2, 'N', 'T' or 'C', got {trans!r}")
-    if lower:
-        return np.linalg.solve(T[::-1, ::-1], B[::-1])[::-1]
-    return np.linalg.solve(T, B)
+    if trans == 0:
+        return np.linalg.solve(T, B)
+    if trans != "T":
+        raise ValueError(f"trans must be 0 or 'T', got {trans!r}")
+    return np.linalg.solve(T.T[::-1, ::-1], B[::-1])[::-1]
 
 
 def numerical_rank(s: np.ndarray, shape) -> int:
@@ -425,8 +423,9 @@ def lsqr(F, g, tol: float = 1e-12, maxit: int = 100, z0=None):
 # ---------------------------------------------------------------------------
 
 def pcg(apply_G, mu: float, h, apply_Pinv=None, tol: float = 1e-10,
-        maxit: int = 100, x0=None):
-    """Preconditioned conjugate gradient for (G + mu I) x = h.
+        maxit: int = 100):
+    """Preconditioned conjugate gradient for (G + mu I) x = h, started at
+    x = 0.
 
     ``apply_G`` and ``apply_Pinv`` may be LinearOperators, matrices, or
     callables; ``apply_Pinv`` defaults to the identity.  Stops on the
@@ -438,17 +437,17 @@ def pcg(apply_G, mu: float, h, apply_Pinv=None, tol: float = 1e-10,
         raise ValueError("mu must be nonnegative")
     h = np.asarray(h, dtype=float)
     n = h.size
-    G = _as_apply(apply_G, n)
-    Pinv = _as_apply(apply_Pinv, n) if apply_Pinv is not None else (lambda v: v)
+    G = _as_apply(apply_G)
+    Pinv = _as_apply(apply_Pinv) if apply_Pinv is not None else (lambda v: v)
 
     def op(v):
         return G(v) + mu * v
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     hnorm = np.linalg.norm(h)
     history: list = []
     if hnorm == 0:
-        return np.zeros(n), IterativeReport(0, True, history)
+        return x, IterativeReport(0, True, history)
     r = h - op(x)
     z = Pinv(r)
     p = z.copy()
@@ -478,9 +477,8 @@ def pcg(apply_G, mu: float, h, apply_Pinv=None, tol: float = 1e-10,
     return x, IterativeReport(it, bool(relres <= tol), history)
 
 
-def _as_apply(A, n):
-    if A is None:
-        return lambda v: np.zeros(n)
+def _as_apply(A):
+    """A LinearOperator, callable or matrix as a callable."""
     if isinstance(A, LinearOperator):
         return A.apply
     if callable(A):
@@ -512,16 +510,15 @@ def _apply_block(A, W, square: bool = True):
 _CGS_GROUP_BYTES = 2 ** 20
 
 
-def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
-                    return_basis: bool = False):
+def lanczos_tridiag(apply_B, v0, s: int, return_basis: bool = False):
     """s-step Lanczos on a Hermitian operator, started at the unit vector v0
     or, for an (n, k) block v0, at each of its unit columns.
 
     Returns the tridiagonal coefficients (alpha, beta) of the Jacobi matrix;
     beta has one fewer entry.  Terminates early (shorter output) when an
-    off-diagonal drops below 1e-12 times the running norm estimate.
-    ``reorth`` is 'full' (re-project against the whole basis by classical
-    Gram-Schmidt applied twice) or 'none'.  With ``return_basis`` the
+    off-diagonal drops below 1e-12 times the running norm estimate.  Every
+    step is fully reorthogonalized: re-projected against the whole basis by
+    classical Gram-Schmidt applied twice (CGS2).  With ``return_basis`` the
     Lanczos vectors are returned as a third output, one per column.
 
     A block v0 runs the k recurrences in lockstep with one product B(V) on
@@ -533,7 +530,7 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
     column's breakdown.  A 1-D v0 calls B with 1-D vectors and
     returns 1-D coefficients and an (n, steps) basis.
 
-    Full reorthogonalization keeps k * s * n floats of basis (about 24 MB
+    The reorthogonalization keeps k * s * n floats of basis (about 24 MB
     at n = 2000, s = 30, k = 50).  It runs both Gram-Schmidt passes on one
     group of max(1, 2**20 // (8 s n)) starts before it moves to the next,
     so a group's basis (at most 1 MiB) stays in cache between the passes.
@@ -548,10 +545,8 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
         raise ValueError("v0 must be a unit vector (every column, for a block)")
     if s < 1:
         raise ValueError("need at least one Lanczos step")
-    if reorth not in ("full", "none"):
-        raise ValueError("reorth must be 'full' or 'none'")
     k, n = V.shape
-    B = _as_apply(apply_B, n)
+    B = _as_apply(apply_B)
     if v0.ndim == 1:
         def product(V):
             return np.asarray(B(V[0]), dtype=float).reshape(1, n)
@@ -561,10 +556,8 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
 
     alphas = np.full((s, k), np.nan)
     betas = np.full((s - 1, k), np.nan)
-    keep = reorth == "full" or return_basis
-    if keep:
-        basis = np.zeros((k, s, n))
-        basis[:, 0] = V
+    basis = np.zeros((k, s, n))
+    basis[:, 0] = V
     # starts per CGS2 group: a group's basis fits in _CGS_GROUP_BYTES
     group = max(1, _CGS_GROUP_BYTES // (8 * s * n))
     active = np.ones(k, dtype=bool)
@@ -576,12 +569,11 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
         W = product(V)
         alpha = np.einsum("ij,ij->i", V, W)
         W = W - alpha[:, None] * V - beta_prev[:, None] * V_prev
-        if reorth == "full":
-            for a in range(0, k, group):
-                Q, Wg = basis[a:a + group, :j + 1], W[a:a + group]
-                for _ in range(2):
-                    Wg -= np.matmul(Q.transpose(0, 2, 1),
-                                    np.matmul(Q, Wg[:, :, None]))[:, :, 0]
+        for a in range(0, k, group):
+            Q, Wg = basis[a:a + group, :j + 1], W[a:a + group]
+            for _ in range(2):
+                Wg -= np.matmul(Q.transpose(0, 2, 1),
+                                np.matmul(Q, Wg[:, :, None]))[:, :, 0]
         if not np.all(np.isfinite(alpha[active])):
             raise ValueError("Lanczos coefficient is not finite; the operator "
                              "returned non-finite values")
@@ -599,8 +591,7 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
         V_prev = V
         V = np.zeros_like(W)
         V[active] = W[active] / beta[active, None]
-        if keep:
-            basis[:, j + 1] = V
+        basis[:, j + 1] = V
     alphas, betas = alphas[:steps], betas[:steps - 1]
     if v0.ndim == 1:
         alphas, betas = alphas[:, 0], betas[:, 0]
@@ -610,6 +601,6 @@ def lanczos_tridiag(apply_B, v0, s: int, reorth: str = "full",
     return alphas, betas, basis[:, :, 0] if v0.ndim == 1 else basis
 
 
-def lanczos_basis(apply_B, v0, s: int, reorth: str = "full"):
+def lanczos_basis(apply_B, v0, s: int):
     """lanczos_tridiag that also returns the Lanczos basis (for tests)."""
-    return lanczos_tridiag(apply_B, v0, s, reorth, return_basis=True)
+    return lanczos_tridiag(apply_B, v0, s, return_basis=True)

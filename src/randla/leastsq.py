@@ -66,8 +66,8 @@ class Preconditioner:
 
     ``aug_left`` is the column-orthonormal left factor of the augmented
     sketch, [A_sk; sqrt(mu) I] M = aug_left.  It is Q of the Householder QR
-    for the QR form (with mu > 0, [A_sk M; sqrt(mu) M]), U[:, :k] for the
-    SVD form with mu = 0, and [U D1; V D2] with D1 = diag(sigma / sigma_hat),
+    for the QR form (which has mu = 0), U[:, :k] for the SVD form with
+    mu = 0, and [U D1; V D2] with D1 = diag(sigma / sigma_hat),
     D2 = sqrt(mu) diag(1 / sigma_hat) for the SVD form with mu > 0.
     """
 
@@ -148,10 +148,7 @@ def sketch_and_solve_ols(A, b, d: int, seed=0, op_family: str = "gaussian"):
         raise ValueError("need n <= d <= m")
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
     A_sk, b_sk = S.apply(A), S.apply(b)
-    try:
-        P = make_precond_qr(A_sk)
-    except np.linalg.LinAlgError:
-        P = make_precond_svd(A_sk)
+    P = _precond_qr_or_svd(A_sk)
     return P.M @ (P.aug_left.T @ b_sk), A_sk, b_sk
 
 
@@ -176,11 +173,7 @@ def spo1(A, b, tol: float = 1e-12, maxit: int = 100,
         return np.zeros(n), IterativeReport(0, True, [])
     d = _sketch_dim(n, m, sampling_factor)
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
-    A_sk = S.apply(A)
-    try:
-        P = make_precond_qr(A_sk)
-    except np.linalg.LinAlgError:
-        P = make_precond_svd(A_sk)
+    P = _precond_qr_or_svd(S.apply(A))
     return _solve_preconditioned(A, b, P, S.apply(b), tol, maxit)
 
 
@@ -213,31 +206,24 @@ def sps2(problem: SaddleProblem, tol: float = 1e-12, maxit: int = 100,
     return SaddleSolution(x, b - A @ x, report)
 
 
-def make_precond_qr(A_sk, mu: float = 0.0) -> Preconditioner:
-    """Triangular preconditioner from the sketch.
+def make_precond_qr(A_sk) -> Preconditioner:
+    """Triangular preconditioner M = R^{-1} from the Householder QR
+    A_sk = Q R of a tall sketch, with ``aug_left`` = Q and mu = 0.
 
-    mu = 0: M = R^{-1} from Householder QR of A_sk (full column rank
-    required).  mu > 0: M = R^{-1} with R the Cholesky factor of
-    A_sk^T A_sk + mu I; a Cholesky failure propagates so the caller can
-    switch to the SVD path.
+    A numerically rank-deficient R raises LinAlgError so the caller can
+    switch to ``make_precond_svd``.  A ridge mu > 0 is the QR of the
+    augmented sketch [A_sk; sqrt(mu) I], or ``make_precond_svd(A_sk, mu)``.
     """
     A_sk = np.asarray(A_sk, dtype=float)
     d, n = A_sk.shape
     if d < n:
         raise ValueError("need a tall sketch (d >= n)")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    if mu == 0.0:
-        Q, R = dk.qr_econ(A_sk)
-        if dk._qr_rank_deficient(R):
-            raise np.linalg.LinAlgError(
-                "sketch is numerically rank-deficient; use make_precond_svd"
-            )
-    else:
-        R = dk.chol(A_sk.T @ A_sk + mu * np.eye(n))
-    M = dk.triu_inv(R)
-    aug_left = Q if mu == 0.0 else np.concatenate([A_sk @ M, np.sqrt(mu) * M])
-    return Preconditioner(M, mu, aug_left)
+    Q, R = dk.qr_econ(A_sk)
+    if dk._qr_rank_deficient(R):
+        raise np.linalg.LinAlgError(
+            "sketch is numerically rank-deficient; use make_precond_svd"
+        )
+    return Preconditioner(dk.triu_inv(R), 0.0, Q)
 
 
 def make_precond_svd(A_sk, mu: float = 0.0) -> Preconditioner:
@@ -258,6 +244,15 @@ def make_precond_svd(A_sk, mu: float = 0.0) -> Preconditioner:
     sig_hat = np.sqrt(sig ** 2 + mu)
     aug_left = np.vstack([U * (sig / sig_hat), V * (np.sqrt(mu) / sig_hat)])
     return Preconditioner(V / sig_hat, mu, aug_left)
+
+
+def _precond_qr_or_svd(A_sk) -> Preconditioner:
+    """The QR preconditioner of the sketch, or its SVD one (pseudoinverse
+    semantics) if the sketch is numerically rank-deficient."""
+    try:
+        return make_precond_qr(A_sk)
+    except np.linalg.LinAlgError:
+        return make_precond_svd(A_sk)
 
 
 def limiting_solution(A, b, c):

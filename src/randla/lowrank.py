@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import detkernels as dk
 from . import rng as _rng
@@ -122,28 +121,22 @@ def _times(A, X) -> np.ndarray:
     return (X.T @ A.T).T
 
 
-def _tall_oblivious(family: str, nrows: int, k: int, seed) -> np.ndarray:
-    """Materialized tall nrows-by-k operator (transpose of a wide sample)."""
-    op = sketching.sample_operator(family, k, nrows, seed)
-    M = op.T.matrix()
-    if sp.issparse(M):
-        M = M.toarray()
-    return np.asarray(M, dtype=float)
-
-
-def tsog1(A, k: int, p: int = 2, q: int = 1, seed=0, family: str = "gaussian") -> np.ndarray:
+def tsog1(A, k: int, p: int = 2, q: int = 1, seed=0) -> np.ndarray:
     """Tall sketching operator for right-sketching A, sharpened by a p-step
     power method.
 
     Makes exactly p products with A or A^T; a stabilizing orthogonalization
     runs after every q products.  p = 0 returns an oblivious operator
     without touching A.  Odd p starts from an m-by-k operator hit by A^T.
+    The oblivious start is a Gaussian test matrix, the transpose of a wide
+    dense sample.
     """
     A = A if isinstance(A, _Deflated) else np.asanyarray(A, dtype=float)
     m, n = A.shape
     if p < 0 or q < 1:
         raise ValueError("need p >= 0 and q >= 1")
-    S = _tall_oblivious(family, m if p % 2 else n, k, as_key(seed))
+    S = sketching.sample_dense("gaussian", k, m if p % 2 else n,
+                               as_key(seed)).matrix().T
     for done in range(1, p + 1):
         # the products alternate and the last one is with A^T
         S = _times(A.T if (p - done) % 2 == 0 else A, S)
@@ -152,11 +145,11 @@ def tsog1(A, k: int, p: int = 2, q: int = 1, seed=0, family: str = "gaussian") -
     return S
 
 
-def rf1(A, k: int, seed=0, power_passes: int = 2, family: str = "gaussian") -> np.ndarray:
+def rf1(A, k: int, seed=0, power_passes: int = 2) -> np.ndarray:
     """Rangefinder: orthonormal basis for the range of a single row sketch
     A @ tsog1(A, k).  Returns at most min(k, rank A) columns."""
     A = A if isinstance(A, _Deflated) else np.asanyarray(A, dtype=float)
-    S = tsog1(A, k, p=power_passes, seed=seed, family=family)
+    S = tsog1(A, k, p=power_passes, seed=seed)
     return orth(_times(A, S))
 
 
@@ -169,11 +162,11 @@ def _check_rank(k: int):
         raise ValueError(f"need a rank k >= 1, got {k}")
 
 
-def qb1(A, k: int, seed=0, power_passes: int = 2, family: str = "gaussian") -> QBFactors:
+def qb1(A, k: int, seed=0, power_passes: int = 2) -> QBFactors:
     """One-shot QB: Q from the rangefinder, B = Q^T A."""
     A = np.asanyarray(A, dtype=float)
     _check_rank(k)
-    Q = rf1(A, k, seed=seed, power_passes=power_passes, family=family)
+    Q = rf1(A, k, seed=seed, power_passes=power_passes)
     return QBFactors(Q, Q.T @ A)
 
 
@@ -194,7 +187,7 @@ class _Deflated:
 
 
 def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
-        power_passes: int = 2, family: str = "gaussian") -> QBFactors:
+        power_passes: int = 2) -> QBFactors:
     """Fully adaptive blocked QB.
 
     Block i runs the rangefinder (key ``seed.substream(i)``) on A - Q B,
@@ -225,8 +218,7 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     squared_error = anorm2
     for block in range(rank_cap):
         Qi = rf1(_Deflated(A, Q, B), min(block_size, k - Q.shape[1]),
-                 seed=seed.substream(block), power_passes=power_passes,
-                 family=family)
+                 seed=seed.substream(block), power_passes=power_passes)
         Qi = orth(Qi - Q @ (Q.T @ Qi))
         if Qi.shape[1] == 0:
             break
@@ -243,7 +235,7 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
 
 
 def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
-        power_passes: int = 2, family: str = "gaussian") -> QBFactors:
+        power_passes: int = 2) -> QBFactors:
     """Pass-efficient, partially adaptive QB.
 
     Computes G = A S and H = A^T G up front (one multiply with A and one
@@ -258,7 +250,7 @@ def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         block_size = min(k, 10)
     seed = as_key(seed)
 
-    S = tsog1(A, k, p=power_passes, seed=seed, family=family)
+    S = tsog1(A, k, p=power_passes, seed=seed)
     G = _times(A, S)
     H = _times(A.T, G)
     anorm2 = np.linalg.norm(A, "fro") ** 2
@@ -279,7 +271,7 @@ def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         # The recurrence uses Y_i^T Q' B, written with mismatched shapes in
         # some statements of the algorithm; this is the consistent form.
         Bi = H[:, bs:be].T - (Yi.T @ Q) @ B - (B @ Si).T @ B
-        Bi = dk.solve_triangular(Ri, Bi, lower=False, trans="T")
+        Bi = dk.solve_triangular(Ri, Bi, trans="T")
         B = np.vstack([B, Bi])
         Q = np.hstack([Q, Qi])
         squared_error -= np.linalg.norm(Bi, "fro") ** 2
@@ -292,8 +284,8 @@ def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
 # spectral drivers
 # ---------------------------------------------------------------------------
 
-def svd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
-         family: str = "gaussian") -> SVDFactors:
+def svd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0,
+         power_passes: int = 2) -> SVDFactors:
     """QB-backed low-rank SVD, truncated to rank at most k.
 
     The QB phase is ``qb2`` at rank k + s: with ``tol <= 0`` that is one
@@ -301,13 +293,13 @@ def svd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
     tracked error meets ``tol``."""
     A = np.asanyarray(A, dtype=float)
     _check_rank(k)
-    qb = qb2(A, k + s, tol=tol, seed=seed, power_passes=power_passes, family=family)
+    qb = qb2(A, k + s, tol=tol, seed=seed, power_passes=power_passes)
     U, sig, V = dk.svd(qb.B)
     return SVDFactors(qb.Q @ U[:, :k], sig[:k], V[:, :k])
 
 
-def evd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
-         family: str = "gaussian") -> EVDFactors:
+def evd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0,
+         power_passes: int = 2) -> EVDFactors:
     """QB-backed low-rank eigendecomposition of a Hermitian matrix.
 
     The QB phase is ``qb2`` at rank k + s and tolerance tol/2, so the
@@ -318,8 +310,7 @@ def evd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
     scale = np.abs(A).max() if A.size else 0.0
     if A.shape[0] != A.shape[1] or np.abs(A - A.T).max() > 1e-10 * max(scale, 1e-300):
         raise ValueError("evd1 requires a Hermitian input (not symmetrized silently)")
-    qb = qb2(A, k + s, tol=tol / 2.0, seed=seed, power_passes=power_passes,
-             family=family)
+    qb = qb2(A, k + s, tol=tol / 2.0, seed=seed, power_passes=power_passes)
     C = qb.B @ qb.Q
     C = 0.5 * (C + C.T)
     lam, U = dk.eigh(C)
@@ -327,8 +318,7 @@ def evd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0, power_passes: int = 2,
     return EVDFactors(qb.Q @ U[:, order], lam[order])
 
 
-def evd2(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
-         family: str = "gaussian") -> EVDFactors:
+def evd2(A, k: int, s: int = 5, seed=0, power_passes: int = 2) -> EVDFactors:
     """Nystrom low-rank eigendecomposition for psd matrices.
 
     Shifts by nu = sqrt(n) eps ||Y||_2 for stability, Cholesky-factors the
@@ -342,7 +332,7 @@ def evd2(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
         raise ValueError("evd2 requires a square psd input")
     if not 1 <= k <= n - s:
         raise ValueError("need 1 <= k and k + s <= n")
-    S = tsog1(A, k + s, p=power_passes, seed=seed, family=family)
+    S = tsog1(A, k + s, p=power_passes, seed=seed)
     Y = _times(A, S)
     ynorm = np.linalg.norm(Y, 2) if Y.size else 0.0
     if ynorm == 0.0:
@@ -358,7 +348,7 @@ def evd2(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
             if attempt == 3:
                 raise
             nu *= 10.0
-    B = dk.solve_triangular(R, Yshift.T, lower=False, trans="T").T
+    B = dk.solve_triangular(R, Yshift.T, trans="T").T
     V, sig, _ = dk.svd(B)
     lam = sig ** 2
     r = min(k, int(np.sum(lam > nu)))
@@ -399,48 +389,46 @@ def osid_qrcp(Y, k: int, axis: str = "column") -> OneSidedID:
             RuntimeWarning,
         )
         k = k_num
-    T = dk.solve_triangular(R[:k, :k], R[:k, k:], lower=False)
+    T = dk.solve_triangular(R[:k, :k], R[:k, k:])
     X = np.zeros((k, w))
     X[:, J] = np.hstack([np.eye(k), T])
     return OneSidedID(X, J[:k].copy(), "column")
 
 
-def _axis_sketch(A, ell: int, axis: str, seed, power_passes: int,
-                 family: str) -> np.ndarray:
+def _axis_sketch(A, ell: int, axis: str, seed,
+                 power_passes: int) -> np.ndarray:
     """The power-iteration sketch that row or column selection reads: A S
     (m-by-ell, rows of A) or S^T A (ell-by-n, columns of A), S from tsog1."""
     if axis == "row":
-        return _times(A, tsog1(A, ell, p=power_passes, seed=seed,
-                               family=family))
+        return _times(A, tsog1(A, ell, p=power_passes, seed=seed))
     if axis == "column":
-        return tsog1(A.T, ell, p=power_passes, seed=seed, family=family).T @ A
+        return tsog1(A.T, ell, p=power_passes, seed=seed).T @ A
     raise ValueError("axis must be 'row' or 'column'")
 
 
 def osid1(A, k: int, s: int = 5, axis: str = "column", seed=0,
-          power_passes: int = 2, family: str = "gaussian") -> OneSidedID:
+          power_passes: int = 2) -> OneSidedID:
     """Randomized one-sided ID: a full-rank ID of a power-iteration sketch,
     re-used verbatim for the original matrix."""
     A = np.asanyarray(A, dtype=float)
     if not 1 <= k <= min(A.shape) - s:
         raise ValueError("need 1 <= k and k + s <= min(A.shape)")
-    Y = _axis_sketch(A, k + s, axis, seed, power_passes, family)
+    Y = _axis_sketch(A, k + s, axis, seed, power_passes)
     return osid_qrcp(Y, k, axis=axis)
 
 
 def rocs1(A, k: int, s: int = 5, axis: str = "column", seed=0,
-          power_passes: int = 2, family: str = "gaussian") -> np.ndarray:
+          power_passes: int = 2) -> np.ndarray:
     """Row or column subset selection: the first k QRCP pivots of a
     power-iteration sketch."""
     A = np.asanyarray(A, dtype=float)
     _check_rank(k)
-    Y = _axis_sketch(A, k + s, axis, seed, power_passes, family)
+    Y = _axis_sketch(A, k + s, axis, seed, power_passes)
     _, piv = dk.qrcp(Y.T if axis == "row" else Y)
     return piv[:k].copy()
 
 
-def curd1(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
-          family: str = "gaussian") -> CURFactors:
+def curd1(A, k: int, s: int = 5, seed=0, power_passes: int = 2) -> CURFactors:
     """CUR decomposition built from a randomized one-sided ID plus QRCP
     subset selection on the chosen panel; the linking matrix applies one
     pseudoinverse and tolerates rank deficiency."""
@@ -448,14 +436,14 @@ def curd1(A, k: int, s: int = 5, seed=0, power_passes: int = 2,
     m, n = A.shape
     if m >= n:
         cid = osid1(A, k, s=s, axis="column", seed=seed,
-                    power_passes=power_passes, family=family)
+                    power_passes=power_passes)
         J = cid.skeleton
         _, I = dk.qrcp(A[:, J].T)
         I = I[: J.size].copy()
         U = cid.M @ np.linalg.pinv(A[I, :])
     else:
         rid = osid1(A, k, s=s, axis="row", seed=seed,
-                    power_passes=power_passes, family=family)
+                    power_passes=power_passes)
         I = rid.skeleton
         _, J = dk.qrcp(A[I, :])
         J = J[: I.size].copy()
@@ -474,7 +462,7 @@ def _probe_norms(apply_A, n: int, r: int, seed) -> np.ndarray:
     stride = _rng.gaussian_counters_used(n)
     Z = _rng.stream_block([seed.advance(j * stride) for j in range(r)], n,
                           "gaussian")
-    return np.linalg.norm(dk._apply_block(dk._as_apply(apply_A, n), Z,
+    return np.linalg.norm(dk._apply_block(dk._as_apply(apply_A), Z,
                                           square=False), axis=0)
 
 

@@ -108,7 +108,7 @@ def girard_hutchinson(apply_A, n: int, m: int, dist: str = "rademacher",
     if m < 1:
         raise ValueError("need at least one probe")
     seed = as_key(seed)
-    A = dk._as_apply(apply_A, n)
+    A = dk._as_apply(apply_A)
     samples = np.empty(m)
     for q, W in _probe_blocks(dist, seed, 0, m, n):
         samples[q:q + PROBE_BLOCK] = _column_dots(
@@ -116,10 +116,10 @@ def girard_hutchinson(apply_A, n: int, m: int, dist: str = "rademacher",
     return _make_estimate(samples)
 
 
-def hutch_pp(apply_A, n: int, m: int, seed=0,
-             dist: str = "rademacher") -> TraceEstimate:
+def hutch_pp(apply_A, n: int, m: int, seed=0) -> TraceEstimate:
     """Hutch++: deflate with Q = orth(A S), take trace(Q^T A Q) exactly, and
-    run Girard-Hutchinson on the deflated remainder.
+    run Girard-Hutchinson on the deflated remainder.  S and the remainder
+    probes are Rademacher.
 
     The matrix-vector budget m >= 6 splits in thirds: floor(m / 3) columns
     for S, as many again for A Q, and the rest (at least m / 3, plus any
@@ -135,15 +135,15 @@ def hutch_pp(apply_A, n: int, m: int, seed=0,
         raise ValueError("hutch_pp needs a matrix-vector budget of at least 6")
     n_sketch = m // 3
     seed = as_key(seed)
-    A = dk._as_apply(apply_A, n)
+    A = dk._as_apply(apply_A)
 
-    S = _probes(dist, seed, 0, n_sketch, n)
+    S = _probes("rademacher", seed, 0, n_sketch, n)
     Q = lowrank.orth(dk._apply_block(A, S))
     head = float(np.sum(Q * dk._apply_block(A, Q)))  # trace(Q^T A Q)
 
     n_probes = m - n_sketch - Q.shape[1]
     samples = np.empty(n_probes)
-    for q, W in _probe_blocks(dist, seed, n_sketch, n_probes, n):
+    for q, W in _probe_blocks("rademacher", seed, n_sketch, n_probes, n):
         Wd = W - Q @ (Q.T @ W)
         V = dk._apply_block(A, Wd)
         samples[q:q + PROBE_BLOCK] = _column_dots(
@@ -159,8 +159,7 @@ def _quadrature_rule(alpha, beta, pnorm: float) -> QuadratureRule:
     return QuadratureRule(nodes, (pnorm ** 2) * vecs[0, :] ** 2)
 
 
-def lanczos_quadrature(apply_B, probe, steps: int,
-                       reorth: str = "full") -> QuadratureRule:
+def lanczos_quadrature(apply_B, probe, steps: int) -> QuadratureRule:
     """Gaussian quadrature rule for the spectral measure of one probe:
     nodes are the eigenvalues of the Lanczos Jacobi matrix, weights are the
     squared first components of its eigenvectors times ||probe||^2."""
@@ -168,7 +167,7 @@ def lanczos_quadrature(apply_B, probe, steps: int,
     pnorm = np.linalg.norm(probe)
     if pnorm == 0:
         raise ValueError("probe must be nonzero")
-    alpha, beta = dk.lanczos_tridiag(apply_B, probe / pnorm, steps, reorth=reorth)
+    alpha, beta = dk.lanczos_tridiag(apply_B, probe / pnorm, steps)
     return _quadrature_rule(alpha, beta, pnorm)
 
 
@@ -183,15 +182,15 @@ def _padded(B, U, live: int):
     return apply
 
 
-def slq(apply_B, n: int, f, m: int, s: int, seed=0, reorth: str = "full",
-        dist: str = "rademacher") -> TraceEstimate:
+def slq(apply_B, n: int, f, m: int, s: int, seed=0) -> TraceEstimate:
     """Stochastic Lanczos quadrature estimate of trace(f(B)) for Hermitian B.
 
-    Each probe's quadratic form w^T f(B) w is approximated by an s-node
-    Gaussian quadrature of its spectral measure (exact for polynomials of
-    degree <= 2s - 1).  The live probes of one 64-wide block run their
-    Lanczos recurrences in lockstep, and ``apply_B`` receives (n, 64)
-    blocks.  In a partial last block only the live probes run a recurrence:
+    Each Rademacher probe's quadratic form w^T f(B) w is approximated by an
+    s-node Gaussian quadrature of its spectral measure (exact for
+    polynomials of degree <= 2s - 1), from s steps of fully
+    reorthogonalized Lanczos (``dk.lanczos_tridiag``).  The live probes of
+    one 64-wide block run their Lanczos recurrences in lockstep, and
+    ``apply_B`` receives (n, 64) blocks.  In a partial last block only the live probes run a recurrence:
     each product input holds the padding probes' unit start vectors in
     their columns, and those output columns are dropped.  So a product
     column must not depend on the values in the other columns.  A
@@ -200,14 +199,13 @@ def slq(apply_B, n: int, f, m: int, s: int, seed=0, reorth: str = "full",
     if m < 1 or s < 1:
         raise ValueError("need m >= 1 probes and s >= 1 Lanczos steps")
     seed = as_key(seed)
-    B = dk._as_apply(apply_B, n)
+    B = dk._as_apply(apply_B)
     samples = np.empty(m)
-    for q, W in _probe_blocks(dist, seed, 0, m, n):
+    for q, W in _probe_blocks("rademacher", seed, 0, m, n):
         live = min(PROBE_BLOCK, m - q)
         pnorm = _column_norms(W)
         U = W / pnorm
-        alpha, beta = dk.lanczos_tridiag(_padded(B, U, live), U[:, :live], s,
-                                         reorth=reorth)
+        alpha, beta = dk.lanczos_tridiag(_padded(B, U, live), U[:, :live], s)
         for j in range(live):
             steps = int(np.sum(~np.isnan(alpha[:, j])))
             rule = _quadrature_rule(alpha[:steps, j], beta[:steps - 1, j],

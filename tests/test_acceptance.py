@@ -237,7 +237,7 @@ def test_criterion_08_id_regularity_and_chain_bound():
         oid = lr.osid1(A, k, s=0, axis="column", seed=RngKey(seed),
                        power_passes=2)
         ok = ok and np.array_equal(oid.M[:, oid.skeleton], np.eye(k))
-        S = lr.tsog1(A.T, k, p=2, seed=RngKey(seed), family="gaussian")
+        S = lr.tsog1(A.T, k, p=2, seed=RngKey(seed))
         Y = S.T @ A
         lhs = np.linalg.norm(A - A[:, oid.skeleton] @ oid.M, 2)
         eps_y = np.linalg.norm(A - A @ np.linalg.pinv(Y) @ Y, 2)

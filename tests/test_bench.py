@@ -25,6 +25,25 @@ def test_spectra_realized_exactly():
         assert np.abs(sv - expected).max() <= 1e-10 * expected[0]
 
 
+@pytest.mark.parametrize("spectrum", [
+    {"kind": "power", "decay": -1.0}, {"kind": "step", "r": 2, "gap": 0.1},
+    {"kind": "exp", "decay": -0.1}], ids=json.dumps)
+def test_increasing_spectra_are_sorted_for_eckart_young(spectrum):
+    # these kinds list their values increasing; the rank-k optimum is the
+    # tail after the k largest, so no rank-k approximation can beat it
+    spec = MatrixSpec(60, 30, spectrum, seed=2)
+    sig = spec.singular_values()
+    assert np.all(np.diff(sig) <= 0)
+    sv = np.linalg.svd(bench.gen_matrix(spec), compute_uv=False)
+    assert np.abs(sv - sig).max() <= 1e-10 * sig[0]
+    for driver in ("svd1", "osid1", "curd1"):
+        cfg = ExperimentConfig.from_dict({
+            "driver": driver, "matrix": {"m": 60, "n": 30,
+                                         "spectrum": spectrum, "seed": 2}})
+        rows, _ = bench.run_experiment(cfg)
+        assert rows[0]["err_over_opt"] >= 1.0 - 1e-12, (driver, rows[0])
+
+
 def test_incoherent_matrix_has_flat_leverage():
     hits = 0
     for seed in range(20):
@@ -152,10 +171,14 @@ def test_all_drivers_run_one_trial():
         assert summary["completed"] == 1, (driver, rows[0]["status"])
 
 
+# cond e^45: every sketch is numerically rank-deficient, so rand_chol_qr
+# raises (a wide spec no longer loads for it)
+RANK_DEFICIENT = {"m": 40, "n": 10, "spectrum": {"kind": "exp", "decay": 5.0}}
+
+
 def test_driver_failure_recorded():
     cfg = ExperimentConfig.from_dict({
-        "driver": "spo1",
-        "matrix": {"m": 10, "n": 30},  # wide: the driver raises
+        "driver": "rand_chol_qr", "matrix": RANK_DEFICIENT,
         "trials": 2, "seed": 1})
     rows, summary = bench.run_experiment(cfg)
     assert summary["completed"] == 0 and summary["failed"] == 2
@@ -164,15 +187,14 @@ def test_driver_failure_recorded():
 
 def test_failed_trial_records_error_type_and_place(tmp_path):
     cfg = ExperimentConfig.from_dict({
-        "driver": "spo1",
-        "matrix": {"m": 10, "n": 30},  # wide: the driver raises
+        "driver": "rand_chol_qr", "matrix": RANK_DEFICIENT,
         "trials": 1, "seed": 1, "out": str(tmp_path / "fail")})
     rows, _ = bench.run_experiment(cfg)
-    assert rows[0]["status"].startswith("error: spo1 requires m >= n")
-    assert rows[0]["error_type"] == "ValueError"
-    assert rows[0]["error_where"] == "randla.leastsq.spo1"
+    assert rows[0]["status"].startswith("error: sketch lost rank")
+    assert rows[0]["error_type"] == "LinAlgError"
+    assert rows[0]["error_where"] == "randla.fullrank.rand_chol_qr"
     got = list(csv.DictReader(open(tmp_path / "fail.csv")))
-    assert got[0]["error_where"] == "randla.leastsq.spo1"
+    assert got[0]["error_where"] == "randla.fullrank.rand_chol_qr"
 
 
 def test_params_and_spec_fields_coerced_at_load():
@@ -188,7 +210,7 @@ def test_params_and_spec_fields_coerced_at_load():
     assert cfg.matrix.spectrum == {"kind": "step", "r": 2, "gap": 5.0}
     assert type(cfg.matrix.spectrum["r"]) is int
     pcg = ExperimentConfig.from_dict({
-        "driver": "nystrom_pcg", "matrix": {"m": 12, "n": 12},
+        "driver": "nystrom_pcg", "matrix": {"m": 16, "n": 16},
         "params": {"preconditioned": 1}})
     assert pcg.params["preconditioned"] is True
 

@@ -87,8 +87,9 @@ def test_parallel_below_one_exits_2(lstsq_config, threads, capsys):
 
 def test_all_trials_failed_exit_code(tmp_path):
     cfg = write_config(tmp_path / "bad.json", {
-        "driver": "spo1",
-        "matrix": {"m": 10, "n": 30},  # wide: every trial fails in spo1
+        "driver": "rand_chol_qr",
+        # cond e^45: every trial's sketch loses rank and rand_chol_qr raises
+        "matrix": {"m": 40, "n": 10, "spectrum": {"kind": "exp", "decay": 5.0}},
         "trials": 2,
     })
     assert cli.main(["run", "--config", cfg]) == 3
@@ -171,6 +172,14 @@ def _with_matrix(**changes):
      "params": {"budget": 5}},
     {"driver": "exact_leverage", "params": {"k": 3}},
     {"driver": ["spo1"]},
+    {"params": {"tol": -1}},
+    {"params": {"maxit": 0}},
+    {"params": {"sampling_factor": 0}},
+    {"driver": "sps2", "params": {"mu": -1}},
+    {"driver": "bootstrap_ls", "params": {"alpha": 0}},
+    {"driver": "row_sample_embedding", "params": {"eps": -0.5}},
+    {"driver": "svd1", "params": {"power_passes": -1}},
+    {"driver": "svd1", "params": {"oversample": -3}},
 ], ids=json.dumps)
 def test_bad_config_exits_2_at_load(tmp_path, change):
     cfg = write_config(tmp_path / "bad.json", dict(BASE_RUN, **change))
@@ -217,9 +226,53 @@ def test_shape_dependent_ranges_exit_2_at_load(tmp_path, driver, params,
                      write_config(tmp_path / "bad.json", raw)]) == 2
 
 
+WIDE = {"m": 30, "n": 60, "seed": 3}
+TALL = {"m": 40, "n": 10, "seed": 3}
+SQUARE_10 = {"m": 10, "n": 10, "seed": 3}
+
+
+def _shape_case(driver, matrix, params, match, what):
+    return pytest.param(driver, matrix, params, match, id=f"{driver} {what}")
+
+
+@pytest.mark.parametrize("driver, matrix, params, match", [
+    *[_shape_case(driver, WIDE, {}, "needs a tall matrix spec", "wide")
+      for driver in ("spo1", "sps2", "sketch_and_solve", "bootstrap_ls",
+                     "rand_chol_qr", "sap_chol_qrcp")],
+    *[_shape_case(driver, TALL, {"d": d},
+                  rf"'d' = {d} must lie in \[n, m\] = \[10, 40\]", f"d={d}")
+      for driver in ("sketch_and_solve", "bootstrap_ls", "rand_chol_qr",
+                     "sap_chol_qrcp") for d in (9, 41)],
+    *[_shape_case(driver, TALL, {"d": 41}, "'d' = 41 must be at most m = 40",
+                  "d=41")
+      for driver in ("bootstrap_svd", "distortion", "precond_spectrum")],
+    *[_shape_case(driver, matrix, params,
+                  rf"'{rank}' \+ 'oversample' = 11 must be at most "
+                  rf"min\(m, n\) = 10", f"{matrix['m']}x{matrix['n']}")
+      for driver, matrix, params, rank in [
+          ("osid1", TALL, {"k": 6}, "k"), ("curd1", TALL, {"k": 6}, "k"),
+          ("curd1", {"m": 10, "n": 40}, {"k": 3, "oversample": 8}, "k"),
+          ("subspace_leverage", TALL, {"oversample": 6}, "k"),
+          ("evd2", SQUARE_10, {"k": 6}, "k"),
+          ("nystrom_pcg", SQUARE_10, {"rank": 6}, "rank")]]])
+def test_shape_rules_exit_2_at_load(tmp_path, driver, matrix, params, match):
+    # each ran every trial into a library error and exited 3
+    raw = {"driver": driver, "matrix": matrix, "params": params}
+    with pytest.raises(bench.ConfigError, match=match):
+        bench.ExperimentConfig.from_dict(raw)
+    assert cli.main(["run", "--config",
+                     write_config(tmp_path / "bad.json", raw)]) == 2
+
+
 @pytest.mark.parametrize("driver, params", [
     ("approx_leverage", {"d1": 10}), ("approx_leverage", {"d1": 40}),
-    ("bootstrap_svd", {"k": 6, "d": 6, "B": 5})])
+    ("bootstrap_svd", {"k": 6, "d": 6, "B": 5}),
+    ("sketch_and_solve", {"d": 10}), ("sketch_and_solve", {"d": 40}),
+    ("bootstrap_ls", {"d": 10, "B": 5}), ("rand_chol_qr", {"d": 40}),
+    ("sap_chol_qrcp", {"d": 10}), ("bootstrap_svd", {"d": 40, "B": 5}),
+    ("distortion", {"d": 40}), ("osid1", {"k": 5, "oversample": 5}),
+    ("curd1", {"k": 10, "oversample": 0}),
+    ("subspace_leverage", {"k": 9, "oversample": 1})])
 def test_shape_dependent_ranges_accept_their_ends(tmp_path, driver, params):
     cfg = write_config(tmp_path / "ok.json", {
         "driver": driver, "matrix": {"m": 40, "n": 10, "seed": 3},
@@ -231,7 +284,8 @@ def test_shape_dependent_ranges_accept_their_ends(tmp_path, driver, params):
     ("svd1", {"oversample": 0, "power_passes": 0}),
     ("osid1", {"oversample": 0, "power_passes": 0}),
     ("nystrom_pcg", {"oversample": 0}),
-    ("sps2", {"mu": 0})])
+    ("sps2", {"mu": 0}),
+    ("nystrom_pcg", {"preconditioned": False})])  # rank 10 + 5 > n: unused
 def test_zero_oversample_passes_and_mu_stay_valid(tmp_path, driver, params):
     cfg = write_config(tmp_path / "ok.json", {
         "driver": driver, "matrix": SQUARE, "params": params})

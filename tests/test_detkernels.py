@@ -205,12 +205,12 @@ def test_qr_and_chol_match_scipy(name):
 @pytest.mark.parametrize("name", ["tall", "square", "1x1"])
 @pytest.mark.parametrize("mu", [0.0, 1e-3])
 def test_make_precond_qr_inverse_matches_triangular_solve(name, mu):
+    # mu > 0: the ridge's QR form, the QR of [A; sqrt(mu) I]
     A = PARITY[name]
-    M = ls.make_precond_qr(A, mu).M
-    if mu == 0.0:
-        R = dk.qr_econ(A)[1]
-    else:
-        R = dk.chol(A.T @ A + mu * np.eye(A.shape[1]))
+    if mu > 0.0:
+        A = np.vstack([A, np.sqrt(mu) * np.eye(A.shape[1])])
+    M = ls.make_precond_qr(A).M
+    R = dk.qr_econ(A)[1]
     M_ref = la.solve_triangular(R, np.eye(A.shape[1]))
     assert np.all(np.abs(M - M_ref) <= 2 * np.spacing(np.abs(M_ref)))
 
@@ -221,7 +221,8 @@ def test_make_precond_qr_inverse_matches_triangular_solve(name, mu):
 def test_solve_triangular_matches_scipy(cond, lower, trans):
     # both are backward stable, so each solution is within gamma_n
     # |op^{-1}| |op| |X| of the exact one (Higham, Thm 8.5); neither reads
-    # the other triangle
+    # the other triangle.  dk.solve_triangular reads an upper triangle, so a
+    # lower T is passed as the upper triangle of its transpose, trans flipped
     r = np.random.default_rng(21)
     n = 40
     R = dk.qr_r(make_conditioned(n + 20, n, cond, seed=22))
@@ -230,7 +231,11 @@ def test_solve_triangular_matches_scipy(cond, lower, trans):
     T_junk = T + (junk.T if lower else junk)
     op = T.T if trans == "T" else T
     for B in (r.standard_normal(n), r.standard_normal((n, 7))):
-        X = dk.solve_triangular(T_junk, B, lower=lower, trans=trans)
+        if lower:
+            X = dk.solve_triangular(T_junk.T, B,
+                                    trans=0 if trans == "T" else "T")
+        else:
+            X = dk.solve_triangular(T_junk, B, trans=trans)
         X_ref = la.solve_triangular(T_junk, B, lower=lower, trans=trans)
         assert X.shape == B.shape
         bound = np.abs(np.linalg.inv(op)) @ (np.abs(op) @ np.abs(X_ref))
@@ -459,7 +464,7 @@ def test_lanczos_full_reorth_orthogonality():
     B = (Q * lam) @ Q.T
     v0 = r.standard_normal(120)
     v0 /= np.linalg.norm(v0)
-    _, _, V = dk.lanczos_basis(B, v0, 50, reorth="full")
+    _, _, V = dk.lanczos_basis(B, v0, 50)
     gram = V.T @ V
     assert np.abs(gram - np.eye(V.shape[1])).max() <= 1e-10
 
@@ -476,8 +481,7 @@ def test_lanczos_basis_validation():
         dk.lanczos_basis(np.eye(3), np.eye(3)[0], 0)
 
 
-@pytest.mark.parametrize("reorth", ["full", "none"])
-def test_lanczos_lockstep_matches_single_columns(reorth):
+def test_lanczos_lockstep_matches_single_columns():
     # column 1 starts inside a 2-dimensional invariant subspace and breaks
     # down after two steps, column 2 inside a 1-dimensional one; the others
     # run all s steps.  Each column matches its own 1-D run.
@@ -489,11 +493,11 @@ def test_lanczos_lockstep_matches_single_columns(reorth):
     V0[:, 1] = Q[:, 3] + 2.0 * Q[:, 7]
     V0[:, 2] = Q[:, 5]
     V0 /= np.linalg.norm(V0, axis=0)
-    alpha, beta = dk.lanczos_tridiag(B, V0, s, reorth=reorth)
+    alpha, beta = dk.lanczos_tridiag(B, V0, s)
     assert alpha.shape == (s, 4) and beta.shape == (s - 1, 4)
     lengths = []
     for j in range(4):
-        a1, b1 = dk.lanczos_tridiag(B, V0[:, j].copy(), s, reorth=reorth)
+        a1, b1 = dk.lanczos_tridiag(B, V0[:, j].copy(), s)
         lengths.append(a1.size)
         assert np.abs(alpha[:a1.size, j] - a1).max() <= 1e-12
         assert np.all(np.abs(beta[:b1.size, j] - b1) <= 1e-12)

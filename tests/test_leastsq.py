@@ -235,15 +235,18 @@ def test_sps2_dual_feasibility():
 
 def test_make_precond_qr_orthonormal_sketch():
     A_sk = np.linalg.qr(np.random.default_rng(29).standard_normal((30, 6)))[0]
-    P = ls.make_precond_qr(A_sk, 0.0)
+    P = ls.make_precond_qr(A_sk)
     # M = R^{-1} with R orthogonal-diagonal signs, so |M| = I
     assert np.allclose(np.abs(P.M), np.eye(6), atol=1e-12)
 
 
 def test_make_precond_qr_hand_cholesky():
+    # the ridge mu = 3 as the QR of [A_sk; sqrt(mu) I]: R^T R = A_sk^T A_sk
+    # + mu I = diag(7, 4), so R is that Cholesky factor up to row signs
     A_sk = np.vstack([np.diag([2.0, 1.0]), np.zeros((3, 2))])
-    P = ls.make_precond_qr(A_sk, 3.0)
-    assert np.allclose(np.diag(P.M), [1 / np.sqrt(7), 0.5])
+    P = ls.make_precond_qr(np.vstack([A_sk, np.sqrt(3.0) * np.eye(2)]))
+    assert np.allclose(np.abs(np.diag(P.M)), [1 / np.sqrt(7), 0.5])
+    assert np.allclose(P.M - np.diag(np.diag(P.M)), 0.0)
 
 
 def test_precond_orthogonalizes_augmented_sketch():
@@ -251,9 +254,9 @@ def test_precond_orthogonalizes_augmented_sketch():
     r = np.random.default_rng(30)
     A_sk = r.standard_normal((40, 7))
     for mu in (0.0, 2.5):
-        for maker in (ls.make_precond_qr, ls.make_precond_svd):
-            M = maker(A_sk, mu).M
-            aug = np.vstack([A_sk, np.sqrt(mu) * np.eye(7)])
+        aug = np.vstack([A_sk, np.sqrt(mu) * np.eye(7)])
+        # the QR form takes the ridge as the augmented sketch itself
+        for M in (ls.make_precond_qr(aug).M, ls.make_precond_svd(A_sk, mu).M):
             G = (aug @ M).T @ (aug @ M)
             assert np.abs(G - np.eye(M.shape[1])).max() < 1e-8
 
@@ -262,7 +265,7 @@ def test_make_precond_qr_rejects_rank_deficient():
     A_sk = np.zeros((10, 3))
     A_sk[:, :2] = np.random.default_rng(31).standard_normal((10, 2))
     with pytest.raises(np.linalg.LinAlgError):
-        ls.make_precond_qr(A_sk, 0.0)
+        ls.make_precond_qr(A_sk)
 
 
 def test_make_precond_svd_rank_deficient_truncates():

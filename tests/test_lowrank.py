@@ -455,7 +455,7 @@ def test_osid1_interpolation_bound():
         k = 5
         oid = lr.osid1(A, k, s=0, axis="column", seed=RngKey(seed),
                        power_passes=2)
-        S = lr.tsog1(A.T, k, p=2, seed=RngKey(seed), family="gaussian")
+        S = lr.tsog1(A.T, k, p=2, seed=RngKey(seed))
         Y = S.T @ A
         lhs = np.linalg.norm(A - A[:, oid.skeleton] @ oid.M, 2)
         proj = A @ np.linalg.pinv(Y) @ Y
