@@ -620,13 +620,14 @@ class ExperimentConfig:
                    _coerce(d.get("out", ""), str, "'out'") or None)
 
 
-_BASE_COLUMNS = ["trial", "seed_key", "seed_offset", "status", "wall_ms"]
+_BASE_COLUMNS = ["trial", "seed_key", "seed_offset", "status", "wall_ms",
+                 "seed_version"]
 
 
 def _run_trial(config: ExperimentConfig, A, trial: int):
     key = RngKey(config.seed).substream(trial)
     row = {"trial": trial, "seed_key": key.key,
-           "seed_offset": key.counter_offset}
+           "seed_offset": key.counter_offset, "seed_version": key.version}
     start = time.perf_counter()
     try:
         metrics = DRIVERS[config.driver](A, config.matrix, key,
@@ -639,6 +640,23 @@ def _run_trial(config: ExperimentConfig, A, trial: int):
                                f"{frame.f_code.co_name}")
     row["wall_ms"] = 1000.0 * (time.perf_counter() - start)
     return row
+
+
+def _quantiles(vals, qs) -> np.ndarray:
+    """``np.quantile`` of ``vals`` at ``qs`` (linear interpolation), with an
+    infinity where numpy gives NaN only because of one.  numpy interpolates
+    towards the next order statistic even at zero weight, so an infinite
+    neighbour reads NaN; the quantile is then the order statistic it sits
+    on, or the infinity it lies next to."""
+    v = np.sort(np.asarray(vals, dtype=float))
+    with np.errstate(invalid="ignore"):
+        q = np.quantile(v, qs)
+    if np.isnan(v).any():
+        return q
+    pos = (len(v) - 1) * np.asarray(qs)
+    lo, hi = v[np.floor(pos).astype(int)], v[np.ceil(pos).astype(int)]
+    at = np.where(lo == hi, lo, np.where(np.isposinf(hi), hi, lo))
+    return np.where(np.isnan(q), at, q)
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1):
@@ -658,6 +676,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
 
     summary = {
         "config": {k: v for k, v in asdict(config).items() if k != "out"},
+        "seed_version": RngKey(config.seed).version,
         "completed": sum(r["status"] == "ok" for r in rows),
         "failed": sum(r["status"] != "ok" for r in rows),
         "metrics": {},
@@ -668,7 +687,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1):
         vals = [r[col] for r in rows
                 if r.get("status") == "ok" and isinstance(r.get(col), (int, float))]
         if vals:
-            q10, med, q90 = np.quantile(vals, [0.1, 0.5, 0.9])
+            q10, med, q90 = _quantiles(vals, [0.1, 0.5, 0.9])
             summary["metrics"][col] = {"median": float(med), "q10": float(q10),
                                        "q90": float(q90)}
 

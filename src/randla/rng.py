@@ -1,20 +1,29 @@
 """Counter-based random number generation.
 
-Every random quantity in this library is a pure function of a 64-bit key and
-a 64-bit counter offset.  Entry ``i`` of a stream depends only on the counter
-value ``offset + i``, so streams can be generated in any order, in parallel,
-or one element at a time, and always agree bitwise.
+Every random quantity in this library is a pure function of a 64-bit key, a
+64-bit counter offset and a stream version.  Entry ``i`` of a stream depends
+only on the counter value ``offset + i``, so streams can be generated in any
+order, in parallel, or one element at a time, and always agree bitwise.
 
-The generator is Philox 4x32 with 10 rounds and the published round/Weyl
-constants, frozen here for reproducibility.  Each counter value yields one
-double-precision uniform built from 53 bits of generator output.
+Two stream versions exist; ``RngKey`` carries one, 2 by default.  Only the
+kernel that turns counters into uniforms differs between them:
 
-Streams are generated in cache-sized chunks of 2^14 counters.  A chunk's
-counters and Philox words live in chunk-sized buffers updated in place and
-its values go straight into the returned array, so scratch memory is
-O(chunk) whatever the stream length.  ``gaussian_stream`` and
-``rademacher_stream`` transform one ``uniform_stream`` chunk at a time.
-Chunking does not change any entry.
+- **v2** (the default): value i of the stream at ``(key, offset)`` is
+  ``(w >> 11) * 2^-53`` of 64-bit word j = (offset + i) mod 2^64, and word j
+  is word j mod 4 of the Philox4x64-10 block at counter (j // 4, 0, 0, 0)
+  under key (key, 0).  Counter words 1-3 and key word 1 are zero, reserved
+  for child ids and domain tags.  The words come from numpy's compiled
+  ``np.random.Philox`` (Random123's constants, Salmon et al., SC'11).
+- **v1**: Philox 4x32-10 on the block (c_lo, c_hi, 0, 0) of counter c, run
+  as numpy ufunc passes; 27 bits of word 0 above 26 bits of word 1 make one
+  double.  It is kept bitwise so that results drawn with
+  ``RngKey(key, offset, version=1)`` can be reproduced.
+
+Both versions draw in chunks of 2^14 counters written straight into the
+returned array, so scratch memory is O(chunk) whatever the stream length.
+``gaussian_stream`` and ``rademacher_stream`` transform one
+``uniform_stream`` chunk at a time with one shared transform (Box-Muller on
+pairs, a threshold at 1/2).  Chunking does not change any entry.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import numpy as np
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Philox 4x32 multipliers and Weyl key increments.
+# v1's Philox 4x32 multipliers and Weyl key increments.
 _PHILOX_M0 = 0xD2511F53
 _PHILOX_M1 = 0xCD9E8D57
 _WEYL_0 = 0x9E3779B9
@@ -38,19 +47,27 @@ _SUBSTREAM_STRIDE = 1 << 40
 
 _TINY = np.nextafter(0.0, 1.0)  # smallest positive double
 
+VERSIONS = (1, 2)
+
 
 @dataclass(frozen=True)
 class RngKey:
-    """Identifies a reproducible stream: a 64-bit key plus a stream position.
+    """Identifies a reproducible stream: a 64-bit key, a stream position
+    and the stream version (see the module docstring).
 
-    Two keys with equal ``(key, counter_offset)`` produce identical output;
-    distinct keys produce statistically independent streams.
+    Two keys with equal ``(key, counter_offset, version)`` produce identical
+    output; distinct keys produce statistically independent streams.
     """
 
     key: int = 0
     counter_offset: int = 0
+    version: int = 2
 
     def __post_init__(self):
+        if self.version not in VERSIONS:
+            raise ValueError(f"unknown stream version {self.version!r}; "
+                             f"choose from {VERSIONS}")
+        object.__setattr__(self, "version", int(self.version))
         object.__setattr__(self, "key", int(self.key) & _MASK64)
         object.__setattr__(
             self, "counter_offset", int(self.counter_offset) & _MASK64
@@ -58,7 +75,7 @@ class RngKey:
 
     def advance(self, n: int) -> "RngKey":
         """Key for the same stream shifted forward by ``n`` counters."""
-        return RngKey(self.key, (self.counter_offset + int(n)) & _MASK64)
+        return RngKey(self.key, self.counter_offset + int(n), self.version)
 
     def substream(self, i: int) -> "RngKey":
         """Key for the ``i``-th derived substream (disjoint counter blocks).
@@ -92,9 +109,9 @@ _RAMP = np.arange(_CHUNK, dtype=np.uint64)
 
 def _fill(key: int, offsets: np.ndarray, n: int, dist: str,
           out: np.ndarray) -> None:
-    """Write the ``dist`` stream of length ``n`` that starts at counter
+    """Write the v1 ``dist`` stream of length ``n`` that starts at counter
     ``offsets[j]`` (uint64) into row j of ``out``, a C-ordered
-    (len(offsets), n) float array.  The one generator path of this module.
+    (len(offsets), n) float array.  v1's one generator path.
 
     The (streams x counters) grid is taken in passes of at most _CHUNK
     counters: whole rows while a row is shorter, pieces of one row
@@ -149,6 +166,29 @@ def _fill(key: int, offsets: np.ndarray, n: int, dist: str,
                 _transform(v, dist, out[r0:r0 + r, col:col + min(w, n - col)])
 
 
+def _philox4x64(key: int, offset: int, out: np.ndarray) -> None:
+    """Write the v2 uniforms of words offset, offset + 1, ... (mod 2^64)
+    under ``key`` into the 1-D float array ``out``.
+
+    numpy's Philox steps its 256-bit counter before each block, so a run
+    starting at word j starts the generator at block j // 4 - 1 and skips
+    j mod 4 words; ``Generator.random`` then makes exactly
+    ``(w >> 11) * 2^-53`` of each next word.  A stream that crosses word
+    2^64 restarts at block 0 there.
+    """
+    n = len(out)
+    col = 0
+    while col < n:
+        j = (offset + col) & _MASK64
+        end = min(n, col + (1 << 64) - j)
+        bits = np.random.Philox(key=key, counter=(j // 4 - 1) % (1 << 256))
+        bits.random_raw(j % 4)
+        gen = np.random.Generator(bits)
+        for c in range(col, end, _CHUNK):
+            gen.random(out=out[c:min(end, c + _CHUNK)])
+        col = end
+
+
 def _transform(u: np.ndarray, dist: str, out: np.ndarray) -> None:
     """Write the ``dist`` values of uniforms ``u`` into ``out`` along the
     last axis.  Rademacher: -1.0 where u < 1/2, else +1.0.  Gaussian:
@@ -174,8 +214,11 @@ def uniform_stream(k, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("stream length must be nonnegative")
     out = np.empty(n)
-    _fill(k.key, np.array([k.counter_offset], dtype=np.uint64), n,
-          "uniform", out[None])
+    if k.version == 1:
+        _fill(k.key, np.array([k.counter_offset], dtype=np.uint64), n,
+              "uniform", out[None])
+    else:
+        _philox4x64(k.key, k.counter_offset, out)
     return out
 
 
@@ -217,21 +260,32 @@ def stream_block(keys, n: int, dist: str = "uniform") -> np.ndarray:
     length n at ``keys[j]``, bitwise equal to ``uniform_stream``,
     ``gaussian_stream`` or ``rademacher_stream`` called on that key.
 
-    The keys must share one 64-bit key (they differ in counter offset, as
-    substreams and advanced keys of one seed do), so that short streams
-    share kernel passes.  Columns are contiguous in memory.
+    The keys must share one stream version.  v2 draws each column with
+    that stream function, so its keys may differ in any field.  v1 keys must
+    also share one 64-bit key (they differ in counter offset, as substreams
+    and advanced keys of one seed do), so that short streams share kernel
+    passes.  Columns are contiguous in memory.
     """
     keys = [as_key(k) for k in keys]
     if n < 0:
         raise ValueError("stream length must be nonnegative")
     if dist not in ("uniform", "gaussian", "rademacher"):
         raise ValueError(f"unknown stream distribution {dist!r}")
-    if len({k.key for k in keys}) > 1:
-        raise ValueError("a stream block needs keys that share one 64-bit key")
+    versions = {k.version for k in keys}
+    if len(versions) > 1:
+        raise ValueError("a stream block needs keys of one stream version")
     out = np.empty((len(keys), n))
-    if keys:
+    if versions == {1}:
+        if len({k.key for k in keys}) > 1:
+            raise ValueError(
+                "a v1 stream block needs keys that share one 64-bit key")
         offsets = np.array([k.counter_offset for k in keys], dtype=np.uint64)
         _fill(keys[0].key, offsets, n, dist, out)
+    else:
+        draw = {"uniform": uniform_stream, "gaussian": gaussian_stream,
+                "rademacher": rademacher_stream}[dist]
+        for j, k in enumerate(keys):
+            out[j] = draw(k, n)
     return out.T
 
 

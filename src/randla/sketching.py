@@ -101,6 +101,12 @@ class TransposedOp(_OperatorBase):
         return self.base._apply_left(A.T).T
 
 
+def _seed_json(seed: RngKey) -> dict:
+    """A descriptor's record of the stream its operator was drawn from."""
+    return {"key": seed.key, "offset": seed.counter_offset,
+            "version": seed.version}
+
+
 @dataclass(frozen=True)
 class DenseSketchOp(_OperatorBase):
     """Wide (d <= m) dense operator with iid entries, or a Haar one with
@@ -125,7 +131,7 @@ class DenseSketchOp(_OperatorBase):
                 "family": self.family,
                 "d": self.d,
                 "m": self.m,
-                "seed": {"key": self.seed.key, "offset": self.seed.counter_offset},
+                "seed": _seed_json(self.seed),
             }
         )
 
@@ -259,7 +265,7 @@ class SASO(_OperatorBase):
                 "d": self.d,
                 "m": self.m,
                 "k": self.k,
-                "seed": {"key": self.seed.key, "offset": self.seed.counter_offset},
+                "seed": _seed_json(self.seed),
             }
         )
 
@@ -460,7 +466,7 @@ class SRFTOp(_OperatorBase):
                 "kind": "srft",
                 "d": self.d,
                 "m": self.m,
-                "seed": {"key": self.seed.key, "offset": self.seed.counter_offset},
+                "seed": _seed_json(self.seed),
             }
         )
 
@@ -537,7 +543,9 @@ def operator_from_json(s: str):
         if desc.get(key, value) != value:
             raise ValueError(f"cannot rebuild an operator with {key} "
                              f"{desc[key]!r}; only {value!r} is supported")
-    seed = RngKey(desc["seed"]["key"], desc["seed"]["offset"])
+    # descriptors written before stream versions existed drew v1 streams
+    seed = RngKey(desc["seed"]["key"], desc["seed"]["offset"],
+                  desc["seed"].get("version", 1))
     kind = desc["kind"]
     if kind == "dense":
         return sample_dense(desc["family"], desc["d"], desc["m"], seed)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from randla import bench, leverage
+from randla import bench, fullrank, leverage, rng
 from randla.bench import ConfigError, ExperimentConfig, MatrixSpec
 
 
@@ -102,6 +102,48 @@ def test_zero_trials_empty_csv(tmp_path):
     assert summary["completed"] == 0 and summary["failed"] == 0
 
 
+def test_rows_and_summary_record_seed_version(tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "driver": "spo1", "matrix": {"m": 40, "n": 4}, "trials": 2,
+        "out": str(tmp_path / "v")})
+    rows, summary = bench.run_experiment(cfg)
+    assert [r["seed_version"] for r in rows] == [2, 2]
+    assert summary["seed_version"] == 2
+    assert json.loads((tmp_path / "v.json").read_text())["seed_version"] == 2
+    got = list(csv.DictReader((tmp_path / "v.csv").open()))
+    assert [r["seed_version"] for r in got] == ["2", "2"]
+
+
+def test_infinite_metrics_summarize_as_inf_not_nan():
+    # d = 5 < n = 10: every sketch is rank-deficient and cond is inf in every
+    # trial; the summary used to read NaN
+    cfg = ExperimentConfig.from_dict({
+        "driver": "distortion", "matrix": {"m": 40, "n": 10},
+        "params": {"d": 5}, "trials": 3})
+    rows, summary = bench.run_experiment(cfg)
+    assert all(r["cond"] == np.inf for r in rows)
+    assert summary["metrics"]["cond"] == {"median": np.inf, "q10": np.inf,
+                                          "q90": np.inf}
+    qs = [0.1, 0.5, 0.9]
+    # a quantile next to an infinity is that infinity (numpy's reads NaN);
+    # the others are np.quantile's
+    with np.errstate(invalid="ignore"):
+        for vals, expected in (
+                ([1.0, 2.0, np.inf], [np.quantile([1.0, 2.0], 0.2), 2.0,
+                                      np.inf]),
+                ([-np.inf, 1.0, 2.0], [-np.inf, 1.0,
+                                       np.quantile([1.0, 2.0], 0.8)])):
+            assert np.isnan(np.quantile(vals, qs)).any()
+            assert np.array_equal(bench._quantiles(vals, qs), expected)
+    # finite summaries stay bitwise np.quantile's
+    values = np.random.default_rng(3).standard_normal((20, 7)) * 1e3
+    for vals in values:
+        assert np.quantile(vals, qs).tobytes() == (
+            bench._quantiles(list(vals), qs).tobytes())
+    assert np.array_equal(bench._quantiles([4, 1, 3], qs),
+                          np.quantile([4, 1, 3], qs))
+
+
 @pytest.mark.parametrize("parallel", [0, -3])
 def test_parallel_below_one_raises(parallel, tmp_path):
     # the CLI rejects such --parallel values at parsing; the library call
@@ -171,9 +213,21 @@ def test_all_drivers_run_one_trial():
         assert summary["completed"] == 1, (driver, rows[0]["status"])
 
 
-# cond e^45: every sketch is numerically rank-deficient, so rand_chol_qr
-# raises (a wide spec no longer loads for it)
-RANK_DEFICIENT = {"m": 40, "n": 10, "spectrum": {"kind": "exp", "decay": 5.0}}
+# Every singular value 0: the zero matrix under any seed and stream version,
+# so every sketch's R is zero and rand_chol_qr raises on every draw (a wide
+# spec no longer loads for it)
+RANK_DEFICIENT = {"m": 40, "n": 10,
+                  "spectrum": {"kind": "step", "r": 10, "gap": 0.0}}
+
+
+@pytest.mark.parametrize("version", rng.VERSIONS)
+def test_rank_deficient_fixture_fails_on_every_draw(version):
+    for seed in range(200):
+        spec = MatrixSpec.from_dict({**RANK_DEFICIENT, "seed": seed})
+        A = bench.gen_matrix(spec)
+        assert A.shape == (40, 10) and not A.any()
+        with pytest.raises(np.linalg.LinAlgError, match="sketch lost rank"):
+            fullrank.rand_chol_qr(A, seed=rng.RngKey(seed, 0, version))
 
 
 def test_driver_failure_recorded():

@@ -88,8 +88,10 @@ def test_parallel_below_one_exits_2(lstsq_config, threads, capsys):
 def test_all_trials_failed_exit_code(tmp_path):
     cfg = write_config(tmp_path / "bad.json", {
         "driver": "rand_chol_qr",
-        # cond e^45: every trial's sketch loses rank and rand_chol_qr raises
-        "matrix": {"m": 40, "n": 10, "spectrum": {"kind": "exp", "decay": 5.0}},
+        # the zero matrix: every trial's sketch loses rank and rand_chol_qr
+        # raises
+        "matrix": {"m": 40, "n": 10,
+                   "spectrum": {"kind": "step", "r": 10, "gap": 0.0}},
         "trials": 2,
     })
     assert cli.main(["run", "--config", cfg]) == 3

@@ -550,8 +550,11 @@ OLD_SASO = ('{"kind": "saso", "d": 5, "m": 9, "k": 2, '
 
 
 def test_old_descriptors_rebuild_bitwise_and_unsupported_values_raise():
-    pairs = ((OLD_DENSE, sk.sample_dense("haar", 3, 7, 4), "tall"),
-             (OLD_SASO, sk.sample_saso(5, 9, 2, rng.RngKey(4, 3)), "blocked"))
+    # descriptors without a stream version drew v1 streams
+    pairs = ((OLD_DENSE, sk.sample_dense("haar", 3, 7, rng.RngKey(4, 0, 1)),
+              "tall"),
+             (OLD_SASO, sk.sample_saso(5, 9, 2, rng.RngKey(4, 3, 1)),
+              "blocked"))
     for old, op, unsupported in pairs:
         clone = sk.operator_from_json(old)
         a, b = op.matrix(), clone.matrix()
@@ -562,6 +565,25 @@ def test_old_descriptors_rebuild_bitwise_and_unsupported_values_raise():
         desc = dict(json.loads(old), **{key: unsupported})
         with pytest.raises(ValueError, match=f"{key} '{unsupported}'"):
             sk.operator_from_json(json.dumps(desc))
+
+
+@pytest.mark.parametrize("version", rng.VERSIONS)
+def test_descriptors_record_stream_version(version):
+    key = rng.RngKey(5, 11, version)
+    for op in (sk.sample_dense("gaussian", 4, 9, key),
+               sk.sample_saso(4, 9, 2, key), sk.sample_srft(4, 9, key)):
+        desc = json.loads(op.to_json())
+        assert desc["seed"] == {"key": 5, "offset": 11, "version": version}
+        clone = sk.operator_from_json(op.to_json())
+        assert clone.seed == key
+        a, b = op.matrix(), clone.matrix()
+        if hasattr(a, "toarray"):
+            a, b = a.toarray(), b.toarray()
+        assert np.array_equal(a, b)
+        for bad in (0, 3):
+            desc["seed"]["version"] = bad
+            with pytest.raises(ValueError, match="stream version"):
+                sk.operator_from_json(json.dumps(desc))
 
 
 def test_saso_nan_caveat():
