@@ -60,8 +60,11 @@ def rand_chol_qr(A, d: int | None = None, seed=0,
 
     An unpivoted QR of the sketch supplies a triangular preconditioner that
     flattens the spectrum before the Cholesky step, so the method is stable
-    far beyond plain Cholesky QR.  Rank loss in the sketch raises with a
-    pointer to sap_chol_qrcp.
+    far beyond plain Cholesky QR.  It raises ``LinAlgError`` when some
+    |R_ii| of the sketch's triangular factor is at or below
+    n * eps * max |R_ii|.  That test does not reveal rank: an exactly
+    rank-deficient A can pass it on some keys.  Use sap_chol_qrcp to find
+    the rank.
     """
     A = np.asarray(A, dtype=float)
     R_sk = dk.qr_r(_sketch(A, d, seed, op_family))

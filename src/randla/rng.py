@@ -19,11 +19,14 @@ kernel that turns counters into uniforms differs between them:
   double.  It is kept bitwise so that results drawn with
   ``RngKey(key, offset, version=1)`` can be reproduced.
 
-Both versions draw in chunks of 2^14 counters written straight into the
-returned array, so scratch memory is O(chunk) whatever the stream length.
-``gaussian_stream`` and ``rademacher_stream`` transform one
-``uniform_stream`` chunk at a time with one shared transform (Box-Muller on
-pairs, a threshold at 1/2).  Chunking does not change any entry.
+Each version's kernel writes the uniforms of one stream in chunks of 2^14
+counters straight into the returned array, so scratch memory is O(chunk)
+whatever the stream length; ``uniform_stream`` picks the kernel.  Everything
+else is one path for both versions: ``gaussian_stream`` and
+``rademacher_stream`` transform one ``uniform_stream`` chunk at a time
+(Box-Muller on pairs, a threshold at 1/2), and ``stream_block`` and
+``uniform_grid`` are made of these stream functions.  Chunking does not
+change any entry.
 """
 
 from __future__ import annotations
@@ -107,63 +110,43 @@ _CHUNK = 1 << 14
 _RAMP = np.arange(_CHUNK, dtype=np.uint64)
 
 
-def _fill(key: int, offsets: np.ndarray, n: int, dist: str,
-          out: np.ndarray) -> None:
-    """Write the v1 ``dist`` stream of length ``n`` that starts at counter
-    ``offsets[j]`` (uint64) into row j of ``out``, a C-ordered
-    (len(offsets), n) float array.  v1's one generator path.
+def _philox4x32(key: int, offset: int, out: np.ndarray) -> None:
+    """Write the v1 uniforms of counters offset, offset + 1, ... (mod 2^64)
+    under ``key`` into the 1-D float array ``out``.
 
-    The (streams x counters) grid is taken in passes of at most _CHUNK
-    counters: whole rows while a row is shorter, pieces of one row
-    otherwise.  A pass runs Philox 4x32-10 on the 128-bit blocks
-    (c_lo, c_hi, 0, 0) in place in reused buffers and writes its uniforms,
-    or their ``_transform``, straight into ``out``, so scratch memory is
-    O(_CHUNK) for any ``n``.
+    Each pass of at most _CHUNK counters runs Philox 4x32-10 on the 128-bit
+    blocks (c_lo, c_hi, 0, 0) in place in reused buffers and writes its
+    uniforms straight into ``out``, so scratch memory is O(_CHUNK).
     """
-    rows = len(offsets)
-    width = gaussian_counters_used(n) if dist == "gaussian" else n
-    if rows == 0 or width == 0:
-        return
-    step = min(width, _CHUNK)
-    per_pass = min(rows, _CHUNK // step)
-    size = per_pass * step
-    words = [np.empty(size, np.uint64) for _ in range(6)] + [np.empty(size)]
-    for r0 in range(0, rows, per_pass):
-        r = min(per_pass, rows - r0)
-        for col in range(0, width, step):
-            w = min(step, width - col)
-            a, b, c, d, p, q, v = (x[:r * w] for x in words)
-            starts = offsets[r0:r0 + r, None] + np.uint64(col)  # mod 2^64
-            np.add(starts, _RAMP[:w], out=a.reshape(r, w))
-            np.right_shift(a, 32, out=b)
-            np.bitwise_and(a, _MASK32, out=a)
-            c.fill(0)
-            d.fill(0)
-            k0, k1 = key & _MASK32, key >> 32
-            for _ in range(_ROUNDS):
-                np.multiply(a, _PHILOX_M0, out=p)
-                np.multiply(c, _PHILOX_M1, out=q)
-                np.right_shift(q, 32, out=a)
-                np.bitwise_xor(a, b, out=a)
-                np.bitwise_xor(a, k0, out=a)
-                np.bitwise_and(q, _MASK32, out=b)
-                np.right_shift(p, 32, out=c)
-                np.bitwise_xor(c, d, out=c)
-                np.bitwise_xor(c, k1, out=c)
-                np.bitwise_and(p, _MASK32, out=d)
-                k0, k1 = (k0 + _WEYL_0) & _MASK32, (k1 + _WEYL_1) & _MASK32
-            # doubles in [0, 1): 27 bits of word 0 above 26 bits of word 1
-            np.right_shift(a, 5, out=a)
-            np.left_shift(a, 26, out=a)
-            np.right_shift(b, 6, out=b)
-            np.bitwise_or(a, b, out=a)
-            if dist == "uniform":
-                np.multiply(a.reshape(r, w), 2.0 ** -53,
-                            out=out[r0:r0 + r, col:col + w])
-            else:
-                v = v.reshape(r, w)
-                np.multiply(a.reshape(r, w), 2.0 ** -53, out=v)
-                _transform(v, dist, out[r0:r0 + r, col:col + min(w, n - col)])
+    n = len(out)
+    words = [np.empty(min(n, _CHUNK), np.uint64) for _ in range(6)]
+    for col in range(0, n, _CHUNK):
+        w = min(_CHUNK, n - col)
+        a, b, c, d, p, q = (x[:w] for x in words)
+        np.add(_RAMP[:w], np.uint64((offset + col) & _MASK64), out=a)
+        np.right_shift(a, 32, out=b)
+        np.bitwise_and(a, _MASK32, out=a)
+        c.fill(0)
+        d.fill(0)
+        k0, k1 = key & _MASK32, key >> 32
+        for _ in range(_ROUNDS):
+            np.multiply(a, _PHILOX_M0, out=p)
+            np.multiply(c, _PHILOX_M1, out=q)
+            np.right_shift(q, 32, out=a)
+            np.bitwise_xor(a, b, out=a)
+            np.bitwise_xor(a, k0, out=a)
+            np.bitwise_and(q, _MASK32, out=b)
+            np.right_shift(p, 32, out=c)
+            np.bitwise_xor(c, d, out=c)
+            np.bitwise_xor(c, k1, out=c)
+            np.bitwise_and(p, _MASK32, out=d)
+            k0, k1 = (k0 + _WEYL_0) & _MASK32, (k1 + _WEYL_1) & _MASK32
+        # doubles in [0, 1): 27 bits of word 0 above 26 bits of word 1
+        np.right_shift(a, 5, out=a)
+        np.left_shift(a, 26, out=a)
+        np.right_shift(b, 6, out=b)
+        np.bitwise_or(a, b, out=a)
+        np.multiply(a, 2.0 ** -53, out=out[col:col + w])
 
 
 def _philox4x64(key: int, offset: int, out: np.ndarray) -> None:
@@ -214,17 +197,15 @@ def uniform_stream(k, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("stream length must be nonnegative")
     out = np.empty(n)
-    if k.version == 1:
-        _fill(k.key, np.array([k.counter_offset], dtype=np.uint64), n,
-              "uniform", out[None])
-    else:
-        _philox4x64(k.key, k.counter_offset, out)
+    kernel = _philox4x32 if k.version == 1 else _philox4x64
+    kernel(k.key, k.counter_offset, out)
     return out
 
 
 def _from_uniforms(k, n: int, dist: str) -> np.ndarray:
     """The ``dist`` stream of length ``n`` at ``k``, transformed from
-    ``uniform_stream`` draws of at most _CHUNK counters each."""
+    ``uniform_stream`` draws of at most _CHUNK counters each.  The one path
+    from uniforms to Gaussians and signs, for every version and block."""
     k = as_key(k)
     if n < 0:
         raise ValueError("stream length must be nonnegative")
@@ -257,35 +238,19 @@ def rademacher_stream(k, n: int) -> np.ndarray:
 
 def stream_block(keys, n: int, dist: str = "uniform") -> np.ndarray:
     """An (n, len(keys)) block whose column j is the ``dist`` stream of
-    length n at ``keys[j]``, bitwise equal to ``uniform_stream``,
-    ``gaussian_stream`` or ``rademacher_stream`` called on that key.
-
-    The keys must share one stream version.  v2 draws each column with
-    that stream function, so its keys may differ in any field.  v1 keys must
-    also share one 64-bit key (they differ in counter offset, as substreams
-    and advanced keys of one seed do), so that short streams share kernel
-    passes.  Columns are contiguous in memory.
+    length n at ``keys[j]``, drawn by ``uniform_stream``, ``gaussian_stream``
+    or ``rademacher_stream`` on that key, so the keys may differ in any
+    field, version included.  Columns are contiguous in memory.
     """
-    keys = [as_key(k) for k in keys]
     if n < 0:
         raise ValueError("stream length must be nonnegative")
     if dist not in ("uniform", "gaussian", "rademacher"):
         raise ValueError(f"unknown stream distribution {dist!r}")
-    versions = {k.version for k in keys}
-    if len(versions) > 1:
-        raise ValueError("a stream block needs keys of one stream version")
+    draw = {"uniform": uniform_stream, "gaussian": gaussian_stream,
+            "rademacher": rademacher_stream}[dist]
     out = np.empty((len(keys), n))
-    if versions == {1}:
-        if len({k.key for k in keys}) > 1:
-            raise ValueError(
-                "a v1 stream block needs keys that share one 64-bit key")
-        offsets = np.array([k.counter_offset for k in keys], dtype=np.uint64)
-        _fill(keys[0].key, offsets, n, dist, out)
-    else:
-        draw = {"uniform": uniform_stream, "gaussian": gaussian_stream,
-                "rademacher": rademacher_stream}[dist]
-        for j, k in enumerate(keys):
-            out[j] = draw(k, n)
+    for j, k in enumerate(keys):
+        out[j] = draw(k, n)
     return out.T
 
 

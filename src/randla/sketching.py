@@ -136,20 +136,15 @@ class DenseSketchOp(_OperatorBase):
         )
 
 
-def _gaussian_grid(seed: RngKey, d: int, m: int) -> np.ndarray:
-    # Column-major counter layout on the (d, m) grid, pairs along the grid.
-    return rng.gaussian_stream(seed, d * m).reshape((d, m), order="F")
-
-
 def _entry_grid(family: str, seed: RngKey, d: int, m: int) -> np.ndarray:
-    if family == "gaussian":
-        return _gaussian_grid(seed, d, m)
-    u = rng.uniform_grid(seed, d, m)
-    if family == "rademacher":
-        return np.where(u < 0.5, -1.0, 1.0)
-    if family == "uniform":
-        return 2.0 * u - 1.0
-    raise ValueError(f"unknown dense family {family!r}")
+    # One stream laid out column-major on the (d, m) grid.  The stream
+    # function is looked up on ``rng`` at call time, so wrappers installed
+    # there see the draw.
+    draw = {"gaussian": rng.gaussian_stream,
+            "rademacher": rng.rademacher_stream,
+            "uniform": rng.uniform_stream}[family]
+    grid = draw(seed, d * m).reshape((d, m), order="F")
+    return 2.0 * grid - 1.0 if family == "uniform" else grid
 
 
 def sample_dense(family: str, d: int, m: int, seed) -> DenseSketchOp:

@@ -165,10 +165,11 @@ def test_stream_block_validation():
         rng.stream_block([KEY], -1)
     with pytest.raises(ValueError):
         rng.stream_block([KEY], 4, "sphere")
-    with pytest.raises(ValueError, match="share one"):
-        rng.stream_block([rng.RngKey(1, 0, 1), rng.RngKey(2, 0, 1)], 4)
-    with pytest.raises(ValueError, match="one stream version"):
-        rng.stream_block([rng.RngKey(7, 0, 1), rng.RngKey(7, 5, 2)], 4)
+    # keys need not share a 64-bit key or a stream version
+    mixed = [rng.RngKey(1, 0, 1), rng.RngKey(2, 0, 1), rng.RngKey(7, 5, 2)]
+    block = rng.stream_block(mixed, 4)
+    for j, k in enumerate(mixed):
+        assert np.array_equal(block[:, j], rng.uniform_stream(k, 4))
 
 
 def test_unknown_stream_version_raises():
@@ -181,12 +182,15 @@ def test_unknown_stream_version_raises():
 
 @pytest.mark.parametrize("dist", ["uniform", "gaussian", "rademacher"])
 def test_v2_stream_block_accepts_any_keys(dist):
-    keys = [rng.RngKey(1, 0), rng.RngKey(2**64 - 1, 12345),
-            rng.RngKey(0xDEADBEEF, 2**64 - 3)]
-    block = rng.stream_block(keys, 37, dist)
-    for j, k in enumerate(keys):
-        assert np.array_equal(block[:, j], STREAMS[dist](k, 37))
-    assert not np.array_equal(block[:, 0], block[:, 1])
+    # distinct 64-bit keys under v2, under v1, and both versions in one block
+    v2 = [rng.RngKey(1, 0), rng.RngKey(2**64 - 1, 12345),
+          rng.RngKey(0xDEADBEEF, 2**64 - 3)]
+    v1 = [rng.RngKey(k.key, k.counter_offset, 1) for k in v2]
+    for keys in (v2, v1, [v1[0], v2[0], v1[2], v2[1]]):
+        block = rng.stream_block(keys, 37, dist)
+        for j, k in enumerate(keys):
+            assert np.array_equal(block[:, j], STREAMS[dist](k, 37))
+        assert not np.array_equal(block[:, 0], block[:, 1])
 
 
 @pytest.mark.parametrize("n", [1, 2 * rng._CHUNK + 3])
@@ -209,11 +213,14 @@ def test_derived_streams_draw_their_uniforms_through_uniform_stream(
     rng.uniform_grid(KEY, n, 2)
     assert sum(drawn) == 3 * n
     assert max(drawn) <= max(rng._CHUNK, 2 * n)
-    # a v2 block draws each column through uniform_stream as well
-    drawn.clear()
-    rng.stream_block([KEY, KEY.substream(1)], n, "gaussian")
-    rng.stream_block([KEY], n, "uniform")
-    assert sum(drawn) == 2 * rng.gaussian_counters_used(n) + n
+    # a block of either version draws each column through uniform_stream
+    for version in rng.VERSIONS:
+        k = rng.RngKey(7, 0, version)
+        drawn.clear()
+        rng.stream_block([k, k.substream(1)], n, "gaussian")
+        rng.stream_block([k], n, "uniform")
+        rng.stream_block([k, k.advance(1)], n, "rademacher")
+        assert sum(drawn) == 2 * rng.gaussian_counters_used(n) + 3 * n
 
 
 # ---------------------------------------------------------------------------
