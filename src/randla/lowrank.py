@@ -105,10 +105,10 @@ class CURFactors:
 # data-aware sketching via power iteration
 # ---------------------------------------------------------------------------
 
-def _times(A, X) -> np.ndarray:
-    """A @ X for the full input A (or a transposed view of it) and a skinny
-    block X, computed as (X^T A^T)^T so that A is the right-hand operand of
-    the GEMM.  A ``_Deflated`` operator is applied as it is.
+def _times(A, X, adjoint: bool = False) -> np.ndarray:
+    """A @ X (A^T @ X when ``adjoint``) for the full input A and a skinny
+    block X, computed as (X^T A^T)^T (as (X^T A)^T) so that A is the
+    right-hand operand of the GEMM.  A ``_Deflated`` operator applies itself.
 
     OpenBLAS streams a large right-hand operand faster: at 4000 x 2000 with
     k = 10 and 2 threads, A @ X takes 8.3 ms this way against 11.2 ms, and
@@ -117,8 +117,14 @@ def _times(A, X) -> np.ndarray:
     accumulation order inside a product is the backend's business.
     """
     if isinstance(A, _Deflated):
-        return A @ X
-    return (X.T @ A.T).T
+        return A.apply(X, adjoint)
+    return (X.T @ A).T if adjoint else (X.T @ A.T).T
+
+
+def _gaussian_start(k: int, dim: int, seed) -> np.ndarray:
+    """The oblivious dim-by-k Gaussian start of tsog1: the transpose of a
+    wide dense sample."""
+    return sketching.sample_dense("gaussian", k, dim, as_key(seed)).matrix().T
 
 
 def tsog1(A, k: int, p: int = 2, q: int = 1, seed=0) -> np.ndarray:
@@ -129,17 +135,20 @@ def tsog1(A, k: int, p: int = 2, q: int = 1, seed=0) -> np.ndarray:
     runs after every q products.  p = 0 returns an oblivious operator
     without touching A.  Odd p starts from an m-by-k operator hit by A^T.
     The oblivious start is a Gaussian test matrix, the transpose of a wide
-    dense sample.
+    dense sample; a ``_Deflated`` operator may hold it already (qb2 draws
+    it one block early).
     """
     A = A if isinstance(A, _Deflated) else np.asanyarray(A, dtype=float)
     m, n = A.shape
     if p < 0 or q < 1:
         raise ValueError("need p >= 0 and q >= 1")
-    S = sketching.sample_dense("gaussian", k, m if p % 2 else n,
-                               as_key(seed)).matrix().T
+    if isinstance(A, _Deflated) and A.start is not None:
+        S = A.start[0]
+    else:
+        S = _gaussian_start(k, m if p % 2 else n, seed)
     for done in range(1, p + 1):
         # the products alternate and the last one is with A^T
-        S = _times(A.T if (p - done) % 2 == 0 else A, S)
+        S = _times(A, S, adjoint=(p - done) % 2 == 0)
         if done % q == 0:
             S = np.linalg.qr(S)[0]
     return S
@@ -170,34 +179,75 @@ def qb1(A, k: int, seed=0, power_passes: int = 2) -> QBFactors:
     return QBFactors(Q, Q.T @ A)
 
 
+def _fused(A, X, rider, adjoint: bool):
+    """_times(A, [X, rider], adjoint) as one GEMM, split back into the
+    parts of X and of the rider (None when there is no rider)."""
+    if rider is None:
+        return _times(A, X, adjoint), None
+    G = _times(A, np.hstack([X, rider]), adjoint)
+    return G[:, :X.shape[1]], G[:, X.shape[1]:]
+
+
 class _Deflated:
-    """A - Q B, applied without forming it as A X - Q (B X); its transpose
-    A^T - B^T Q^T has the same form.  The A X term goes through ``_times``,
-    so A (or the A^T view) is the right-hand operand of its GEMM."""
+    """(I - Q Q^T) A for a column-orthonormal Q.  With B = Q^T A it is
+    A - Q B, but it is applied without B: as (I - Q Q^T)(A X), and its
+    adjoint as A^T (Y - Q (Q^T Y)).  A is the right-hand operand of every
+    GEMM (``_times``).
 
-    def __init__(self, A, Q, B):
-        self.A, self.Q, self.B, self.shape = A, Q, B, A.shape
+    Riders let qb2 make fewer products with A; each is used once.
+    ``start`` is a pair (S, A S) made one block early: tsog1 starts from S,
+    and the product with S is not made again.  ``lead`` (m-by-r) joins the
+    first adjoint product, as [Y, lead]^T A, and ``tail`` (n-by-r) the first
+    product with A that is made, as A [X, tail]; ``lead_out`` = A^T lead
+    and ``tail_out`` = A tail hold their parts.
+    """
 
-    def __matmul__(self, X):
-        return _times(self.A, X) - self.Q @ (self.B @ X)
+    def __init__(self, A, Q, start=None, lead=None, tail=None):
+        self.A, self.Q, self.shape = A, Q, A.shape
+        self.start, self.lead, self.tail = start, lead, tail
+        self.lead_out = self.tail_out = None
 
-    @property
-    def T(self):
-        return _Deflated(self.A.T, self.B.T, self.Q.T)
+    def project(self, Y):
+        return Y - self.Q @ (self.Q.T @ Y)
+
+    def apply(self, X, adjoint: bool):
+        if adjoint:
+            Y, out = _fused(self.A, self.project(X), self.lead, True)
+            if self.lead is not None:
+                self.lead, self.lead_out = None, out
+            return Y
+        if self.start is not None and X is self.start[0]:
+            AX, self.start = self.start[1], None
+        else:
+            AX, out = _fused(self.A, X, self.tail, False)
+            if self.tail is not None:
+                self.tail, self.tail_out = None, out
+        return self.project(AX)
 
 
 def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         power_passes: int = 2) -> QBFactors:
     """Fully adaptive blocked QB.
 
-    Block i runs the rangefinder (key ``seed.substream(i)``) on A - Q B,
-    applied implicitly, reorthogonalizes against Q and appends Q_i^T A,
-    until the tracked error ||A||_F^2 - sum ||B_i||_F^2 drops to
-    tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  A direction of Q_i
+    Block i runs the rangefinder (key ``seed.substream(i)``) on the
+    deflated (I - Q Q^T) A, reorthogonalizes against Q and appends
+    B_i = Q_i^T A, until the tracked error ||A||_F^2 - sum ||B_i||_F^2 drops
+    to tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  A direction of Q_i
     whose row of B_i is at rounding level, max(m, n) eps ||A||_F or less,
     is rounding noise of A - Q B: it is dropped and no further block is
     drawn.  ``block_size`` defaults to min(k, m, n) when ``tol <= 0`` (one
     block, as qb1) and to min(k, 10) otherwise.
+
+    Products with A carry riders.  B_i is made one block late, inside
+    block i+1's first product with A^T, and its tests run there; if they
+    stop the loop, block i+1 is discarded.  With an even power_passes >= 2,
+    block i+1's Gaussian start (the one tsog1 draws, drawn again if block i
+    keeps fewer columns than planned) rides on block i's first product
+    with A that is made.  A block so makes power_passes products with A
+    (power_passes + 1 when odd) instead of power_passes + 2: at the default
+    2, two products of width 2 * block_size.  With an even power_passes the
+    first block makes one more, and the last B_i is made alone.  With
+    power_passes = 0 every product runs alone.
     """
     A = np.asanyarray(A, dtype=float)
     m, n = A.shape
@@ -208,30 +258,56 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     elif block_size < 1:
         raise ValueError("block_size must be positive")
     seed = as_key(seed)
+    p = power_passes
 
     anorm = np.linalg.norm(A, "fro")
     anorm2 = anorm ** 2
     threshold2 = (max(tol, 0.0) ** 2) * anorm2
     noise = max(m, n) * np.finfo(float).eps * anorm
-    Q = np.zeros((m, 0))
-    B = np.zeros((0, n))
+    # a block that starts below rank_cap may pass it by rounding-noise
+    # directions, which settle drops: room for one block more
+    Q = np.empty((m, min(k, rank_cap + block_size)))
+    B = np.empty((Q.shape[1], n))
+    # Q[:, :rows] have their rows of B; Q[:, rows:cols] wait for theirs
+    rows = cols = 0
     squared_error = anorm2
+
+    def settle(Bi) -> bool:
+        """Put the rows Bi of the waiting columns in place, dropping those
+        at rounding level; True when the loop stops."""
+        nonlocal rows, cols, squared_error
+        signal = np.linalg.norm(Bi, axis=1) > noise
+        kept = rows + int(signal.sum())
+        Q[:, rows:kept] = Q[:, rows:cols][:, signal]
+        B[rows:kept] = Bi[signal]
+        squared_error -= np.linalg.norm(B[rows:kept], "fro") ** 2
+        rows = cols = kept
+        return (not signal.all() or squared_error <= threshold2
+                or cols >= rank_cap)
+
+    ahead = None
     for block in range(rank_cap):
-        Qi = rf1(_Deflated(A, Q, B), min(block_size, k - Q.shape[1]),
-                 seed=seed.substream(block), power_passes=power_passes)
-        Qi = orth(Qi - Q @ (Q.T @ Qi))
+        w = min(block_size, k - cols)
+        tail = None
+        if p and p % 2 == 0 and cols + w < rank_cap:
+            tail = _gaussian_start(min(block_size, k - cols - w), n,
+                                   seed.substream(block + 1))
+        op = _Deflated(
+            A, Q[:, :cols],
+            start=ahead if ahead and ahead[0].shape[1] == w else None,
+            lead=Q[:, rows:cols] if cols > rows else None, tail=tail)
+        Qi = rf1(op, w, seed=seed.substream(block), power_passes=p)
+        if op.lead_out is not None and settle(op.lead_out.T):
+            break
+        Qi = orth(op.project(Qi))
         if Qi.shape[1] == 0:
             break
-        Bi = Qi.T @ A
-        signal = np.linalg.norm(Bi, axis=1) > noise
-        Qi, Bi = Qi[:, signal], Bi[signal]
-        B = np.vstack([B, Bi])
-        Q = np.hstack([Q, Qi])
-        squared_error -= np.linalg.norm(Bi, "fro") ** 2
-        if (not signal.all() or squared_error <= threshold2
-                or Q.shape[1] >= rank_cap):
+        Q[:, cols:cols + Qi.shape[1]] = Qi
+        cols += Qi.shape[1]
+        ahead = (tail, op.tail_out) if tail is not None else None
+        if (p == 0 or cols >= rank_cap) and settle(Qi.T @ A):
             break
-    return QBFactors(Q, B)
+    return QBFactors(np.ascontiguousarray(Q[:, :cols]), B[:cols])
 
 
 def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
@@ -252,7 +328,7 @@ def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
 
     S = tsog1(A, k, p=power_passes, seed=seed)
     G = _times(A, S)
-    H = _times(A.T, G)
+    H = _times(A, G, adjoint=True)
     anorm2 = np.linalg.norm(A, "fro") ** 2
     threshold2 = (max(tol, 0.0) ** 2) * anorm2
 

@@ -164,7 +164,7 @@ def test_qb2_orthonormality_and_b_identity():
     assert np.linalg.norm(qb.B - qb.Q.T @ A) <= 1e-8 * np.linalg.norm(A)
 
 
-def _qb2_explicit(A, k, block_size, seed, tol=0.0):
+def _qb2_explicit(A, k, block_size, seed, tol=0.0, power_passes=2):
     """Textbook blocked QB: rangefinder on an explicitly downdated copy of
     A, the same per-block keys, stopped on the directly computed error."""
     m, n = A.shape
@@ -173,7 +173,8 @@ def _qb2_explicit(A, k, block_size, seed, tol=0.0):
     block = 0
     while Q.shape[1] < k:
         Qi = lr.rf1(A_work, min(block_size, k - Q.shape[1]),
-                    seed=RngKey(seed).substream(block))
+                    seed=RngKey(seed).substream(block),
+                    power_passes=power_passes)
         Qi = lr.orth(Qi - Q @ (Q.T @ Qi))
         if Qi.shape[1] == 0:
             break
@@ -209,6 +210,25 @@ def test_qb2_implicit_deflation_matches_explicit_on_rank_deficient(k, block_size
     assert np.linalg.norm(qb.approximation() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("power_passes", [0, 1, 2, 3])
+@pytest.mark.parametrize("spectrum, k, block_size, tol", [
+    ("decaying", 12, 3, 0.0), ("decaying", 30, 5, 1e-3),
+    ("rank12", 20, 5, 1e-6)], ids=["tol0", "tol1e-3", "rank_deficient"])
+def test_qb2_matches_explicit_downdate_for_every_power_passes(
+        spectrum, k, block_size, tol, power_passes):
+    # odd counts start on the left, 0 has no product to carry a rider
+    if spectrum == "decaying":
+        A, _, _ = factored(90, 60, np.arange(1, 61.0) ** -1.0, seed=70)
+    else:
+        A, _, _ = factored(80, 50, np.linspace(2.0, 1.0, 12), seed=72)
+    qb = lr.qb2(A, k, tol=tol, block_size=block_size, seed=71,
+                power_passes=power_passes)
+    Q, B = _qb2_explicit(A, k, block_size, 71, tol, power_passes)
+    assert qb.Q.shape[1] == Q.shape[1]
+    ref = Q @ B
+    assert np.linalg.norm(qb.approximation() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("k", [11, 25, 40])
 def test_qb2_fixed_rank_default_block_is_qb1(k):
     # tol 0 and no block_size: one block with qb2's first key is qb1's work
@@ -226,6 +246,21 @@ def test_qb2_rank_budget_above_n_returns_rank_n(tol):
     qb = lr.qb2(A, 30, tol=tol, seed=77)
     assert qb.Q.shape[1] == 12
     assert np.linalg.norm(A - qb.approximation()) <= 1e-12 * np.linalg.norm(A)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qb2_block_past_the_rank_budget_drops_its_noise(seed):
+    # rank 12 with k 30: block 1 sketches a rank-2 residual near 3.5e-6,
+    # whose rounding directions pass orth's relative cut, so it returns
+    # more columns than the 12 - 10 left; they are noise and are dropped
+    A, _, _ = factored(60, 12, np.logspace(0, -6, 12), seed=78)
+    qb = lr.qb2(A, 30, tol=1e-9, block_size=10, seed=seed)
+    assert qb.Q.shape[1] == 12
+    assert np.linalg.norm(A - qb.approximation()) <= 1e-12 * np.linalg.norm(A)
+    Q, B = _qb2_explicit(A, 30, 10, seed, 1e-9)
+    assert np.linalg.norm(qb.approximation() - Q @ B) <= 1e-12 * np.linalg.norm(A)
+    f = lr.svd1(A, 10, tol=1e-9, seed=seed)
+    assert np.allclose(f.sigma, np.logspace(0, -6, 12)[:10], rtol=1e-8, atol=0)
 
 
 @pytest.mark.parametrize("sig", [np.ones(12), np.logspace(0, -3, 12)],
@@ -592,6 +627,16 @@ def test_drivers_put_a_on_the_right_of_every_product(A, driver):
     full = [side for side, shape in CountingMatrix.sides
             if shape in (A.shape, A.shape[::-1])]
     assert full and set(full) == {"right"}, CountingMatrix.sides
+
+
+def test_qb2_makes_two_products_with_a_per_block():
+    # B_i rides on block i+1's first product with A^T and block i+1's start
+    # on block i's product with A: 4 blocks take 10 products, not 16
+    A = np.ascontiguousarray(_RECT).view(CountingMatrix)
+    CountingMatrix.count = 0
+    qb = lr.qb2(A, 12, block_size=3, seed=80)
+    assert qb.Q.shape[1] == 12
+    assert CountingMatrix.count <= 2 * 4 + 2
 
 
 # ---------------------------------------------------------------------------
