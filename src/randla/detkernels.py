@@ -3,7 +3,8 @@
 Dense factorizations go through this one seam.  QR, QR with column
 pivoting, SVD, Hermitian eigendecomposition, Cholesky, triangular solves
 and the inverse of a triangular factor run on numpy's LAPACK or on numpy
-alone, the same BLAS runtime as every matrix product in the library, so a
+alone (CholeskyQR2, below, is numpy's BLAS and LAPACK on small factors),
+the same BLAS runtime as every matrix product in the library, so a
 driver's loop does not hand work back and forth between numpy's and
 scipy's BLAS thread pools.  Such a hand-off was measured to stall: with
 ``qrcp`` on scipy's ``geqp3``, a 100 x 100 ``triu_inv`` right after it
@@ -46,14 +47,33 @@ numpy has neither a pivoted QR nor a triangular solve:
   ``chol_qr``'s reconstruction error rose from 1.4e-16 to 2.2e-15 at cond
   1e7; its orthogonality, governed by cond^2, did not change.
 
+Tall blocks, and wide ones transposed, that are well conditioned skip
+LAPACK's Householder QR and SVD: ``svd``, ``qr_q``, ``norm2`` and ``pinv``
+first try CholeskyQR2 (``_cholqr2``), two passes of a Gram product, its
+Cholesky factor and one GEMM with the factor's inverse, and ``svd`` then
+takes U = Q W from the SVD of the small R.  LAPACK factors such blocks
+slowly: on a 2-core Xeon with OpenBLAS at 2 threads, ``np.linalg.svd``
+and ``np.linalg.qr`` each take about 22 ms at 4000 x 55, and the
+CholeskyQR2 path 6 ms.  Its Q is
+orthonormal to O(u) and Y - Q R = O(u) ||Y|| whenever
+8 kappa(Y) sqrt((m n + n (n + 1)) u) <= 1 (Yamamoto, Nakatsukasa,
+Yanagisawa and Fukaya, ETNA 44, 2015), kappa at most about 2.5e4 at
+4000 x 55; the path checks that bound on the singular values of the
+computed R.  A block past the bound, a rank-deficient one (a Cholesky
+fails), a square one and non-finite data run the LAPACK call itself, so
+those results are bitwise as before: among them the cond-1e6 sketches of
+``make_precond_svd`` in ``sps2`` and ``approx_leverage``.  ``qr_econ``,
+``qr_r``, ``qrcp`` and ``make_precond_qr`` stay on Householder QR.
+
 ``chol`` names a failing pivot with numpy alone, by bisecting for the
 first leading principal block that numpy rejects.
 
 Like scipy, the seam rejects infs and NaNs with
 ``ValueError("array must not contain infs or NaNs")``; ``chol`` instead
 raises ``CholeskyError`` at the first pivot that is not a positive finite
-number.  The iterative methods (LSQR, PCG, Lanczos tridiagonalization) are
-implemented here directly.
+number, and ``qr_q``, ``norm2`` and ``pinv`` hand them to the numpy call
+they fall back to, as their callers did before.  The iterative methods
+(LSQR, PCG, Lanczos tridiagonalization) are implemented here directly.
 """
 
 from __future__ import annotations
@@ -261,10 +281,97 @@ def triu_inv(R):
     return np.linalg.inv(R)
 
 
+def _cholqr2(Y):
+    """CholeskyQR2 of a tall Y: (Q, W, sigma, Zt) with Y = Q R, Q
+    column-orthonormal and R = W diag(sigma) Zt the SVD of the n-by-n R,
+    or None where the factorization cannot be trusted.
+
+    Two Cholesky QR passes: R_1 is the Cholesky factor of the Gram Y^T Y
+    and Q_1 = Y R_1^{-1}, then the same again on Q_1, and R = R_2 R_1.
+    Yamamoto, Nakatsukasa, Yanagisawa and Fukaya (ETNA 44, 2015) show that
+    Q is orthonormal to O(u) and Y - Q R = O(u) ||Y|| whenever
+    8 kappa(Y) sqrt((m n + n (n + 1)) u) <= 1, for u the unit roundoff.
+    None is returned when a Cholesky fails (Y rank-deficient, or not
+    finite) or when kappa breaks that bound: early, when the diagonal of
+    R_1 already shows it (max |r_ii| / min |r_ii| is a lower bound on
+    kappa), else from sigma, the singular values of the computed R."""
+    m, n = Y.shape
+    scale = 8.0 * math.sqrt((m * n + n * (n + 1)) * np.finfo(float).eps / 2)
+    R1 = _upper_chol(Y.T @ Y)
+    if R1 is None:
+        return None
+    d = np.abs(R1.diagonal())
+    if d.max() * scale > d.min():
+        return None
+    Q = Y @ triu_inv(R1)
+    R2 = _upper_chol(Q.T @ Q)
+    if R2 is None:
+        return None
+    W, s, Zt = np.linalg.svd(R2 @ R1)
+    if not s[0] * scale <= s[-1]:
+        return None
+    return Q @ triu_inv(R2), W, s, Zt
+
+
+def _cholqr2_svd(A):
+    """(U, sigma, V) from ``_cholqr2`` of Y = A for a tall A, or Y = A^T
+    for a wide one: with Y = Q W diag(sigma) Z^T, U = Q W and V = Z (U = Z
+    and V = Q W for a wide A).  None for a square or empty A, where the SVD
+    of R would cost what the SVD of A does, and wherever ``_cholqr2`` turns
+    Y down."""
+    m, n = A.shape
+    if m == n or A.size == 0:
+        return None
+    fast = _cholqr2(A if m > n else A.T)
+    if fast is None:
+        return None
+    Q, W, s, Zt = fast
+    return (Q @ W, s, Zt.T) if m > n else (Zt.T, s, Q @ W)
+
+
 def svd(A):
-    """Compact SVD: U, sigma (nonincreasing), V with A = U diag(sigma) V^T."""
-    U, s, Vt = np.linalg.svd(_finite(A), full_matrices=False)
+    """Compact SVD: U, sigma (nonincreasing), V with A = U diag(sigma) V^T.
+
+    A tall input (a wide one transposed) within CholeskyQR2's bound is
+    factored as Q R with ``_cholqr2``, and U = Q W comes from the SVD
+    R = W diag(sigma) Z^T of the small R.  Square inputs, and inputs that
+    ``_cholqr2`` turns down, go to LAPACK's ``gesdd``."""
+    A = _finite(A)
+    fast = _cholqr2_svd(A)
+    if fast is not None:
+        return fast
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return U, s, Vt.T
+
+
+def qr_q(A):
+    """A column-orthonormal Q with A = Q R for an upper-triangular R: from
+    ``_cholqr2`` for a tall A within its bound (R's diagonal is then
+    positive), else the Householder Q of ``np.linalg.qr``."""
+    A = np.asarray(A, dtype=float)
+    fast = _cholqr2(A) if A.shape[0] > A.shape[1] > 0 else None
+    return np.linalg.qr(A)[0] if fast is None else fast[0]
+
+
+def norm2(A):
+    """The spectral norm ||A||_2: sigma_1 from ``_cholqr2`` for a tall or
+    wide A within its bound, else ``np.linalg.norm(A, 2)``."""
+    A = np.asarray(A, dtype=float)
+    fast = _cholqr2_svd(A)
+    return np.linalg.norm(A, 2) if fast is None else fast[1][0]
+
+
+def pinv(A):
+    """The pseudoinverse A^+ = V diag(1/sigma) U^T: from ``_cholqr2`` for a
+    tall or wide A within its bound, else ``np.linalg.pinv``.  Within the
+    bound sigma_n > 1e-7 sigma_1, so no singular value falls below pinv's
+    cutoff, 1e-15 sigma_1, and the two keep the same ones."""
+    A = np.asarray(A, dtype=float)
+    fast = _cholqr2_svd(A)
+    if fast is None:
+        return np.linalg.pinv(A)
+    U, s, V = fast
+    return (V / s) @ U.T
 
 
 def eigh(A):

@@ -23,7 +23,12 @@ _EPS = np.finfo(float).eps
 
 
 def orth(Y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for range(Y), dropping numerically null directions."""
+    """Orthonormal basis for range(Y), dropping numerically null directions.
+
+    The left singular vectors from ``dk.svd`` above its rank rule: for a
+    well-conditioned tall or wide Y they come from CholeskyQR2 and the SVD
+    of its small R, and such a Y keeps every column; otherwise from
+    LAPACK's SVD."""
     Y = np.asarray(Y, dtype=float)
     if Y.size == 0:
         return np.zeros((Y.shape[0], 0))
@@ -132,8 +137,10 @@ def tsog1(A, k: int, p: int = 2, q: int = 1, seed=0) -> np.ndarray:
     power method.
 
     Makes exactly p products with A or A^T; a stabilizing orthogonalization
-    runs after every q products.  p = 0 returns an oblivious operator
-    without touching A.  Odd p starts from an m-by-k operator hit by A^T.
+    (``dk.qr_q``: CholeskyQR2 for a well-conditioned block, else
+    Householder QR) runs after every q products.  p = 0 returns an
+    oblivious operator without touching A.  Odd p starts from an m-by-k
+    operator hit by A^T.
     The oblivious start is a Gaussian test matrix, the transpose of a wide
     dense sample; a ``_Deflated`` operator may hold it already (qb2 draws
     it one block early).
@@ -150,7 +157,7 @@ def tsog1(A, k: int, p: int = 2, q: int = 1, seed=0) -> np.ndarray:
         # the products alternate and the last one is with A^T
         S = _times(A, S, adjoint=(p - done) % 2 == 0)
         if done % q == 0:
-            S = np.linalg.qr(S)[0]
+            S = dk.qr_q(S)
     return S
 
 
@@ -236,7 +243,8 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     whose row of B_i is at rounding level, max(m, n) eps ||A||_F or less,
     is rounding noise of A - Q B: it is dropped and no further block is
     drawn.  ``block_size`` defaults to min(k, m, n) when ``tol <= 0`` (one
-    block, as qb1) and to min(k, 10) otherwise.
+    block, as qb1) and to min(k, 10) otherwise; no block is wider than the
+    min(k, m, n) - (columns held) left of the rank budget.
 
     Products with A carry riders.  B_i is made one block late, inside
     block i+1's first product with A^T, and its tests run there; if they
@@ -264,10 +272,8 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     anorm2 = anorm ** 2
     threshold2 = (max(tol, 0.0) ** 2) * anorm2
     noise = max(m, n) * np.finfo(float).eps * anorm
-    # a block that starts below rank_cap may pass it by rounding-noise
-    # directions, which settle drops: room for one block more
-    Q = np.empty((m, min(k, rank_cap + block_size)))
-    B = np.empty((Q.shape[1], n))
+    Q = np.empty((m, rank_cap))
+    B = np.empty((rank_cap, n))
     # Q[:, :rows] have their rows of B; Q[:, rows:cols] wait for theirs
     rows = cols = 0
     squared_error = anorm2
@@ -287,10 +293,10 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
 
     ahead = None
     for block in range(rank_cap):
-        w = min(block_size, k - cols)
+        w = min(block_size, rank_cap - cols)
         tail = None
         if p and p % 2 == 0 and cols + w < rank_cap:
-            tail = _gaussian_start(min(block_size, k - cols - w), n,
+            tail = _gaussian_start(min(block_size, rank_cap - cols - w), n,
                                    seed.substream(block + 1))
         op = _Deflated(
             A, Q[:, :cols],
@@ -410,7 +416,7 @@ def evd2(A, k: int, s: int = 5, seed=0, power_passes: int = 2) -> EVDFactors:
         raise ValueError("need 1 <= k and k + s <= n")
     S = tsog1(A, k + s, p=power_passes, seed=seed)
     Y = _times(A, S)
-    ynorm = np.linalg.norm(Y, 2) if Y.size else 0.0
+    ynorm = dk.norm2(Y) if Y.size else 0.0
     if ynorm == 0.0:
         return EVDFactors(np.zeros((n, 0)), np.zeros(0))
     nu = np.sqrt(n) * _EPS * ynorm
@@ -516,14 +522,14 @@ def curd1(A, k: int, s: int = 5, seed=0, power_passes: int = 2) -> CURFactors:
         J = cid.skeleton
         _, I = dk.qrcp(A[:, J].T)
         I = I[: J.size].copy()
-        U = cid.M @ np.linalg.pinv(A[I, :])
+        U = cid.M @ dk.pinv(A[I, :])
     else:
         rid = osid1(A, k, s=s, axis="row", seed=seed,
                     power_passes=power_passes)
         I = rid.skeleton
         _, J = dk.qrcp(A[I, :])
         J = J[: I.size].copy()
-        U = np.linalg.pinv(A[:, J]) @ rid.M
+        U = dk.pinv(A[:, J]) @ rid.M
     return CURFactors(J, U, I)
 
 

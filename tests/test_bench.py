@@ -44,6 +44,21 @@ def test_increasing_spectra_are_sorted_for_eckart_young(spectrum):
         assert rows[0]["err_over_opt"] >= 1.0 - 1e-12, (driver, rows[0])
 
 
+@pytest.mark.parametrize("driver, params", [
+    ("svd1", {"k": 3, "tol": 1e-3}), ("qb2", {"k": 8, "block_size": 8}),
+    ("qb2", {"k": 8, "tol": 1e-3})], ids=json.dumps)
+def test_small_matrix_blocks_run_within_the_rank_budget(driver, params):
+    # blocks wider than n = 5 used to ask for a Gaussian wider than the
+    # matrix and fail every trial
+    cfg = ExperimentConfig.from_dict({
+        "driver": driver, "matrix": {"m": 20, "n": 5}, "params": params,
+        "trials": 2})
+    rows, summary = bench.run_experiment(cfg)
+    assert summary["failed"] == 0
+    if driver == "qb2":
+        assert all(r["rank"] <= 5 for r in rows)
+
+
 def test_incoherent_matrix_has_flat_leverage():
     hits = 0
     for seed in range(20):

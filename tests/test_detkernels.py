@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from randla import detkernels as dk, leastsq as ls
+from randla import detkernels as dk, leastsq as ls, lowrank
 
 
 def make_conditioned(m, n, cond, seed=0):
@@ -246,7 +246,7 @@ def test_factorizations_stay_on_numpy_lapack(monkeypatch):
     # numpy's and scipy's LAPACK link separate BLAS builds with separate
     # thread pools; a driver's loop should use one.  Only eigh_tridiagonal
     # may use scipy.
-    from randla import errorest, fullrank, lowrank, trace
+    from randla import errorest, fullrank, trace
 
     def forbidden(name):
         def call(*args, **kwargs):
@@ -282,6 +282,100 @@ def test_factorizations_stay_on_numpy_lapack(monkeypatch):
     _, A_sk, _ = ls.sketch_and_solve_ols(A, b, 60, seed=9)
     trace.hutch_pp(G, 60, 30, seed=10)
     errorest.bootstrap_svd(A_sk, 3, B=5, seed=11)
+
+
+# ---------------------------------------------------------------------------
+# CholeskyQR2 path
+# ---------------------------------------------------------------------------
+
+CHOLQR2_SHAPES = [(4000, 55), (2000, 100), (1200, 100), (200, 50), (4000, 10)]
+
+
+def cholqr2_bound(m, n):
+    """The largest kappa within Yamamoto et al.'s CholeskyQR2 condition,
+    8 kappa sqrt((m n + n (n + 1)) u) <= 1."""
+    return 1.0 / (8.0 * np.sqrt((m * n + n * (n + 1)) * np.finfo(float).eps / 2))
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.95])
+@pytest.mark.parametrize("shape", CHOLQR2_SHAPES, ids=str)
+def test_cholqr2_within_the_bound_is_orthonormal_and_backward_stable(
+        shape, fraction):
+    for seed in range(3):
+        Y = make_conditioned(*shape, fraction * cholqr2_bound(*shape), seed=seed)
+        fast = dk._cholqr2(Y)
+        assert fast is not None
+        Q, W, s, Zt = fast
+        assert np.abs(Q.T @ Q - np.eye(shape[1])).max() <= 4e-15
+        assert (np.linalg.norm(Y - Q @ ((W * s) @ Zt))
+                <= 4e-15 * np.linalg.norm(Y))
+        U, sig, V = dk.svd(Y)
+        assert np.abs(U.T @ U - np.eye(shape[1])).max() <= 4e-15
+        assert np.linalg.norm(Y - (U * sig) @ V.T) <= 4e-15 * np.linalg.norm(Y)
+        Ut, sig_t, Vt = dk.svd(Y.T)
+        assert np.array_equal(sig_t, sig)
+        assert np.linalg.norm(Y.T - (Ut * sig_t) @ Vt.T) <= 4e-15 * np.linalg.norm(Y)
+        Qs = dk.qr_q(Y)
+        assert np.abs(Qs.T @ Qs - np.eye(shape[1])).max() <= 4e-15
+        assert np.all(np.diag(Qs.T @ Y) > 0)  # R's diagonal is positive
+        ref = np.linalg.svd(Y, compute_uv=False)
+        assert np.abs(sig - ref).max() <= 4e-15 * ref[0]
+        assert abs(dk.norm2(Y) - ref[0]) <= 4e-15 * ref[0]
+        # a pseudoinverse is as accurate as kappa u allows
+        P_ref = np.linalg.pinv(Y)
+        tol = 1e-14 * (ref[0] / ref[-1]) * np.linalg.norm(P_ref)
+        assert np.linalg.norm(dk.pinv(Y) - P_ref) <= tol
+        assert np.linalg.norm(dk.pinv(Y.T) - P_ref.T) <= tol
+
+
+def _rank_deficient(m, n, seed=0):
+    r = np.random.default_rng(seed)
+    return r.standard_normal((m, n - 5)) @ r.standard_normal((n - 5, n))
+
+
+@pytest.mark.parametrize("cond", ["2x bound", 1e8, 1e12, "rank-deficient"])
+@pytest.mark.parametrize("shape", CHOLQR2_SHAPES, ids=str)
+def test_cholqr2_outside_the_bound_falls_back_to_lapack_bitwise(shape, cond):
+    if cond == "rank-deficient":
+        Y = _rank_deficient(*shape)
+    else:
+        kappa = 2 * cholqr2_bound(*shape) if cond == "2x bound" else cond
+        Y = make_conditioned(*shape, kappa, seed=1)
+    assert dk._cholqr2(Y) is None
+    for A in (Y, Y.T):
+        U, s, V = dk.svd(A)
+        U_ref, s_ref, Vt_ref = np.linalg.svd(A, full_matrices=False)
+        assert np.array_equal(U, U_ref) and np.array_equal(s, s_ref)
+        assert np.array_equal(V, Vt_ref.T)
+        assert dk.norm2(A) == np.linalg.norm(A, 2)
+        assert np.array_equal(dk.pinv(A), np.linalg.pinv(A))
+    assert np.array_equal(dk.qr_q(Y), np.linalg.qr(Y)[0])
+
+
+@pytest.mark.parametrize("shape", [(4000, 55), (200, 50), (80, 20)], ids=str)
+def test_orth_keeps_the_rank_of_a_rank_deficient_input(shape):
+    Y = _rank_deficient(*shape, seed=2)
+    Q = lowrank.orth(Y)
+    assert Q.shape == (shape[0], shape[1] - 5)
+    assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-14
+    assert np.linalg.norm(Y - Q @ (Q.T @ Y)) <= 1e-13 * np.linalg.norm(Y)
+
+
+def test_nonfinite_tall_input_raises_before_cholqr2():
+    Y = make_conditioned(200, 50, 10.0)
+    Y[3, 7] = np.nan
+    for call in (dk.svd, lowrank.orth):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            call(Y)
+
+
+def test_precond_svd_of_an_ill_conditioned_sketch_is_lapack_bitwise():
+    # cond 1e6 is far past the bound at 1200 x 100 (about 3e4), so the SVD
+    # preconditioner is built from LAPACK's factors, bitwise
+    A_sk = make_conditioned(1200, 100, 1e6, seed=5)
+    U, s, Vt = np.linalg.svd(A_sk, full_matrices=False)
+    P = ls.make_precond_svd(A_sk)
+    assert np.array_equal(P.M, Vt.T / s) and np.array_equal(P.aug_left, U)
 
 
 def test_linear_operator_adjoint_consistency():

@@ -263,6 +263,24 @@ def test_qb2_block_past_the_rank_budget_drops_its_noise(seed):
     assert np.allclose(f.sigma, np.logspace(0, -6, 12)[:10], rtol=1e-8, atol=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda A: lr.svd1(A, 3, tol=1e-3),
+    lambda A: lr.qb2(A, 8, tol=1e-3),
+    lambda A: lr.qb2(A, 8, block_size=8)], ids=["svd1", "qb2_tol", "qb2_block"])
+def test_blocks_wider_than_the_matrix_are_capped_by_the_rank_budget(call):
+    # 20 x 5: blocks of min(k, 10) or 8 columns are wider than n = 5; each
+    # block is capped at what is left of min(k, m, n)
+    A = np.random.default_rng(81).standard_normal((20, 5))
+    out = call(A)
+    if isinstance(out, lr.SVDFactors):
+        assert out.sigma.shape == (3,)
+        assert np.allclose(out.sigma, np.linalg.svd(A, compute_uv=False)[:3],
+                           rtol=1e-12, atol=0)
+    else:
+        assert out.Q.shape == (20, 5)
+        assert np.linalg.norm(A - out.approximation()) <= 1e-13 * np.linalg.norm(A)
+
+
 @pytest.mark.parametrize("sig", [np.ones(12), np.logspace(0, -3, 12)],
                          ids=["flat", "decaying"])
 @pytest.mark.parametrize("block_size", [None, 4, 10])
