@@ -613,8 +613,14 @@ def _apply_block(A, W, square: bool = True):
 # ---------------------------------------------------------------------------
 
 # memory budget of one start group's Lanczos basis during full
-# reorthogonalization (see lanczos_tridiag)
+# reorthogonalization: a Gram-Schmidt pass reads a group's basis twice, for
+# Q w and then for Q^T (Q w), and it stays in cache between the two reads
+# (see lanczos_tridiag)
 _CGS_GROUP_BYTES = 2 ** 20
+
+# a start's Gram-Schmidt pass runs again when it left less than eta = 1/sqrt(2)
+# of the norm it was given ("twice is enough"); compared squared
+_ETA_SQUARED = 0.5
 
 
 def lanczos_tridiag(apply_B, v0, s: int, return_basis: bool = False):
@@ -624,8 +630,13 @@ def lanczos_tridiag(apply_B, v0, s: int, return_basis: bool = False):
     Returns the tridiagonal coefficients (alpha, beta) of the Jacobi matrix;
     beta has one fewer entry.  Terminates early (shorter output) when an
     off-diagonal drops below 1e-12 times the running norm estimate.  Every
-    step is fully reorthogonalized: re-projected against the whole basis by
-    classical Gram-Schmidt applied twice (CGS2).  With ``return_basis`` the
+    step is fully reorthogonalized: the residual w of the three-term
+    recurrence is re-projected against the whole basis by classical
+    Gram-Schmidt, and a second pass runs only when the first cancelled,
+    leaving ||w|| below 1/sqrt(2) of its norm before the pass (the criterion
+    of Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976; two passes
+    give a basis orthonormal to rounding level, Giraud, Langou and
+    Rozloznik, Comput. Math. Appl. 50, 2005).  With ``return_basis`` the
     Lanczos vectors are returned as a third output, one per column.
 
     A block v0 runs the k recurrences in lockstep with one product B(V) on
@@ -638,11 +649,13 @@ def lanczos_tridiag(apply_B, v0, s: int, return_basis: bool = False):
     returns 1-D coefficients and an (n, steps) basis.
 
     The reorthogonalization keeps k * s * n floats of basis (about 24 MB
-    at n = 2000, s = 30, k = 50).  It runs both Gram-Schmidt passes on one
-    group of max(1, 2**20 // (8 s n)) starts before it moves to the next,
-    so a group's basis (at most 1 MiB) stays in cache between the passes.
-    Each start is projected on its own basis alone, so the coefficients are
-    bitwise those of one batched product over all k starts.
+    at n = 2000, s = 30, k = 50).  The first pass runs on one group of
+    max(1, 2**20 // (8 s n)) starts before it moves to the next, so a
+    group's basis (at most 1 MiB) stays in cache between the pass's two
+    reads of it; a second pass runs one start at a time.  Each start is
+    projected on its own basis alone, and decides on its own second pass,
+    so the coefficients are bitwise those of one batched product over all
+    k starts.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.ndim not in (1, 2):
@@ -654,18 +667,19 @@ def lanczos_tridiag(apply_B, v0, s: int, return_basis: bool = False):
         raise ValueError("need at least one Lanczos step")
     k, n = V.shape
     B = _as_apply(apply_B)
+    # W is updated in place, so it is a copy of the operator's output
     if v0.ndim == 1:
         def product(V):
-            return np.asarray(B(V[0]), dtype=float).reshape(1, n)
+            return np.array(B(V[0]), dtype=float).reshape(1, n)
     else:
         def product(V):
-            return np.ascontiguousarray(_apply_block(B, V.T).T)
+            return np.array(_apply_block(B, V.T).T, order="C")
 
     alphas = np.full((s, k), np.nan)
     betas = np.full((s - 1, k), np.nan)
     basis = np.zeros((k, s, n))
     basis[:, 0] = V
-    # starts per CGS2 group: a group's basis fits in _CGS_GROUP_BYTES
+    # starts per CGS group: a group's basis fits in _CGS_GROUP_BYTES
     group = max(1, _CGS_GROUP_BYTES // (8 * s * n))
     active = np.ones(k, dtype=bool)
     V_prev = np.zeros_like(V)
@@ -675,12 +689,6 @@ def lanczos_tridiag(apply_B, v0, s: int, return_basis: bool = False):
     for j in range(s):
         W = product(V)
         alpha = np.einsum("ij,ij->i", V, W)
-        W = W - alpha[:, None] * V - beta_prev[:, None] * V_prev
-        for a in range(0, k, group):
-            Q, Wg = basis[a:a + group, :j + 1], W[a:a + group]
-            for _ in range(2):
-                Wg -= np.matmul(Q.transpose(0, 2, 1),
-                                np.matmul(Q, Wg[:, :, None]))[:, :, 0]
         if not np.all(np.isfinite(alpha[active])):
             raise ValueError("Lanczos coefficient is not finite; the operator "
                              "returned non-finite values")
@@ -689,15 +697,23 @@ def lanczos_tridiag(apply_B, v0, s: int, return_basis: bool = False):
         steps = j + 1
         if j == s - 1:
             break
+        W -= alpha[:, None] * V
+        W -= beta_prev[:, None] * V_prev
+        before = np.einsum("ij,ij->i", W, W)
+        for a in range(0, k, group):
+            _project(basis[a:a + group, :j + 1], W[a:a + group])
+        again = np.einsum("ij,ij->i", W, W) < _ETA_SQUARED * before
+        for a in np.flatnonzero(again):
+            _project(basis[a:a + 1, :j + 1], W[a:a + 1])
         beta = np.linalg.norm(W, axis=1)
         active &= ~(beta <= 1e-12 * np.maximum(norm_est, 1e-300))
         if not active.any():
             break
         betas[j, active] = beta[active]
         beta_prev = np.where(active, beta, 0.0)
-        V_prev = V
-        V = np.zeros_like(W)
-        V[active] = W[active] / beta[active, None]
+        W /= np.where(active, beta, 1.0)[:, None]
+        W[~active] = 0.0
+        V_prev, V = V, W
         basis[:, j + 1] = V
     alphas, betas = alphas[:steps], betas[:steps - 1]
     if v0.ndim == 1:
@@ -706,6 +722,12 @@ def lanczos_tridiag(apply_B, v0, s: int, return_basis: bool = False):
         return alphas, betas
     basis = basis[:, :steps].transpose(2, 1, 0)
     return alphas, betas, basis[:, :, 0] if v0.ndim == 1 else basis
+
+
+def _project(Q, W):
+    """One classical Gram-Schmidt pass, in place: each row of W less its
+    projection on the rows of its own basis in Q (g, j, n)."""
+    W -= np.matmul(Q.transpose(0, 2, 1), np.matmul(Q, W[:, :, None]))[:, :, 0]
 
 
 def lanczos_basis(apply_B, v0, s: int):

@@ -239,12 +239,15 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     Block i runs the rangefinder (key ``seed.substream(i)``) on the
     deflated (I - Q Q^T) A, reorthogonalizes against Q and appends
     B_i = Q_i^T A, until the tracked error ||A||_F^2 - sum ||B_i||_F^2 drops
-    to tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  A direction of Q_i
-    whose row of B_i is at rounding level, max(m, n) eps ||A||_F or less,
-    is rounding noise of A - Q B: it is dropped and no further block is
-    drawn.  ``block_size`` defaults to min(k, m, n) when ``tol <= 0`` (one
-    block, as qb1) and to min(k, 10) otherwise; no block is wider than the
-    min(k, m, n) - (columns held) left of the rank budget.
+    to tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  At tol <= 0 the
+    tracked error is not tested: below about sqrt(eps) ||A||_F it is a
+    difference that cancels, and it can reach 0 while A - Q B is still far
+    above rounding level.  A direction of Q_i whose row of B_i is at
+    rounding level, max(m, n) eps ||A||_F or less, is rounding noise of
+    A - Q B: it is dropped and no further block is drawn.  ``block_size``
+    defaults to min(k, m, n) when ``tol <= 0`` (one block, as qb1) and to
+    min(k, 10) otherwise; no block is wider than the min(k, m, n) -
+    (columns held) left of the rank budget.
 
     Products with A carry riders.  B_i is made one block late, inside
     block i+1's first product with A^T, and its tests run there; if they
@@ -270,7 +273,7 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
 
     anorm = np.linalg.norm(A, "fro")
     anorm2 = anorm ** 2
-    threshold2 = (max(tol, 0.0) ** 2) * anorm2
+    threshold2 = tol ** 2 * anorm2
     noise = max(m, n) * np.finfo(float).eps * anorm
     Q = np.empty((m, rank_cap))
     B = np.empty((rank_cap, n))
@@ -288,8 +291,8 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         B[rows:kept] = Bi[signal]
         squared_error -= np.linalg.norm(B[rows:kept], "fro") ** 2
         rows = cols = kept
-        return (not signal.all() or squared_error <= threshold2
-                or cols >= rank_cap)
+        return (not signal.all() or cols >= rank_cap
+                or tol > 0 and squared_error <= threshold2)
 
     ahead = None
     for block in range(rank_cap):

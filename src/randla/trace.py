@@ -172,11 +172,13 @@ def lanczos_quadrature(apply_B, probe, steps: int) -> QuadratureRule:
 
 
 def _padded(B, U, live: int):
-    """B on (n, live) blocks, applied as one product on the full-width block
-    U whose first ``live`` columns are replaced by the input; the other
-    columns of the output are dropped."""
+    """B on (n, live) blocks, applied as one product on a full-width block
+    that holds the input in its first ``live`` columns and U's other
+    columns after them; the other columns of the output are dropped.  One
+    copy of U is made, and each product writes only its live columns."""
+    X = U.copy()
+
     def apply(V):
-        X = U.copy()
         X[:, :live] = V
         return dk._apply_block(B, X)[:, :live]
     return apply
@@ -188,13 +190,14 @@ def slq(apply_B, n: int, f, m: int, s: int, seed=0) -> TraceEstimate:
     Each Rademacher probe's quadratic form w^T f(B) w is approximated by an
     s-node Gaussian quadrature of its spectral measure (exact for
     polynomials of degree <= 2s - 1), from s steps of fully
-    reorthogonalized Lanczos (``dk.lanczos_tridiag``).  The live probes of
+    reorthogonalized Lanczos (``dk.lanczos_tridiag``: one Gram-Schmidt pass
+    per step, and a second where the first cancels).  The live probes of
     one 64-wide block run their Lanczos recurrences in lockstep, and
-    ``apply_B`` receives (n, 64) blocks.  In a partial last block only the live probes run a recurrence:
-    each product input holds the padding probes' unit start vectors in
-    their columns, and those output columns are dropped.  So a product
-    column must not depend on the values in the other columns.  A
-    non-finite f value surfaces the offending node.
+    ``apply_B`` receives (n, 64) blocks.  In a partial last block only the
+    live probes run a recurrence: each product input holds the padding
+    probes' unit start vectors in their columns, and those output columns
+    are dropped.  So a product column must not depend on the values in the
+    other columns.  A non-finite f value surfaces the offending node.
     """
     if m < 1 or s < 1:
         raise ValueError("need m >= 1 probes and s >= 1 Lanczos steps")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from randla import detkernels as dk, leastsq as ls, lowrank
+from randla import detkernels as dk, leastsq as ls, lowrank, trace
+from randla.rng import RngKey
 
 
 def make_conditioned(m, n, cond, seed=0):
@@ -615,31 +616,51 @@ def test_lanczos_lockstep_stops_when_all_columns_break_down():
     assert np.array_equal(basis[:, 0, :], np.eye(6)[:, :3])
 
 
-def _batched_cgs2_lanczos(B, V0, s):
-    """Lockstep Lanczos whose two CGS passes are each one batched product
-    over all starts; the input must not break down."""
+def _batched_lanczos(B, V0, s, second_pass="cancelled"):
+    """Lockstep Lanczos whose Gram-Schmidt passes are each one batched
+    product over all starts; the input must not break down.  The second
+    pass runs for the starts whose first left less than half the squared
+    norm (``"cancelled"``, the rule of dk.lanczos_tridiag), for every start
+    (``"always"``) or for none (``"never"``).  Returns alpha, beta and the
+    (k, s, n) basis."""
+    apply_B = dk._as_apply(B)
     V = V0.T.copy()
     k, n = V.shape
     basis = np.zeros((k, s, n))
     basis[:, 0] = V
     V_prev, beta_prev = np.zeros_like(V), np.zeros(k)
     alphas, betas = [], []
+
+    def project(Q, W):
+        return W - np.matmul(Q.transpose(0, 2, 1),
+                             np.matmul(Q, W[:, :, None]))[:, :, 0]
+
     for j in range(s):
-        W = np.ascontiguousarray((B @ V.T).T)
+        W = np.ascontiguousarray(apply_B(V.T).T)
         alpha = np.einsum("ij,ij->i", V, W)
-        W = W - alpha[:, None] * V - beta_prev[:, None] * V_prev
-        Q = basis[:, :j + 1]
-        for _ in range(2):
-            W -= np.matmul(Q.transpose(0, 2, 1),
-                           np.matmul(Q, W[:, :, None]))[:, :, 0]
         alphas.append(alpha)
         if j == s - 1:
             break
+        W = W - alpha[:, None] * V - beta_prev[:, None] * V_prev
+        Q = basis[:, :j + 1]
+        before = np.einsum("ij,ij->i", W, W)
+        W = project(Q, W)
+        again = {"always": np.ones(k, dtype=bool),
+                 "never": np.zeros(k, dtype=bool),
+                 "cancelled": np.einsum("ij,ij->i", W, W) < 0.5 * before,
+                 }[second_pass]
+        W[again] = project(Q[again], W[again])
         beta_prev = np.linalg.norm(W, axis=1)
         betas.append(beta_prev)
         V_prev, V = V, W / beta_prev[:, None]
         basis[:, j + 1] = V
-    return np.array(alphas), np.array(betas)
+    return np.array(alphas), np.array(betas), basis
+
+
+def _max_orthogonality_loss(basis):
+    """max |V^T V - I| over the starts of a (k, s, n) basis."""
+    s = basis.shape[1]
+    return max(np.abs(Q @ Q.T - np.eye(s)).max() for Q in basis)
 
 
 def test_lanczos_block_basis_is_orthonormal_per_column():
@@ -661,9 +682,59 @@ def test_lanczos_block_basis_is_orthonormal_per_column():
         for j in range(k):
             gram = basis[:, :, j].T @ basis[:, :, j]
             assert np.abs(gram - np.eye(s)).max() <= 1e-10
-    ref_alpha, ref_beta = _batched_cgs2_lanczos(B, V0, s)
+    ref_alpha, ref_beta, _ = _batched_lanczos(B, V0, s)
     assert np.array_equal(alpha, ref_alpha)
     assert np.array_equal(beta, ref_beta)
+
+
+def test_lanczos_second_pass_runs_where_the_first_cancels():
+    # B = diag(d), applied as (d + c) V - c V with c = 1e15 on the first
+    # three coordinates: each product carries rounding errors of about
+    # 0.1 |V| inside the invariant subspace span(e1, e2, e3).  The starts
+    # lie within 1e-9 of it, so after three steps the recurrence nearly
+    # breaks down, and the errors make up almost all of its residual w:
+    # the first Gram-Schmidt pass cancels, and one pass leaves a basis
+    # that is far from orthonormal.
+    r = np.random.default_rng(15)
+    n, s, k = 12, 8, 4
+    d = np.concatenate([[1.0, 2.0, 3.0], np.linspace(1.5, 2.5, n - 3)])
+    c = np.zeros(n)
+    c[:3] = 1e15
+    d, c = d[:, None], c[:, None]
+
+    def B(V):
+        return (d + c) * V - c * V
+
+    V0 = np.zeros((n, k))
+    V0[:3] = r.standard_normal((3, k))
+    V0[3:] = 1e-9 * r.standard_normal((n - 3, k))
+    V0 /= np.linalg.norm(V0, axis=0)
+    alpha, beta, basis = dk.lanczos_tridiag(B, V0, s, return_basis=True)
+    assert basis.shape == (n, s, k)
+    assert _max_orthogonality_loss(basis.transpose(2, 1, 0)) <= 1e-12
+    ref_alpha, ref_beta, _ = _batched_lanczos(B, V0, s)
+    assert np.array_equal(alpha, ref_alpha)
+    assert np.array_equal(beta, ref_beta)
+    _, _, once = _batched_lanczos(B, V0, s, second_pass="never")
+    assert _max_orthogonality_loss(once) >= 1e-10
+
+
+def test_slq_samples_match_two_pass_reorthogonalization():
+    # one pass where the first does not cancel moves slq's samples at
+    # rounding level only
+    r = np.random.default_rng(16)
+    n, m, s = 300, 40, 30
+    Q = np.linalg.qr(r.standard_normal((n, n)))[0]
+    B = (Q / np.arange(1.0, n + 1)) @ Q.T
+    key = RngKey(7)
+    est = trace.slq(B, n, np.log1p, m, s, seed=key)
+    W = trace._probes("rademacher", key, 0, m, n)
+    pnorm = trace._column_norms(W)
+    alpha, beta, _ = _batched_lanczos(B, W / pnorm, s, second_pass="always")
+    ref = [trace._quadrature_rule(alpha[:, j], beta[:, j], pnorm[j])
+           for j in range(m)]
+    ref = np.array([rule.weights @ np.log1p(rule.nodes) for rule in ref])
+    assert np.abs(est.samples - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_lanczos_vector_start_calls_operator_with_vectors():

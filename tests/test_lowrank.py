@@ -296,6 +296,18 @@ def test_qb2_appends_no_rounding_noise_past_the_rank(sig, block_size):
                 <= 1e-13 * np.linalg.norm(A))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_qb2_at_tol_zero_does_not_stop_on_the_cancelling_tracked_error(seed):
+    # sigma down to 1e-12: once the residual falls below sqrt(eps) ||A||_F,
+    # ||A||_F^2 - sum ||B_i||_F^2 cancels and can reach 0 with sigma_18 of A
+    # still left; at tol 0 only the rank budget and the noise rows stop
+    A, _, _ = factored(25, 30, np.logspace(0, -12, 25))
+    qb = lr.qb2(A, 25, block_size=1, power_passes=4, seed=seed)
+    assert qb.Q.shape[1] == 25
+    assert (np.linalg.norm(A - qb.approximation())
+            <= 1e-14 * np.linalg.norm(A))
+
+
 def test_qb2_tracked_error_matches_direct_after_many_blocks():
     A, _, _ = factored(120, 80, np.arange(1, 81.0) ** -1.0, seed=78)
     anorm = np.linalg.norm(A)
