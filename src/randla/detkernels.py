@@ -68,6 +68,14 @@ those results are bitwise as before: among them the cond-1e6 sketches of
 ``chol`` names a failing pivot with numpy alone, by bisecting for the
 first leading principal block that numpy rejects.
 
+Products of the full tall input A with a small dense factor go through
+``times``, which puts A on the right of the GEMM: the products with A in
+``lowrank``, ``chol_qr``'s Q = A R^{-1}, the preconditioned panels of
+``rand_chol_qr`` and ``sap_chol_qrcp``, and ``approx_leverage``'s
+A V_1 Sigma_1^{-1} S_2.  Their results are column-major.
+LSQR's products are matrix-vector products, not GEMMs: ``spo1`` and
+``sps2`` run them on ``column_major``'s copy of A.
+
 Like scipy, the seam rejects infs and NaNs with
 ``ValueError("array must not contain infs or NaNs")``; ``chol`` instead
 raises ``CholeskyError`` at the first pivot that is not a positive finite
@@ -416,6 +424,55 @@ def _qr_rank_deficient(R) -> bool:
         return True
     tol = R.shape[1] * np.finfo(float).eps * max(diag.max(), 1e-300)
     return bool(diag.min() <= tol)
+
+
+# ---------------------------------------------------------------------------
+# products with the full input A
+# ---------------------------------------------------------------------------
+
+# rows per panel of column_major's blocked transpose
+_TRANSPOSE_PANEL = 256
+
+
+def times(A, X, adjoint: bool = False) -> np.ndarray:
+    """A @ X (A^T @ X when ``adjoint``) for the full input A and a small
+    dense X, computed as (X^T A^T)^T (as (X^T A)^T) so that A is the
+    right-hand operand of the GEMM.  The result is column-major.
+
+    OpenBLAS streams a large right-hand operand faster: at 4000 x 2000 with
+    k = 10 and 2 threads, A @ X takes 8.3 ms this way against 11.2 ms, and
+    A^T @ Y 6.9 ms against 18.4 ms.  On a tall A with an n-by-n X (medians
+    of 7, 2 threads) A @ X takes 34 ms against 43 ms at 100000 x 100, and
+    155 ms against 193 ms at 50000 x 400.  At those sizes the result is
+    bitwise the plain product (the Q and R of ``rand_chol_qr`` and
+    ``sap_chol_qrcp`` on the benchmark's 100000 x 100 input did not move);
+    at small sizes the two can differ in the last bits, as accumulation
+    order inside a product is the backend's business.
+    """
+    return (X.T @ A).T if adjoint else (X.T @ A.T).T
+
+
+def column_major(A) -> np.ndarray:
+    """A column-major copy of the 2-D array A, or A itself when it is
+    already F-contiguous.
+
+    The copy is a blocked transpose: panels of 256 rows are written, each
+    transposed, into an n-by-m C-ordered array, whose transpose is returned.
+    It is for LSQR, whose two products per iteration are GEMVs.  OpenBLAS
+    runs both at memory speed on a column-major A and not on a C-ordered
+    one: at 100000 x 100 with 2 threads (medians of 15), A (M v) takes 2.9
+    against 3.8 ms and M^T (A^T u) 2.5 against 5.4 ms.  The copy takes
+    30 ms there (``np.asfortranarray`` 64 ms) and repays itself after
+    about 8 iterations; at 50000 x 400 it takes 101 ms and needs about 23
+    (README has the table).
+    """
+    if A.flags.f_contiguous:
+        return A
+    m, n = A.shape
+    out = np.empty((n, m), dtype=A.dtype)
+    for i in range(0, m, _TRANSPOSE_PANEL):
+        out[:, i:i + _TRANSPOSE_PANEL] = A[i:i + _TRANSPOSE_PANEL].T
+    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,12 @@ def chol_qr(A):
 
     Only safe when cond(A) is comfortably below 1/sqrt(eps); a Gram matrix
     that is not numerically positive definite raises CholeskyError with the
-    failing pivot.
+    failing pivot.  Q is made with A on the right of the GEMM
+    (``dk.times``), so it is column-major.
     """
     A = np.asarray(A, dtype=float)
     R = dk.chol(A.T @ A)
-    return A @ dk.triu_inv(R), R
+    return dk.times(A, dk.triu_inv(R)), R
 
 
 def _sketch(A, d: int | None, seed, op_family: str) -> np.ndarray:
@@ -64,7 +65,8 @@ def rand_chol_qr(A, d: int | None = None, seed=0,
     |R_ii| of the sketch's triangular factor is at or below
     n * eps * max |R_ii|.  That test does not reveal rank: an exactly
     rank-deficient A can pass it on some keys.  Use sap_chol_qrcp to find
-    the rank.
+    the rank.  Both products with A put A on the right of the GEMM
+    (``dk.times``); Q is column-major.
     """
     A = np.asarray(A, dtype=float)
     R_sk = dk.qr_r(_sketch(A, d, seed, op_family))
@@ -73,7 +75,7 @@ def rand_chol_qr(A, d: int | None = None, seed=0,
             "sketch lost rank; the matrix looks rank-deficient "
             "(use sap_chol_qrcp)"
         )
-    Q, R_pre = chol_qr(A @ dk.triu_inv(R_sk))
+    Q, R_pre = chol_qr(dk.times(A, dk.triu_inv(R_sk)))
     return Q, R_pre @ R_sk
 
 
@@ -88,6 +90,8 @@ def sap_chol_qrcp(A, d: int | None = None, seed=0,
     well-conditioned whenever the sketch preserves rank, regardless of
     cond(A), so the Cholesky step is safe; if the rank was over-estimated
     the Cholesky failure reduces k to the failing pivot and retries.
+    Both products with A put A on the right of the GEMM (``dk.times``); Q
+    is column-major.
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
@@ -100,7 +104,7 @@ def sap_chol_qrcp(A, d: int | None = None, seed=0,
         M = np.zeros((n, k))
         M[J[:k]] = dk.triu_inv(R_sk[:k, :k])
         try:
-            Q, R_pre = chol_qr(A @ M)
+            Q, R_pre = chol_qr(dk.times(A, M))
             break
         except dk.CholeskyError as err:
             # sketch rank was over-estimated; retry below the failing pivot

@@ -96,6 +96,7 @@ def _lsqr_restarted(op: LinearOperator, rhs: np.ndarray, tol: float,
     total = rep.iterations
     history = list(rep.residual_history)
     converged = rep.converged
+    norm_est = rep.op_norm_est
     if 0 < total < maxit and tol > 0:
         r_true = rhs - op.apply(z)
         floor = 100 * np.finfo(float).eps * (
@@ -106,15 +107,17 @@ def _lsqr_restarted(op: LinearOperator, rhs: np.ndarray, tol: float,
             total += rep2.iterations
             history.extend(rep2.residual_history)
             converged = converged and rep2.converged
-    return z, IterativeReport(total, converged, history)
+            norm_est = max(norm_est, rep2.op_norm_est)
+    return z, IterativeReport(total, converged, history, norm_est)
 
 
 def _solve_preconditioned(A, b, P: Preconditioner, b_sk, tol, maxit):
     """LSQR on [A; sqrt(mu) I] M against the right-hand side b, warm-started
     at the sketched solution aug_left^T b_sk; returns (M z, report).
 
-    For mu > 0, b and b_sk carry the n trailing entries of the identity
-    block, which is applied implicitly.
+    A is the column-major copy of the input (``dk.column_major``).  For
+    mu > 0, b and b_sk carry the n trailing entries of the identity block,
+    which is applied implicitly.
     """
     m = A.shape[0]
     M, root_mu = P.M, np.sqrt(P.mu_used)
@@ -161,6 +164,10 @@ def spo1(A, b, tol: float = 1e-12, maxit: int = 100,
     sketched space, and runs LSQR on A R^{-1} warm-started at the presolve.
     A numerically singular R falls back to the SVD preconditioner of the
     same sketch (pseudoinverse semantics, as ``sps2`` with mu = 0).
+    LSQR runs on a column-major copy of A, made after the sketch
+    (``dk.column_major``), so the solve holds one extra m-by-n array
+    unless A is already Fortran-ordered, and x does not depend on A's
+    layout.
 
     Returns (x, IterativeReport).
     """
@@ -174,7 +181,8 @@ def spo1(A, b, tol: float = 1e-12, maxit: int = 100,
     d = _sketch_dim(n, m, sampling_factor)
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
     P = _precond_qr_or_svd(S.apply(A))
-    return _solve_preconditioned(A, b, P, S.apply(b), tol, maxit)
+    return _solve_preconditioned(dk.column_major(A), b, P, S.apply(b), tol,
+                                 maxit)
 
 
 def sps2(problem: SaddleProblem, tol: float = 1e-12, maxit: int = 100,
@@ -188,12 +196,17 @@ def sps2(problem: SaddleProblem, tol: float = 1e-12, maxit: int = 100,
     the linear term vanishes, presolves, and runs LSQR on [A; sqrt(mu) I] M.
     For mu = 0 with c outside the row space, c is implicitly projected onto
     it (the canonical limiting solution is unchanged by that projection).
+    LSQR and y = b - A x use a column-major copy of A, made after the
+    sketch (``dk.column_major``), so the solve holds one extra m-by-n array
+    unless A is already Fortran-ordered, and x and y do not depend on A's
+    layout.
     """
     A, b, c, mu = problem.A, problem.b, problem.c, problem.mu
     m, n = A.shape
     d = _sketch_dim(n, m, sampling_factor)
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
     P = make_precond_svd(S.apply(A), mu)
+    A = dk.column_major(A)
 
     b_mod = np.concatenate([b, np.zeros(n)]) if mu > 0 else b
     if np.any(c):

@@ -81,7 +81,7 @@ def approx_leverage(A, d1: int, d2: int, seed=0, s2=None) -> LeverageScores:
         s2 = g.reshape((n, d2), order="F") / np.sqrt(d2)
     else:
         s2 = np.asarray(s2, dtype=float)
-    T = A @ (M @ s2[:r, :])  # second and last access to A
+    T = dk.times(A, M @ s2[:r, :])  # second and last access to A
     return LeverageScores(np.einsum("ij,ij->i", T, T), "standard")
 
 

@@ -112,18 +112,11 @@ class CURFactors:
 
 def _times(A, X, adjoint: bool = False) -> np.ndarray:
     """A @ X (A^T @ X when ``adjoint``) for the full input A and a skinny
-    block X, computed as (X^T A^T)^T (as (X^T A)^T) so that A is the
-    right-hand operand of the GEMM.  A ``_Deflated`` operator applies itself.
-
-    OpenBLAS streams a large right-hand operand faster: at 4000 x 2000 with
-    k = 10 and 2 threads, A @ X takes 8.3 ms this way against 11.2 ms, and
-    A^T @ Y 6.9 ms against 18.4 ms.  At that size the result is bitwise the
-    plain product; at small sizes the two can differ in the last bits, as
-    accumulation order inside a product is the backend's business.
-    """
+    block X, with A on the right of the GEMM (``dk.times``).  A
+    ``_Deflated`` operator applies itself."""
     if isinstance(A, _Deflated):
         return A.apply(X, adjoint)
-    return (X.T @ A).T if adjoint else (X.T @ A.T).T
+    return dk.times(A, X, adjoint)
 
 
 def _gaussian_start(k: int, dim: int, seed) -> np.ndarray:

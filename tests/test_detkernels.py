@@ -389,6 +389,17 @@ def test_linear_operator_adjoint_consistency():
         assert abs(op.apply(v) @ w - v @ op.apply_adjoint(w)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [255, 256, 700])
+def test_column_major_copies_c_ordered_and_passes_fortran_through(m):
+    A = np.random.default_rng(5).standard_normal((m, 7))
+    F = dk.column_major(A)
+    assert F.flags.f_contiguous and F is not A
+    assert np.array_equal(F, A)
+    assert dk.column_major(F) is F
+    strided = A[::2, 1:]
+    assert np.array_equal(dk.column_major(strided), strided)
+
+
 # ---------------------------------------------------------------------------
 # LSQR
 # ---------------------------------------------------------------------------

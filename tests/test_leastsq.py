@@ -168,6 +168,81 @@ def test_spo1_oracle_agreement():
     assert np.linalg.norm(x - x_star) <= 1e-8 * np.linalg.norm(x_star)
 
 
+def test_lsqr_restart_report_keeps_the_larger_norm_estimate(monkeypatch):
+    # the restarted solve reports the larger of its two LSQR runs' operator
+    # norm estimates, not 0
+    A = make_tall(3000, 20, cond=1e10, seed=1)
+    r = np.random.default_rng(2)
+    b = A @ r.standard_normal(20) + r.standard_normal(3000)
+    reports = []
+    lsqr = dk.lsqr
+
+    def recording_lsqr(*args, **kwargs):
+        z, rep = lsqr(*args, **kwargs)
+        reports.append(rep)
+        return z, rep
+
+    monkeypatch.setattr(dk, "lsqr", recording_lsqr)
+    _, rep = ls.spo1(A, b, tol=1e-14, seed=1)
+    assert len(reports) == 2
+    assert rep.op_norm_est == max(r.op_norm_est for r in reports) > 0
+    reports.clear()
+    sol = ls.sps2(ls.SaddleProblem(A, b, None, 1e-3), tol=1e-14, seed=1)
+    assert sol.report.op_norm_est == max(r.op_norm_est for r in reports) > 0
+
+
+@pytest.mark.parametrize("mu, with_c", [(0.0, False), (0.0, True),
+                                        (1e-3, False), (1e-3, True)])
+def test_spo1_and_sps2_do_not_depend_on_the_layout_of_A(mu, with_c):
+    # LSQR runs on a column-major copy of A, so a C-ordered A and its
+    # Fortran-ordered copy give bitwise the same x and y
+    m, n = 3000, 20
+    r = np.random.default_rng(3)
+    A = r.standard_normal((m, n)) * np.logspace(0, -4, n)
+    F = np.asfortranarray(A)
+    b = r.standard_normal(m)
+    c = r.standard_normal(n) if with_c else None
+    if mu == 0 and not with_c:
+        assert np.array_equal(ls.spo1(A, b, seed=4)[0], ls.spo1(F, b, seed=4)[0])
+    sol_c = ls.sps2(ls.SaddleProblem(A, b, c, mu), seed=4)
+    sol_f = ls.sps2(ls.SaddleProblem(F, b, c, mu), seed=4)
+    assert np.array_equal(sol_c.x, sol_f.x)
+    assert np.array_equal(sol_c.y, sol_f.y)
+
+
+def _karlson_walden(A, b, x):
+    """The Karlson-Walden estimate of the least-squares backward error of x,
+    ||(A^T A + t^2 I)^{-1/2} A^T r|| / ||x|| with r = b - A x and
+    t = ||r|| / ||x||, relative to ||A||_2."""
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    r = b - A @ x
+    t2 = (r @ r) / (x @ x)
+    return np.linalg.norm(s / np.sqrt(s ** 2 + t2) * (U.T @ r)) / (
+        np.linalg.norm(x) * s[0])
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e10, 1e13])
+@pytest.mark.parametrize("rho", [1e-6, 1e-2, 1.0])
+def test_spo1_backward_error_within_a_stated_factor_of_householder_qr(cond, rho):
+    # the grid behind "no backward-stability rework": spo1 at tol 1e-14
+    # against Householder QR, Karlson-Walden estimates, residual of norm rho
+    # orthogonal to range(A) next to a unit-norm A x.  Bound 50; the worst
+    # ratio over the nine cells was 13.3 on problem seeds 1-3 (11.2 on this
+    # seed), a headroom of 3.8.
+    m, n = 3000, 40
+    r = np.random.default_rng(1)
+    Q = np.linalg.qr(r.standard_normal((m, n + 1)))[0]
+    V = np.linalg.qr(r.standard_normal((n, n)))[0]
+    A = (Q[:, :n] * np.logspace(0, -np.log10(cond), n)) @ V.T
+    Ax = A @ r.standard_normal(n)
+    b = Ax / np.linalg.norm(Ax) + rho * Q[:, n]
+    x, rep = ls.spo1(A, b, tol=1e-14)
+    Qa, Ra = np.linalg.qr(A)
+    x_qr = np.linalg.solve(Ra, Qa.T @ b)
+    assert rep.converged
+    assert _karlson_walden(A, b, x) <= 50 * _karlson_walden(A, b, x_qr)
+
+
 # ---------------------------------------------------------------------------
 # sps2
 # ---------------------------------------------------------------------------

@@ -115,6 +115,10 @@ def test_approx_leverage_two_accesses(monkeypatch):
             touches["count"] += 1
             return np.asarray(self) @ np.asarray(other)
 
+        def __rmatmul__(self, other):
+            touches["count"] += 1
+            return np.asarray(other) @ np.asarray(self)
+
     A = np.random.default_rng(8).standard_normal((128, 6)).view(Counting)
     lev.approx_leverage(A, 64, 5, seed=9)
     assert touches["count"] == 2
