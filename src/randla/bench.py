@@ -16,10 +16,13 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from typing import Annotated, Literal, get_args, get_origin
+from functools import partial
+from typing import (Annotated, Callable, Literal, NamedTuple, get_args,
+                    get_origin)
 
 import numpy as np
 
+from . import _shapes
 from . import detkernels as dk
 from . import errorest, fullrank, leastsq, leverage, lowrank, sketching, trace
 from . import rng as _rng
@@ -67,38 +70,58 @@ def _coerce(value, kind, where: str, hint=inspect.Parameter.empty):
         raise ConfigError(f"{where}: bad value {value!r} ({err})") from None
 
 
-def _positive(value):
-    if value < 1:
-        raise ValueError("must be at least 1")
+def _check(ok, problem: str):
+    """A check for an ``Annotated`` hint: ValueError(problem) unless
+    ``ok(value)``."""
+    def check(value):
+        if not ok(value):
+            raise ValueError(problem)
+    return check
 
 
+_positive = _check(lambda v: v >= 1, "must be at least 1")
+_nonnegative = _check(lambda v: v >= 0, "must be nonnegative")
 # A count or size param (rank, probes, sketch dimension, ...): a positive int.
 _Count = Annotated[int, _positive]
-
-
-def _above_zero(value):
-    if not value > 0:
-        raise ValueError("must be positive")
-
-
-def _nonnegative(value):
-    if not value >= 0:
-        raise ValueError("must be nonnegative")
-
-
-def _open_unit(value):
-    if not 0 < value < 1:
-        raise ValueError("must lie in (0, 1)")
-
-
 # Zero or more: a tolerance or sps2's mu; a count that may be 0
 # (oversampling, power passes).
 _NonNegative = Annotated[float, _nonnegative]
 _Count0 = Annotated[int, _nonnegative]
 # A sampling factor or nystrom_pcg's mu.
-_Positive = Annotated[float, _above_zero]
+_Positive = Annotated[float, _check(lambda v: v > 0, "must be positive")]
 # A bootstrap's alpha or an embedding's eps: strictly between 0 and 1.
-_Fraction = Annotated[float, _open_unit]
+_Fraction = Annotated[float, _check(lambda v: 0 < v < 1, "must lie in (0, 1)")]
+
+
+class _Shape(NamedTuple):
+    """A library shape check in an adapter's annotation, applied at load as
+    ``check(rows, n, **values)``: the annotated param's value and those of
+    ``also``, by name (none for ``A``), with ``rows`` m or a sketch size
+    checked before; skipped unless the bool param ``when`` is set."""
+
+    check: Callable
+    also: tuple = ()
+    rows: str = "m"
+    when: str | None = None
+
+
+# The matrix spec's shape, on an adapter's ``A``.
+_Tall = Annotated[np.ndarray,
+                  _Shape(partial(_shapes.tall, what="matrix spec"))]
+_Square = Annotated[np.ndarray,
+                    _Shape(partial(_shapes.square, what="matrix spec"))]
+# A sketch size in [n, m] (tall) or at most m (wide); None is min(4n, m),
+# or min(12n, m) where ``fullrank`` resolves it.
+_tall_rows = partial(_shapes.sketch_rows, default=4)
+_wide_rows = partial(_shapes.sketch_rows, default=4, tall=False)
+_TallRows = Annotated[_Count, _Shape(_tall_rows)]
+_WideRows = Annotated[_Count, _Shape(_wide_rows)]
+_QRRows = Annotated[_Count, _Shape(partial(
+    _shapes.sketch_rows, default=leastsq.DEFAULT_SAMPLING_FACTOR))]
+# spo1's and sps2's: the tall sketch size min(ceil(n f), m) in [n, m].
+_Factor = Annotated[_Positive, _Shape(_shapes.sketch_dim)]
+# A rank k that, plus its oversampling, is at most min(m, n).
+_Rank = Annotated[_Count, _Shape(_shapes.rank_fits, ("oversample",))]
 
 
 def _bind(fn, given: dict, what: str) -> dict:
@@ -229,12 +252,6 @@ def _psd_from(A: np.ndarray, spec: MatrixSpec) -> np.ndarray:
     return (V * lam) @ V.T
 
 
-def _sketch_dim(shape, d):
-    """``d``, or min(4n, m) for an m-by-n matrix when it is None."""
-    m, n = shape
-    return min(4 * n, m) if d is None else d
-
-
 def _lowrank_error(A, Ahat, sig, k):
     err = np.linalg.norm(A - Ahat, "fro")
     opt = float(np.sqrt(np.sum(sig[k:] ** 2)))
@@ -247,9 +264,9 @@ def _trace_error(est, truth):
             "rel_err": abs(est.value - truth) / abs(truth)}
 
 
-def _run_spo1(A, spec, key, *, tol: _NonNegative = 1e-11,
+def _run_spo1(A: _Tall, spec, key, *, tol: _NonNegative = 1e-11,
               maxit: _Count = 100,
-              sampling_factor: _Positive = leastsq.DEFAULT_SAMPLING_FACTOR,
+              sampling_factor: _Factor = leastsq.DEFAULT_SAMPLING_FACTOR,
               family: SketchFamily = "saso"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
     x, rep = leastsq.spo1(A, b, tol=tol, maxit=maxit,
@@ -263,9 +280,9 @@ def _run_spo1(A, spec, key, *, tol: _NonNegative = 1e-11,
             "converged": int(rep.converged)}
 
 
-def _run_sps2(A, spec, key, *, mu: _NonNegative = 0.0,
+def _run_sps2(A: _Tall, spec, key, *, mu: _NonNegative = 0.0,
               tol: _NonNegative = 1e-12, maxit: _Count = 200,
-              sampling_factor: _Positive = leastsq.DEFAULT_SAMPLING_FACTOR,
+              sampling_factor: _Factor = leastsq.DEFAULT_SAMPLING_FACTOR,
               family: SketchFamily = "saso"):
     data_key = RngKey(spec.seed)
     b = _lstsq_data(A, data_key.substream(7))
@@ -281,10 +298,10 @@ def _run_sps2(A, spec, key, *, mu: _NonNegative = 0.0,
                                    / np.linalg.norm(rhs))}
 
 
-def _run_sketch_and_solve(A, spec, key, *, d: _Count = None,
+def _run_sketch_and_solve(A: _Tall, spec, key, *, d: _TallRows = None,
                           family: SketchFamily = "gaussian"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
-    d = _sketch_dim(A.shape, d)
+    d = _tall_rows(*A.shape, d=d)
     x, _, _ = leastsq.sketch_and_solve_ols(A, b, d, seed=key, op_family=family)
     x_star = np.linalg.lstsq(A, b, rcond=None)[0]
     num = np.linalg.norm(A @ x - b)
@@ -292,9 +309,12 @@ def _run_sketch_and_solve(A, spec, key, *, d: _Count = None,
     return {"residual_ratio": float(num / den) if den > 0 else np.inf}
 
 
-def _run_nystrom_pcg(A, spec, key, *,
+def _run_nystrom_pcg(A: _Square, spec, key, *,
                      mu: _Positive = 1.0, preconditioned=True,
-                     rank: _Count = 10, oversample: _Count0 = 5,
+                     rank: Annotated[_Count, _Shape(
+                         _shapes.rank_fits, ("oversample",),
+                         when="preconditioned")] = 10,
+                     oversample: _Count0 = 5,
                      tol: _NonNegative = 1e-10, maxit: _Count = 200):
     G = _psd_from(A, spec)
     h = _rng.gaussian_stream(RngKey(spec.seed).substream(9), spec.n)
@@ -309,12 +329,12 @@ def _run_nystrom_pcg(A, spec, key, *,
             "converged": int(rep.converged)}
 
 
-def _run_distortion(A, spec, key, *, d: _Count = None,
+def _run_distortion(A, spec, key, *, d: _WideRows = None,
                     family: SketchFamily = "gaussian"):
     """Effective distortion of an oblivious sketch on range(A), plus the
     condition number of the induced preconditioned matrix."""
-    S = sketching.sample_operator(family, _sketch_dim(A.shape, d), A.shape[0],
-                                  key)
+    S = sketching.sample_operator(family, _wide_rows(*A.shape, d=d),
+                                  A.shape[0], key)
     U = lowrank.orth(A)
     rep = sketching.distortion_diagnostics(S, U)
     P = leastsq.make_precond_svd(S.apply(A), 0.0)
@@ -322,13 +342,16 @@ def _run_distortion(A, spec, key, *, d: _Count = None,
             "cond_am": float(np.linalg.cond(A @ P.M))}
 
 
-def _run_precond_spectrum(A, spec, key, *, d: _Count = None,
+def _run_precond_spectrum(A, spec, key, *, d: _WideRows = None,
                           family: SketchFamily = "gaussian"):
-    """Worst relative deviation between sv(A M) and 1/sv(S U)."""
-    S = sketching.sample_operator(family, _sketch_dim(A.shape, d), A.shape[0],
-                                  key)
+    """Worst relative deviation between sv(A M) and 1/sv(S U); infinite
+    when the sketch loses rank, as ``distortion_diagnostics``' cond."""
+    S = sketching.sample_operator(family, _wide_rows(*A.shape, d=d),
+                                  A.shape[0], key)
     P = leastsq.make_precond_svd(S.apply(A), 0.0)
     U = lowrank.orth(A)
+    if P.rank < U.shape[1]:
+        return {"identity_dev": np.inf}
     sv_am = np.sort(np.linalg.svd(A @ P.M, compute_uv=False))
     sv_su = np.sort(1.0 / np.linalg.svd(S.apply(U), compute_uv=False))
     return {"identity_dev": float(np.abs(sv_am - sv_su).max() / sv_su.max())}
@@ -342,7 +365,7 @@ def _run_row_sample_embedding(
     the exact leverage distribution or the uniform one."""
     m, n = A.shape
     if d is None:
-        d = int(np.ceil(n / eps ** 2 * np.log(n) * 4))
+        d = max(1, int(np.ceil(n / eps ** 2 * np.log(n) * 4)))
     if dist == "leverage":
         probs = leverage.leverage_distribution(leverage.exact_leverage(A)).probs
     else:
@@ -373,7 +396,7 @@ def _run_qb2(A, spec, key, *, k: _Count = 5, tol: _NonNegative = 0.0,
     return out
 
 
-def _run_evd2(A, spec, key, *, k: _Count = 5, oversample: _Count0 = 5,
+def _run_evd2(A: _Square, spec, key, *, k: _Rank = 5, oversample: _Count0 = 5,
               power_passes: _Count0 = 2):
     G = _psd_from(A, spec)
     out = lowrank.evd2(G, k, s=oversample, seed=key, power_passes=power_passes)
@@ -382,7 +405,7 @@ def _run_evd2(A, spec, key, *, k: _Count = 5, oversample: _Count0 = 5,
             "top_eig_rel_err": float(abs(out.lam[0] - lam[0]) / lam[0])}
 
 
-def _run_osid1(A, spec, key, *, k: _Count = 5, oversample: _Count0 = 5,
+def _run_osid1(A, spec, key, *, k: _Rank = 5, oversample: _Count0 = 5,
                power_passes: _Count0 = 2,
                axis: Literal["row", "column"] = "column"):
     oid = lowrank.osid1(A, k, s=oversample, axis=axis, seed=key,
@@ -390,14 +413,14 @@ def _run_osid1(A, spec, key, *, k: _Count = 5, oversample: _Count0 = 5,
     return _lowrank_error(A, oid.approximate(A), spec.singular_values(), k)
 
 
-def _run_curd1(A, spec, key, *, k: _Count = 5, oversample: _Count0 = 5,
+def _run_curd1(A, spec, key, *, k: _Rank = 5, oversample: _Count0 = 5,
                power_passes: _Count0 = 2):
     cur = lowrank.curd1(A, k, s=oversample, seed=key,
                         power_passes=power_passes)
     return _lowrank_error(A, cur.approximate(A), spec.singular_values(), k)
 
 
-def _run_sap_chol_qrcp(A, spec, key, *, d: _Count = None,
+def _run_sap_chol_qrcp(A: _Tall, spec, key, *, d: _QRRows = None,
                        family: SketchFamily = "saso"):
     res = fullrank.sap_chol_qrcp(A, d=d, seed=key, op_family=family)
     recon = np.linalg.norm(A[:, res.J] - res.Q @ res.R) / np.linalg.norm(A)
@@ -405,7 +428,7 @@ def _run_sap_chol_qrcp(A, spec, key, *, d: _Count = None,
     return {"rank": res.rank, "recon": float(recon), "orth_err": float(orth_err)}
 
 
-def _run_rand_chol_qr(A, spec, key, *, d: _Count = None,
+def _run_rand_chol_qr(A: _Tall, spec, key, *, d: _QRRows = None,
                       family: SketchFamily = "saso"):
     Q, R = fullrank.rand_chol_qr(A, d=d, seed=key, op_family=family)
     recon = np.linalg.norm(A - Q @ R) / np.linalg.norm(A)
@@ -414,7 +437,7 @@ def _run_rand_chol_qr(A, spec, key, *, d: _Count = None,
 
 
 def _run_girard_hutchinson(
-        A, spec, key, *, probes: _Count = 50,
+        A: _Square, spec, key, *, probes: _Count = 50,
         dist: Literal[trace.PROBE_DISTRIBUTIONS] = "rademacher"):
     G = _psd_from(A, spec)
     est = trace.girard_hutchinson(G, spec.n, probes, dist, seed=key)
@@ -429,14 +452,14 @@ def _hutch_budget(value):
                          "sketch and A Q, the rest as probes")
 
 
-def _run_hutch_pp(A, spec, key, *,
+def _run_hutch_pp(A: _Square, spec, key, *,
                   budget: Annotated[int, _hutch_budget] = 60):
     G = _psd_from(A, spec)
     return _trace_error(trace.hutch_pp(G, spec.n, budget, seed=key),
                         float(np.trace(G)))
 
 
-def _run_slq(A, spec, key, *,
+def _run_slq(A: _Square, spec, key, *,
              f: Annotated[str, trace.parse_scalar_function] = "identity",
              probes: _Count = 30, steps: _Count = 15):
     G = _psd_from(A, spec)
@@ -451,12 +474,12 @@ def _run_exact_leverage(A, spec, key):
             "coherence": float(spec.m * scores.max())}
 
 
-def _run_approx_leverage(A, spec, key, *, d1: _Count = None,
+def _run_approx_leverage(A: _Tall, spec, key, *, d1: _TallRows = None,
                          d2: _Count = None):
     m, n = A.shape
     if d2 is None:
-        d2 = int(np.ceil(8 * np.log(m)))
-    approx = leverage.approx_leverage(A, _sketch_dim(A.shape, d1), d2,
+        d2 = max(1, int(np.ceil(8 * np.log(m))))
+    approx = leverage.approx_leverage(A, _tall_rows(m, n, d1=d1), d2,
                                       seed=key).scores
     exact = leverage.exact_leverage(A).scores
     mask = exact > 1e-12
@@ -464,20 +487,20 @@ def _run_approx_leverage(A, spec, key, *, d1: _Count = None,
     return {"max_mult_dev": float(dev)}
 
 
-def _run_subspace_leverage(A, spec, key, *, k: _Count = 5,
+def _run_subspace_leverage(A, spec, key, *, k: _Rank = 5,
                            oversample: _Count0 = 5, power_passes: _Count0 = 2):
     scores = leverage.subspace_leverage(A, k, s=oversample, seed=key,
                                         power_passes=power_passes).scores
     return {"sum": float(scores.sum()), "k": k}
 
 
-def _run_bootstrap_ls(A, spec, key, *, d: _Count = None,
+def _run_bootstrap_ls(A: _Tall, spec, key, *, d: _TallRows = None,
                       family: SketchFamily = "gaussian", B: _Count = 100,
                       alpha: _Fraction = 0.1,
                       norm: Literal["l2", "linf"] = "l2"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
     x_hat, A_hat, b_hat = leastsq.sketch_and_solve_ols(
-        A, b, _sketch_dim(A.shape, d), seed=key, op_family=family)
+        A, b, _tall_rows(*A.shape, d=d), seed=key, op_family=family)
     res = errorest.bootstrap_ls(A_hat, b_hat, x_hat, B=B, alpha=alpha,
                                 norm=norm, seed=key.substream(500))
     x_star = np.linalg.lstsq(A, b, rcond=None)[0]
@@ -486,10 +509,12 @@ def _run_bootstrap_ls(A, spec, key, *, d: _Count = None,
             "covered": int(actual <= res.quantile_estimate)}
 
 
-def _run_bootstrap_svd(A, spec, key, *, d: _Count = None, k: _Count = 3,
+def _run_bootstrap_svd(A, spec, key, *, d: _WideRows = None,
+                       k: Annotated[_Count, _Shape(partial(
+                           _shapes.rank_fits, dims="d, n"), rows="d")] = 3,
                        family: SketchFamily = "gaussian", B: _Count = 100,
                        alpha: _Fraction = 0.1):
-    d = _sketch_dim(A.shape, d)
+    d = _wide_rows(*A.shape, d=d)
     S = sketching.sample_operator(family, d, A.shape[0], key)
     A_hat = S.apply(A) / np.sqrt(d)
     q_sig, q_v = errorest.bootstrap_svd(A_hat, k, B=B, alpha=alpha,
@@ -518,74 +543,6 @@ DRIVERS = {name: run for drivers in FAMILIES.values()
            for name, run in drivers.items()}
 
 
-# ---------------------------------------------------------------------------
-# shape rules, checked at load: each takes (m, n, params with their
-# defaults) and returns what is wrong, or None
-# ---------------------------------------------------------------------------
-
-def _square(m, n, p):
-    if m != n:
-        return "needs a square matrix spec (m == n)"
-
-
-def _tall(m, n, p):
-    if m < n:
-        return "needs a tall matrix spec (m >= n)"
-
-
-def _sketch_rows(name, tall=True):
-    """Sketch dimension ``name`` (None: min(4n, m)) in [n, m], or at most m
-    when the sketch need not be tall."""
-    def rule(m, n, p):
-        d = _sketch_dim((m, n), p[name])
-        if tall and not n <= d <= m:
-            return f"param {name!r} = {d} must lie in [n, m] = [{n}, {m}]"
-        if d > m:
-            return f"param {name!r} = {d} must be at most m = {m}"
-    return rule
-
-
-def _rank_in_sketch(m, n, p):
-    top = min(_sketch_dim((m, n), p["d"]), n)
-    if p["k"] > top:
-        return f"param 'k' = {p['k']} must be at most min(d, n) = {top}"
-
-
-def _rank_fits(name):
-    """Rank ``name`` plus its oversampling at most min(m, n)."""
-    def rule(m, n, p):
-        total, top = p[name] + p["oversample"], min(m, n)
-        if total > top:
-            return (f"params {name!r} + 'oversample' = {total} must be at "
-                    f"most min(m, n) = {top}")
-    return rule
-
-
-def _nystrom_rank_fits(m, n, p):
-    if p["preconditioned"]:  # plain CG builds no Nystrom approximation
-        return _rank_fits("rank")(m, n, p)
-
-
-# The drivers that run on ``_psd_from``'s square psd matrix are the ones
-# with ``_square``.
-_SHAPE_RULES = {
-    "spo1": (_tall,), "sps2": (_tall,),
-    "sketch_and_solve": (_tall, _sketch_rows("d")),
-    "bootstrap_ls": (_tall, _sketch_rows("d")),
-    "rand_chol_qr": (_tall, _sketch_rows("d")),
-    "sap_chol_qrcp": (_tall, _sketch_rows("d")),
-    "approx_leverage": (_tall, _sketch_rows("d1")),
-    "distortion": (_sketch_rows("d", tall=False),),
-    "precond_spectrum": (_sketch_rows("d", tall=False),),
-    "bootstrap_svd": (_sketch_rows("d", tall=False), _rank_in_sketch),
-    "nystrom_pcg": (_square, _nystrom_rank_fits),
-    "evd2": (_square, _rank_fits("k")),
-    "girard_hutchinson": (_square,), "hutch_pp": (_square,), "slq": (_square,),
-    "osid1": (_rank_fits("k"),), "curd1": (_rank_fits("k"),),
-    "subspace_leverage": (_rank_fits("k"),),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One driver, its parameters, a matrix spec, and a trial count."""
@@ -598,13 +555,20 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        params = {name: p.default
-                  for name, p in schema(DRIVERS[self.driver]).items()}
-        params.update(self.params)
-        for rule in _SHAPE_RULES.get(self.driver, ()):
-            problem = rule(self.matrix.m, self.matrix.n, params)
-            if problem:
-                raise ConfigError(f"{self.driver} {problem}")
+        """Apply the ``_Shape`` checks in the driver's annotations."""
+        run, n = DRIVERS[self.driver], self.matrix.n
+        given = {k: p.default for k, p in schema(run).items()} | self.params
+        rows = {"m": self.matrix.m}
+        for name, p in inspect.signature(run, eval_str=True).parameters.items():
+            for rule in getattr(p.annotation, "__metadata__", ()):
+                if isinstance(rule, _Shape) and given.get(rule.when, True):
+                    named = {k: given[k] for k in (name, *rule.also)
+                             if k in given}
+                    try:
+                        rows[name] = rule.check(rows[rule.rows], n, **named)
+                    except ValueError as err:
+                        at = f" param {name!r}:" if named else ""
+                        raise ConfigError(f"{self.driver}{at} {err}") from None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

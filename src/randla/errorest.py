@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _shapes
 from . import detkernels as dk
 from . import rng as _rng
 from .rng import as_key
@@ -82,14 +83,13 @@ def bootstrap_ls(A_hat, b_hat, x_hat, B: int = 100, alpha: float = 0.1,
 
     Each replicate resamples the d sketched rows with replacement, solves
     the resampled least squares problem (pseudoinverse semantics if it
-    loses rank), and records the distance to x_hat.
+    loses rank), and records the distance to x_hat.  Needs d >= n.
     """
     A_hat = np.asarray(A_hat, dtype=float)
     b_hat = np.asarray(b_hat, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     d, n = A_hat.shape
-    if d < n:
-        raise ValueError("need d >= n")
+    _shapes.tall(d, n, "sketch")
     _check_args(B, alpha)
     seed = as_key(seed)
     errors = np.empty(B)
@@ -105,14 +105,14 @@ def bootstrap_svd(A_hat, k: int, B: int = 100, alpha: float = 0.1, seed=0):
     Replicates resample rows of the sketch; per replicate the errors are
     the worst singular-value deviation over the top k and the worst
     sign-invariant right-singular-vector distance.  If a resample drops
-    below rank k the missing singular values count as 0.
+    below rank k the missing singular values count as 0.  Needs
+    1 <= k <= min(d, n) for the d-by-n sketch.
 
     Returns (sigma_result, v_result).
     """
     A_hat = np.asarray(A_hat, dtype=float)
     d, n = A_hat.shape
-    if k > min(d, n):
-        raise ValueError("need k <= min(d, n)")
+    _shapes.rank_fits(d, n, "d, n", k=k)
     _check_args(B, alpha)
     seed = as_key(seed)
     _, sig_hat, V_hat = dk.svd(A_hat)

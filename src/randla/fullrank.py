@@ -1,6 +1,7 @@
 """Full-rank QR decompositions of very tall matrices: Cholesky QR,
 sketch-preconditioned Cholesky QR, and pivoted Cholesky QRCP with rank
-deficiency support."""
+deficiency support.  The sketched ones take d in [n, m], min(12n, m) by
+default."""
 
 from __future__ import annotations
 
@@ -8,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _shapes, sketching
 from . import detkernels as dk
-from . import sketching
-from .leastsq import DEFAULT_SAMPLING_FACTOR, _sketch_dim
+from .leastsq import DEFAULT_SAMPLING_FACTOR
 from .rng import as_key
 
 
@@ -48,10 +49,7 @@ def _sketch(A, d: int | None, seed, op_family: str) -> np.ndarray:
     """S A for a d-by-m operator of ``op_family``; d defaults to the
     library's min(12n, m) and must lie in [n, m]."""
     m, n = A.shape
-    if d is None:
-        d = _sketch_dim(n, m, DEFAULT_SAMPLING_FACTOR)
-    if not n <= d <= m:
-        raise ValueError("need n <= d <= m")
+    d = _shapes.sketch_rows(m, n, DEFAULT_SAMPLING_FACTOR, d=d)
     return sketching.sample_operator(op_family, d, m, as_key(seed)).apply(A)
 
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _shapes, lowrank, sketching
 from . import detkernels as dk
-from . import lowrank
-from . import sketching
 from .detkernels import IterativeReport, LinearOperator
 from .rng import as_key
 
@@ -42,8 +41,7 @@ class SaddleProblem:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         m, n = A.shape
-        if m < n:
-            raise ValueError("saddle problems require a tall data matrix (m >= n)")
+        _shapes.tall(m, n)
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
         object.__setattr__(self, "A", A)
@@ -78,10 +76,6 @@ class Preconditioner:
     @property
     def rank(self) -> int:
         return self.M.shape[1]
-
-
-def _sketch_dim(n: int, m: int, sampling_factor: float) -> int:
-    return int(min(int(np.ceil(n * sampling_factor)), m))
 
 
 def _lsqr_restarted(op: LinearOperator, rhs: np.ndarray, tol: float,
@@ -142,13 +136,12 @@ def sketch_and_solve_ols(A, b, d: int, seed=0, op_family: str = "gaussian"):
 
     Returns (x_hat, A_sk, b_sk); the sketched data supports bootstrap error
     estimation downstream.  A rank-deficient sketch falls back to the
-    pseudoinverse (SVD) path.
+    pseudoinverse (SVD) path.  Needs n <= d <= m.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
-    if not n <= d <= m:
-        raise ValueError("need n <= d <= m")
+    _shapes.sketch_rows(m, n, d=d)
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
     A_sk, b_sk = S.apply(A), S.apply(b)
     P = _precond_qr_or_svd(A_sk)
@@ -169,16 +162,15 @@ def spo1(A, b, tol: float = 1e-12, maxit: int = 100,
     unless A is already Fortran-ordered, and x does not depend on A's
     layout.
 
+    Needs d = min(ceil(n * sampling_factor), m) >= n, so m >= n.
     Returns (x, IterativeReport).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
-    if m < n:
-        raise ValueError("spo1 requires m >= n")
+    d = _shapes.sketch_dim(m, n, sampling_factor)
     if not np.any(b):
         return np.zeros(n), IterativeReport(0, True, [])
-    d = _sketch_dim(n, m, sampling_factor)
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
     P = _precond_qr_or_svd(S.apply(A))
     return _solve_preconditioned(dk.column_major(A), b, P, S.apply(b), tol,
@@ -199,11 +191,11 @@ def sps2(problem: SaddleProblem, tol: float = 1e-12, maxit: int = 100,
     LSQR and y = b - A x use a column-major copy of A, made after the
     sketch (``dk.column_major``), so the solve holds one extra m-by-n array
     unless A is already Fortran-ordered, and x and y do not depend on A's
-    layout.
+    layout.  Needs d = min(ceil(n * sampling_factor), m) >= n.
     """
     A, b, c, mu = problem.A, problem.b, problem.c, problem.mu
     m, n = A.shape
-    d = _sketch_dim(n, m, sampling_factor)
+    d = _shapes.sketch_dim(m, n, sampling_factor)
     S = sketching.sample_operator(op_family, d, m, as_key(seed))
     P = make_precond_svd(S.apply(A), mu)
     A = dk.column_major(A)
@@ -228,9 +220,7 @@ def make_precond_qr(A_sk) -> Preconditioner:
     augmented sketch [A_sk; sqrt(mu) I], or ``make_precond_svd(A_sk, mu)``.
     """
     A_sk = np.asarray(A_sk, dtype=float)
-    d, n = A_sk.shape
-    if d < n:
-        raise ValueError("need a tall sketch (d >= n)")
+    _shapes.tall(*A_sk.shape, "sketch")
     Q, R = dk.qr_econ(A_sk)
     if dk._qr_rank_deficient(R):
         raise np.linalg.LinAlgError(
@@ -304,15 +294,15 @@ def nystrom_pcg(G, mu: float, h, rank: int = 10, oversample: int = 5,
     """Nystrom-preconditioned conjugate gradient for (G + mu I) x = h.
 
     Builds a rank-``rank`` Nystrom eigendecomposition of the psd matrix G,
-    preconditions with it, and runs PCG.  Returns (x, IterativeReport).
+    preconditions with it, and runs PCG.  Needs mu > 0 and
+    1 <= rank <= n - oversample.  Returns (x, IterativeReport).
     """
     if mu <= 0:
         raise ValueError("nystrom_pcg requires mu > 0")
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
     n = h.size
-    if rank + oversample > n:
-        raise ValueError("need rank + oversample <= n")
+    _shapes.rank_fits(n, n, rank=rank, oversample=oversample)
     evd = lowrank.evd2(G, rank, s=oversample, seed=seed,
                        power_passes=power_passes)
     apply_pinv = nystrom_precond(evd, mu, n)

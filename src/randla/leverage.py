@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _shapes, leastsq, lowrank
 from . import detkernels as dk
-from . import leastsq, lowrank
 from . import rng as _rng
 from . import sketching
 from .rng import as_key
@@ -60,11 +60,11 @@ def approx_leverage(A, d1: int, d2: int, seed=0, s2=None) -> LeverageScores:
     The documented defaults d1 = 4n, d2 = ceil(8 ln m) target the
     aggressive effective-distortion regime; factor-2 recovery of the
     scores needs roomier sketches (d1 ~ 12n, d2 ~ 4 ln^2 m measured).
+    Needs n <= d1 <= m and d2 >= 1.
     """
     A = np.asanyarray(A, dtype=float)
     m, n = A.shape
-    if not n <= d1 <= m:
-        raise ValueError("need n <= d1 <= m")
+    _shapes.sketch_rows(m, n, d1=d1)
     if d2 < 1:
         raise ValueError("need d2 >= 1")
     seed = as_key(seed)
@@ -88,10 +88,10 @@ def approx_leverage(A, d1: int, d2: int, seed=0, s2=None) -> LeverageScores:
 def subspace_leverage(A, k: int, s: int = 5, seed=0,
                       power_passes: int = 2) -> LeverageScores:
     """Approximate rank-k leverage scores via a rank-(k+s) QB decomposition:
-    squared row norms of Q U_k, U_k the top-k left singular vectors of B."""
+    squared row norms of Q U_k, U_k the top-k left singular vectors of B.
+    Needs 1 <= k <= min(m, n) - s."""
     A = np.asarray(A, dtype=float)
-    if not 1 <= k <= min(A.shape) - s:
-        raise ValueError("need 1 <= k and k + s <= min(A.shape)")
+    _shapes.rank_fits(*A.shape, k=k, s=s)
     qb = lowrank.qb1(A, k + s, seed=seed, power_passes=power_passes)
     U, _, _ = dk.svd(qb.B)
     Uk = qb.Q @ U[:, :k]

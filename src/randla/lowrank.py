@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _shapes, sketching
 from . import detkernels as dk
 from . import rng as _rng
-from . import sketching
 from .rng import as_key
 
 _EPS = np.finfo(float).eps
@@ -402,14 +402,12 @@ def evd2(A, k: int, s: int = 5, seed=0, power_passes: int = 2) -> EVDFactors:
     Shifts by nu = sqrt(n) eps ||Y||_2 for stability, Cholesky-factors the
     core, and removes the shift from the recovered eigenvalues, dropping
     any that do not clear nu.  A Cholesky failure escalates the shift by
-    10x, at most three times.
+    10x, at most three times.  Needs a square A and 1 <= k <= n - s.
     """
     A = np.asanyarray(A, dtype=float)
+    _shapes.square(*A.shape)
     n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("evd2 requires a square psd input")
-    if not 1 <= k <= n - s:
-        raise ValueError("need 1 <= k and k + s <= n")
+    _shapes.rank_fits(n, n, k=k, s=s)
     S = tsog1(A, k + s, p=power_passes, seed=seed)
     Y = _times(A, S)
     ynorm = dk.norm2(Y) if Y.size else 0.0
@@ -453,8 +451,7 @@ def osid_qrcp(Y, k: int, axis: str = "column") -> OneSidedID:
         cid = osid_qrcp(Y.T, k, axis="column")
         return OneSidedID(cid.M.T, cid.skeleton, "row")
     ell, w = Y.shape
-    if not 1 <= k <= min(ell, w):
-        raise ValueError("need 1 <= k <= min(Y.shape)")
+    _shapes.rank_fits(ell, w, k=k)
     R, J = dk.qrcp(Y)
     diag = np.abs(np.diag(R))
     if diag.size and diag[0] > 0:
@@ -487,10 +484,9 @@ def _axis_sketch(A, ell: int, axis: str, seed,
 def osid1(A, k: int, s: int = 5, axis: str = "column", seed=0,
           power_passes: int = 2) -> OneSidedID:
     """Randomized one-sided ID: a full-rank ID of a power-iteration sketch,
-    re-used verbatim for the original matrix."""
+    re-used verbatim for A.  Needs 1 <= k <= min(m, n) - s."""
     A = np.asanyarray(A, dtype=float)
-    if not 1 <= k <= min(A.shape) - s:
-        raise ValueError("need 1 <= k and k + s <= min(A.shape)")
+    _shapes.rank_fits(*A.shape, k=k, s=s)
     Y = _axis_sketch(A, k + s, axis, seed, power_passes)
     return osid_qrcp(Y, k, axis=axis)
 
