@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from unittest import mock
@@ -201,6 +202,41 @@ def test_saso_signs_use_second_half_of_column_counters():
         assert list(S.rows[:, j]) == fisher_yates_oracle(u[:k], d, k)
         expected = np.where(u[k:] < 0.5, -1.0, 1.0) / np.sqrt(k)
         assert np.array_equal(M[S.rows[:, j], j], expected)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (m, d, k, key): the two replay-heavy tall_skinny shapes, the d <= 4k pool
+# path, k = 1, k = d, and a v1 key.  The CSC arrays are hashed as int64
+# values: their index dtype is scipy's choice, not the sampler's.
+SASO_GOLDEN = {
+    (100000, 1200, 8, rng.RngKey(0)): "46826c4447fae6bd",
+    (200000, 600, 8, rng.RngKey(31001, 7)): "492b8495c6c46516",
+    (3000, 20, 8, rng.RngKey(5)): "afaa94b902817195",
+    (5000, 300, 1, rng.RngKey(9, 3)): "644a6f6186f2543a",
+    (1000, 12, 12, rng.RngKey(4)): "4642e9ffc0256a47",
+    (50000, 900, 8, rng.RngKey(2, 11, version=1)): "6edd8437f2fe0a30",
+}
+
+
+@pytest.mark.parametrize("case", SASO_GOLDEN, ids=str)
+def test_saso_sampling_matches_golden_digests(case):
+    m, d, k, key = case
+    S = sk.sample_saso(d, m, k, key)
+    M = S.matrix()
+    assert _digest(S.rows, M.indices.astype(np.int64), M.data,
+                   M.indptr.astype(np.int64)) == SASO_GOLDEN[case]
+
+
+def test_srft_coords_match_golden_digest():
+    S = sk.sample_srft(400, 100000, rng.RngKey(13, 2))
+    assert _digest(S.coords) == "8f1a40c34b1ef41d"
 
 
 def test_saso_apply_draws_no_counters_after_sampling():
