@@ -5,6 +5,12 @@ wrong."""
 
 import math
 
+import numpy as np
+
+# What a row-sampling embedding may hold: its d draws, indices and scales,
+# and the d x vectors sketch of its test vectors with the rows it gathers.
+SAMPLE_BYTES = 2 ** 30
+
 
 def square(m: int, n: int, what: str = "matrix"):
     if m != n:
@@ -48,3 +54,18 @@ def rank_fits(m: int, n: int, dims: str = "m, n", **ranks):
         raise ValueError(f"need {' + '.join(ranks)} <= min({dims}): "
                          f"{' + '.join(map(repr, ranks))} = {total} must be "
                          f"at most min({dims}) = {top}")
+
+
+def sample_rows(m: int, n: int, d=None, eps: float = 0.5,
+                vectors: int = 50) -> int:
+    """The rows of a row-sampling embedding of ``vectors`` test vectors in
+    an m-by-n range at distortion ``eps``: ``d``, or ceil(4 n ln n / eps^2)
+    (at least 1) for None.  The run holds about 8 d (2 vectors + 3) bytes,
+    which must be at most SAMPLE_BYTES."""
+    if d is None:
+        d = max(1, int(np.ceil(n / eps ** 2 * np.log(n) * 4)))
+    need = 8 * d * (2 * vectors + 3)
+    if need > SAMPLE_BYTES:
+        raise ValueError(f"'d' = {d} sampled rows of {vectors} vectors need "
+                         f"about {need:.3g} bytes, more than 2^30")
+    return d

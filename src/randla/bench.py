@@ -269,14 +269,17 @@ def _run_spo1(A: _Tall, spec, key, *, tol: _NonNegative = 1e-11,
               sampling_factor: _Factor = leastsq.DEFAULT_SAMPLING_FACTOR,
               family: SketchFamily = "saso"):
     b = _lstsq_data(A, RngKey(spec.seed).substream(7))
+    """``rel_nres`` is ||A^T r|| / (||A||_2 ||r||), and 0 when r = 0.  On a
+    square spec the planted residual is projected out, so r is rounding
+    noise and ``rel_nres`` measures rounding only."""
     x, rep = leastsq.spo1(A, b, tol=tol, maxit=maxit,
                           sampling_factor=sampling_factor, seed=key,
                           op_family=family)
     r = b - A @ x
+    rnorm = np.linalg.norm(r)
     anorm = np.linalg.norm(A, 2)
-    return {"iters": rep.iterations,
-            "rel_nres": float(np.linalg.norm(A.T @ r)
-                              / (anorm * np.linalg.norm(r))),
+    nres = np.linalg.norm(A.T @ r) / (anorm * rnorm) if rnorm > 0 else 0.0
+    return {"iters": rep.iterations, "rel_nres": float(nres),
             "converged": int(rep.converged)}
 
 
@@ -358,14 +361,15 @@ def _run_precond_spectrum(A, spec, key, *, d: _WideRows = None,
 
 
 def _run_row_sample_embedding(
-        A, spec, key, *, eps: _Fraction = 0.5, d: _Count = None,
+        A, spec, key, *, eps: _Fraction = 0.5,
+        d: Annotated[_Count, _Shape(_shapes.sample_rows,
+                                    ("eps", "vectors"))] = None,
         vectors: _Count = 50,
         dist: Literal["leverage", "uniform"] = "leverage"):
     """Two-sided norm-preservation check for row sampling driven by either
     the exact leverage distribution or the uniform one."""
     m, n = A.shape
-    if d is None:
-        d = max(1, int(np.ceil(n / eps ** 2 * np.log(n) * 4)))
+    d = _shapes.sample_rows(m, n, d=d, eps=eps, vectors=vectors)
     if dist == "leverage":
         probs = leverage.leverage_distribution(leverage.exact_leverage(A)).probs
     else:

@@ -28,6 +28,10 @@ from .rng import RngKey, as_key
 DENSE_FAMILIES = ("gaussian", "rademacher", "uniform", "haar")
 OPERATOR_FAMILIES = DENSE_FAMILIES + ("saso", "srft")
 
+# Uniforms per block of SASO columns: a block's draw (1 MiB) stays in L2
+# while it is transposed into targets and signs.
+_SASO_BLOCK = 1 << 17
+
 
 def _as_2d(A):
     A = np.asarray(A, dtype=float)
@@ -170,41 +174,101 @@ def sample_dense(family: str, d: int, m: int, seed) -> DenseSketchOp:
     return DenseSketchOp(family, d, m, seed, mat)
 
 
+def _swap_targets(u: np.ndarray, n: int) -> np.ndarray:
+    """The C-contiguous (k, m) int64 targets ``r[t, j] = t + floor(u[t, j] *
+    (n - t))`` of the (k, m) uniforms ``u``, in any layout: one pass with
+    rows of m, however ``u`` is strided."""
+    k, m = u.shape
+    steps = np.arange(k)[:, None]
+    r = np.empty((k, m), np.int64)
+    # the cast truncates, which is floor on these nonnegative products
+    np.multiply(u, n - steps, out=r, casting="unsafe")
+    r += steps
+    return r
+
+
+def _first_copies(r: np.ndarray) -> np.ndarray:
+    """For each step t of each column of the (k, c) targets ``r``, the first
+    step of that column with target ``r[t, j]``; t itself when no earlier
+    step has it.
+
+    With at least as many columns as steps, k - 1 comparisons of contiguous
+    row blocks (O(k^2 c) work in O(k) calls).  With fewer, as for the SRFT's
+    one column of d steps, a stable sort of each column, whose cost per
+    column is higher but whose number of calls does not grow with k."""
+    k, c = r.shape
+    steps = np.arange(k)[:, None]
+    if c >= k:
+        first = np.empty_like(r)
+        first[:] = steps
+        for t in range(k - 2, -1, -1):
+            np.copyto(first[t + 1:], t, where=r[t + 1:] == r[t])
+        return first
+    order = np.argsort(r, axis=0, kind="stable")
+    rs = np.take_along_axis(r, order, axis=0)
+    start = np.zeros_like(r)  # sorted position of the first copy
+    start[1:] = np.where(rs[1:] != rs[:-1], steps[1:], 0)
+    np.maximum.accumulate(start, axis=0, out=start)
+    first = np.empty_like(r)
+    np.put_along_axis(first, order, np.take_along_axis(order, start, axis=0),
+                      axis=0)
+    return first
+
+
+def _needs_replay(r: np.ndarray, n: int) -> np.ndarray:
+    """A superset of the columns of the (k, m) targets ``r`` that are not
+    their own answer: every column when n <= 4k; else every column with a
+    repeated target.
+
+    With at least as many columns as steps, the k - 1 pairwise block
+    comparisons run on the targets' low 16 bits, a quarter of the bytes;
+    targets that differ only above them also replay, which is exact, and
+    none do while n <= 2^16."""
+    k, m = r.shape
+    if n <= 4 * k:
+        return np.ones(m, dtype=bool)
+    if m < k:
+        return (_first_copies(r) != np.arange(k)[:, None]).any(axis=0)
+    low = r.astype(np.uint16)
+    hit = np.zeros((k, m), dtype=bool)
+    for t in range(k - 1):
+        hit[t + 1:] |= low[t + 1:] == low[t]
+    return hit.any(axis=0)
+
+
+def _replay(r: np.ndarray, n: int) -> np.ndarray:
+    """Run the shuffle on each column of the (k, c) targets ``r`` and return
+    its first k entries.  For n <= 4k on the whole of range(n); else on 2k
+    slots per column: positions 0..k-1, then slot k + f for the target of
+    step f, where a repeated target takes the slot of its first copy."""
+    k, c = r.shape
+    if n <= 4 * k:
+        pool = np.empty((n, c), dtype=np.int64)
+        pool[:] = np.arange(n)[:, None]
+        return _swap_steps(r, pool)
+    steps = np.arange(k)[:, None]
+    slot = np.where(r < k, r, k + _first_copies(r))
+    pool = np.concatenate([np.broadcast_to(steps, r.shape), r])
+    return _swap_steps(slot, pool)
+
+
 def _fisher_yates(u: np.ndarray, n: int) -> np.ndarray:
     """First k entries of a Fisher-Yates shuffle of range(n), one shuffle per
     column of the (k, m) uniforms ``u``: at step t, column j swaps position t
     with its target ``r[t, j] = t + floor(u[t, j] * (n - t))``.
 
-    A column whose targets are distinct, each either t itself or at least k,
-    never moves an entry twice, so its k entries are its targets; when
-    k^2 << n that is most columns.  Only the other columns are replayed, on
-    2k slots each: positions 0..k-1, then one slot per distinct target >= k.
-    Cost and scratch memory are O(k log k * m) whatever n is, with no Python
-    loop over columns.  For n <= 4k the replay runs every column on the
-    whole of range(n), which is then no larger than the sort's temporaries.
+    No later step touches position t, and step t reads position
+    ``r[t, j] >= t``, which an earlier step wrote only if it had the same
+    target.  So a column whose targets are distinct takes them as its k
+    entries; when k^2 << n that is most columns, and only the others replay
+    the shuffle (see ``_replay``).  Every pass runs over the C-contiguous
+    (k, m) targets a row at a time: O(k^2 m) elementwise work in O(k) numpy
+    calls, and O(k m) scratch memory whatever n is.
     """
-    k, m = u.shape
-    steps = np.arange(k)[:, None]
-    r = (u * (n - steps)).astype(np.int64)
-    r += steps
-    if n <= 4 * k:
-        pool = np.empty((n, m), dtype=np.int64)
-        pool[:] = np.arange(n)[:, None]
-        return _swap_steps(r, pool).copy()  # drop the n-row pool
-    rs = np.sort(r, axis=0)
-    replay = ((r > steps) & (r < k)).any(axis=0) | (rs[1:] == rs[:-1]).any(axis=0)
-    if replay.any():
-        rb = r[:, replay]
-        order = np.argsort(rb, axis=0)
-        rbs = np.take_along_axis(rb, order, axis=0)
-        # a target >= k takes slot k + the sorted position of its first copy
-        first = np.zeros_like(rb)
-        first[1:] = np.where(rbs[1:] != rbs[:-1], steps[1:], 0)
-        np.maximum.accumulate(first, axis=0, out=first)
-        slot = np.empty_like(rb)
-        np.put_along_axis(slot, order, k + first, axis=0)
-        pool = np.concatenate([np.broadcast_to(steps, rb.shape), rbs])
-        r[:, replay] = _swap_steps(np.where(rb < k, rb, slot), pool)
+    r = _swap_targets(u, n)
+    cols = np.flatnonzero(_needs_replay(r, n))
+    if len(cols):
+        r[:, cols] = _replay(r[:, cols], n)
     return r
 
 
@@ -214,12 +278,11 @@ def _swap_steps(slot: np.ndarray, pool: np.ndarray) -> np.ndarray:
     j.  Returns the first k rows."""
     k, c = slot.shape
     flat = pool.reshape(-1)
-    cols = np.arange(c)
+    swap = slot * c + np.arange(c)
     for t in range(k):
-        swap = slot[t] * c + cols
         head = pool[t].copy()
-        pool[t] = flat[swap]
-        flat[swap] = head
+        pool[t] = flat[swap[t]]
+        flat[swap[t]] = head
     return pool[:k]
 
 
@@ -269,22 +332,42 @@ def sample_saso(d: int, m: int, k: int, seed) -> SASO:
     """Sample a wide d-by-m SASO with k nonzeros per column.
 
     Each column's row indices are drawn uniformly without replacement via
-    partial Fisher-Yates, in O(k log k * m) time and O(k * m) memory
-    whatever d is (see ``_fisher_yates``).
+    partial Fisher-Yates (see ``_fisher_yates``).  The 2k x m uniforms are
+    drawn a block of columns at a time, so a block's draw is still in cache
+    while its swap targets are laid out as contiguous rows, tested for
+    collisions and transposed into the CSC ``indices``, and its signs
+    written into the CSC ``data``; the few colliding columns of all blocks
+    are replayed together at the end.  Time is O(k^2 m) elementwise work
+    whatever d is.  Memory is the two (m, k) CSC arrays, one block's
+    scratch and the replayed columns; no 2k x m grid is held.  ``rows`` is
+    a view of the CSC ``indices``.
     """
     seed = as_key(seed)
     if not 1 <= k <= d:
         raise ValueError("need 1 <= k <= d for a wide SASO")
     if d > m:
         raise ValueError("SASOs are wide (d <= m); use .T for the tall dual")
-    u = rng.uniform_grid(seed, 2 * k, m)
-    rows = _fisher_yates(u[:k], d)
-    vals = np.where(u[k:] < 0.5, -1.0, 1.0) / np.sqrt(k)
+    rows = np.empty((m, k), dtype=np.int64)  # column j's indices in row j
+    vals = np.empty((m, k))
+    width = max(1, _SASO_BLOCK // (2 * k))
+    replay = []
+    for j in range(0, m, width):
+        u = rng.uniform_stream(seed.advance(2 * k * j),
+                               2 * k * min(width, m - j)).reshape(-1, 2 * k)
+        r = _swap_targets(u[:, :k].T, d)
+        replay.append(j + np.flatnonzero(_needs_replay(r, d)))
+        rows[j:j + width] = r.T
+        # -1/sqrt(k) where u < 1/2, else +1/sqrt(k)
+        v = vals[j:j + width]
+        np.subtract(u[:, k:], 0.5, out=v)
+        np.copysign(1 / np.sqrt(k), v, out=v)
+    cols = np.concatenate(replay)
+    if len(cols):
+        rows[cols] = _replay(rows[cols].T.copy(), d).T
     indptr = np.arange(0, k * (m + 1), k)
-    mat = sp.csc_array(
-        (vals.ravel(order="F"), rows.ravel(order="F"), indptr), shape=(d, m)
-    )
-    return SASO(d, m, k, seed, rows, mat)
+    mat = sp.csc_array((vals.reshape(-1), rows.reshape(-1), indptr),
+                       shape=(d, m))
+    return SASO(d, m, k, seed, rows.T, mat)
 
 
 @dataclass(frozen=True)

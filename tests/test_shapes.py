@@ -3,6 +3,7 @@ drivers cannot run on, and a config that the harness loads runs without
 a ValueError."""
 
 import json
+import warnings
 from typing import Literal, get_args, get_origin
 
 import numpy as np
@@ -65,6 +66,29 @@ def test_row_sample_embedding_default_d_is_at_least_one():
     rows, _ = bench.run_experiment(ExperimentConfig.from_dict(raw))
     assert [row["embedded"] for row in rows] == [1, 1]
     assert max(row["worst_ratio"] for row in rows) < 1e-12
+
+
+@pytest.mark.parametrize("params", [{"eps": 1e-4}, {"d": 3 * 10**6}])
+def test_row_sample_embedding_rejects_a_sample_too_large_to_hold(tmp_path,
+                                                                  params):
+    # eps = 1e-4 at n = 8 makes the default d about 6.7e9 rows, terabytes
+    # with the 50 test vectors; the config used to load and then run
+    raw = {"driver": "row_sample_embedding", "matrix": {"m": 40, "n": 8},
+           "params": params}
+    with pytest.raises(ConfigError, match=r"param 'd'.*more than 2\^30"):
+        ExperimentConfig.from_dict(raw)
+    assert _run(tmp_path, raw) == 2
+
+
+def test_spo1_rel_nres_is_zero_on_a_zero_residual():
+    # on a 1x1 spec r = 0, and ||A^T r|| / (||A|| ||r||) read 0/0: NaN,
+    # with a RuntimeWarning
+    raw = {"driver": "spo1", "matrix": {"m": 1, "n": 1}, "trials": 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows, summary = bench.run_experiment(ExperimentConfig.from_dict(raw))
+    assert summary["failed"] == 0
+    assert [row["rel_nres"] for row in rows] == [0.0, 0.0]
 
 
 def test_precond_spectrum_reports_inf_when_the_sketch_loses_rank():
