@@ -349,19 +349,19 @@ def sample_saso(d: int, m: int, k: int, seed) -> SASO:
         raise ValueError("SASOs are wide (d <= m); use .T for the tall dual")
     rows = np.empty((m, k), dtype=np.int64)  # column j's indices in row j
     vals = np.empty((m, k))
+    replay = np.empty(m, dtype=bool)
     width = max(1, _SASO_BLOCK // (2 * k))
-    replay = []
     for j in range(0, m, width):
         u = rng.uniform_stream(seed.advance(2 * k * j),
                                2 * k * min(width, m - j)).reshape(-1, 2 * k)
         r = _swap_targets(u[:, :k].T, d)
-        replay.append(j + np.flatnonzero(_needs_replay(r, d)))
+        replay[j:j + width] = _needs_replay(r, d)
         rows[j:j + width] = r.T
         # -1/sqrt(k) where u < 1/2, else +1/sqrt(k)
         v = vals[j:j + width]
         np.subtract(u[:, k:], 0.5, out=v)
         np.copysign(1 / np.sqrt(k), v, out=v)
-    cols = np.concatenate(replay)
+    cols = np.flatnonzero(replay)
     if len(cols):
         rows[cols] = _replay(rows[cols].T.copy(), d).T
     indptr = np.arange(0, k * (m + 1), k)
