@@ -335,9 +335,9 @@ def sample_saso(d: int, m: int, k: int, seed) -> SASO:
     partial Fisher-Yates (see ``_fisher_yates``).  The 2k x m uniforms are
     drawn a block of columns at a time, so a block's draw is still in cache
     while its swap targets are laid out as contiguous rows, tested for
-    collisions and transposed into the CSC ``indices``, and its signs
-    written into the CSC ``data``; the few colliding columns of all blocks
-    are replayed together at the end.  Time is O(k^2 m) elementwise work
+    repeats and transposed into the CSC ``indices``, and its signs written
+    into the CSC ``data``; the few columns with a repeated target, from all
+    blocks, are replayed together at the end.  Time is O(k^2 m) elementwise work
     whatever d is.  Memory is the two (m, k) CSC arrays, one block's
     scratch and the replayed columns; no 2k x m grid is held.  ``rows`` is
     a view of the CSC ``indices``.
@@ -357,9 +357,11 @@ def sample_saso(d: int, m: int, k: int, seed) -> SASO:
         r = _swap_targets(u[:, :k].T, d)
         replay[j:j + width] = _needs_replay(r, d)
         rows[j:j + width] = r.T
-        # -1/sqrt(k) where u < 1/2, else +1/sqrt(k)
+        # -1/sqrt(k) where u < 1/2, else +1/sqrt(k); copied first, as
+        # numpy copies rows of k faster than it computes on them
         v = vals[j:j + width]
-        np.subtract(u[:, k:], 0.5, out=v)
+        v[...] = u[:, k:]
+        v -= 0.5
         np.copysign(1 / np.sqrt(k), v, out=v)
     cols = np.flatnonzero(replay)
     if len(cols):
