@@ -268,10 +268,10 @@ def _run_spo1(A: _Tall, spec, key, *, tol: _NonNegative = 1e-11,
               maxit: _Count = 100,
               sampling_factor: _Factor = leastsq.DEFAULT_SAMPLING_FACTOR,
               family: SketchFamily = "saso"):
-    b = _lstsq_data(A, RngKey(spec.seed).substream(7))
     """``rel_nres`` is ||A^T r|| / (||A||_2 ||r||), and 0 when r = 0.  On a
     square spec the planted residual is projected out, so r is rounding
     noise and ``rel_nres`` measures rounding only."""
+    b = _lstsq_data(A, RngKey(spec.seed).substream(7))
     x, rep = leastsq.spo1(A, b, tol=tol, maxit=maxit,
                           sampling_factor=sampling_factor, seed=key,
                           op_family=family)
