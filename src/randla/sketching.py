@@ -176,8 +176,8 @@ def sample_dense(family: str, d: int, m: int, seed) -> DenseSketchOp:
 
 def _swap_targets(u: np.ndarray, n: int) -> np.ndarray:
     """The C-contiguous (k, m) int64 targets ``r[t, j] = t + floor(u[t, j] *
-    (n - t))`` of the (k, m) uniforms ``u``, in any layout: one pass with
-    rows of m, however ``u`` is strided."""
+    (n - t))`` of the (k, m) uniforms ``u``, in any layout: the multiply
+    runs with rows of m however ``u`` is strided."""
     k, m = u.shape
     steps = np.arange(k)[:, None]
     r = np.empty((k, m), np.int64)
