@@ -104,8 +104,9 @@ def bootstrap_svd(A_hat, k: int, B: int = 100, alpha: float = 0.1, seed=0):
 
     Replicates resample rows of the sketch; per replicate the errors are
     the worst singular-value deviation over the top k and the worst
-    sign-invariant right-singular-vector distance.  If a resample drops
-    below rank k the missing singular values count as 0.  Needs
+    sign-invariant right-singular-vector distance.  A resample is d-by-n,
+    so its SVD has min(d, n) >= k singular values, and one that drops below
+    rank k shows it as singular values at or near 0.  Needs
     1 <= k <= min(d, n) for the d-by-n sketch.
 
     Returns (sigma_result, v_result).
@@ -121,8 +122,6 @@ def bootstrap_svd(A_hat, k: int, B: int = 100, alpha: float = 0.1, seed=0):
     err_v = np.empty(B)
     for ell, idx in enumerate(_resample_indices(seed, B, d)):
         _, sig_rep, V_rep = dk.svd(A_hat[idx])
-        if sig_rep.size < k:
-            sig_rep = np.pad(sig_rep, (0, k - sig_rep.size))
         err_sig[ell] = np.abs(sig_rep[:k] - sig_hat).max()
         err_v[ell] = max(
             sign_invariant_distance(V_rep[:, j], V_hat[:, j]) for j in range(k)

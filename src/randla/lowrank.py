@@ -503,25 +503,21 @@ def rocs1(A, k: int, s: int = 5, axis: str = "column", seed=0,
 
 
 def curd1(A, k: int, s: int = 5, seed=0, power_passes: int = 2) -> CURFactors:
-    """CUR decomposition built from a randomized one-sided ID plus QRCP
-    subset selection on the chosen panel; the linking matrix applies one
-    pseudoinverse and tolerates rank deficiency."""
+    """CUR decomposition built from a randomized column ID plus QRCP
+    subset selection of rows on the chosen panel; the linking matrix
+    applies one pseudoinverse and tolerates rank deficiency.  A wide A
+    gets the CUR of A^T, transposed."""
     A = np.asanyarray(A, dtype=float)
     m, n = A.shape
-    if m >= n:
-        cid = osid1(A, k, s=s, axis="column", seed=seed,
-                    power_passes=power_passes)
-        J = cid.skeleton
-        _, I = dk.qrcp(A[:, J].T)
-        I = I[: J.size].copy()
-        U = cid.M @ dk.pinv(A[I, :])
-    else:
-        rid = osid1(A, k, s=s, axis="row", seed=seed,
-                    power_passes=power_passes)
-        I = rid.skeleton
-        _, J = dk.qrcp(A[I, :])
-        J = J[: I.size].copy()
-        U = dk.pinv(A[:, J]) @ rid.M
+    if m < n:
+        cur = curd1(A.T, k, s=s, seed=seed, power_passes=power_passes)
+        return CURFactors(cur.I, cur.U.T, cur.J)
+    cid = osid1(A, k, s=s, axis="column", seed=seed,
+                power_passes=power_passes)
+    J = cid.skeleton
+    _, I = dk.qrcp(A[:, J].T)
+    I = I[: J.size].copy()
+    U = cid.M @ dk.pinv(A[I, :])
     return CURFactors(J, U, I)
 
 

@@ -41,7 +41,8 @@ def _as_2d(A):
 
 
 class _OperatorBase:
-    """Common apply/transpose plumbing shared by all operator types."""
+    """Common apply/transpose plumbing shared by all operator types.  Dense,
+    SASO and row-sampling operators keep their sampled matrix in ``_mat``."""
 
     def apply(self, A, side: str = "left") -> np.ndarray:
         """Compute S @ A (side='left') or A @ S (side='right')."""
@@ -54,17 +55,17 @@ class _OperatorBase:
             raise ValueError("side must be 'left' or 'right'")
         return out[:, 0] if was_vec and out.ndim == 2 else out
 
+    def matrix(self, dense: bool = False):
+        """The sampled matrix; ``dense=True`` makes a sparse one an ndarray."""
+        if dense and sp.issparse(self._mat):
+            return self._mat.toarray()
+        return self._mat
+
     def _apply_left(self, A):
         return self.matrix() @ A
 
     def _apply_right(self, A):
         return A @ self.matrix()
-
-    def __matmul__(self, A):
-        return self.apply(A, side="left")
-
-    def __rmatmul__(self, A):
-        return self.apply(A, side="right")
 
     @property
     def shape(self):
@@ -105,39 +106,34 @@ class TransposedOp(_OperatorBase):
         return self.base._apply_left(A.T).T
 
 
-def _seed_json(seed: RngKey) -> dict:
-    """A descriptor's record of the stream its operator was drawn from."""
-    return {"key": seed.key, "offset": seed.counter_offset,
-            "version": seed.version}
+class _Described:
+    """An operator with a JSON descriptor: its ``_KIND``, the ``_FIELDS``
+    its sampler takes before the seed, and that seed."""
+
+    def to_json(self) -> str:
+        desc = {"kind": self._KIND}
+        desc.update((name, getattr(self, name)) for name in self._FIELDS)
+        desc["seed"] = {"key": self.seed.key,
+                        "offset": self.seed.counter_offset,
+                        "version": self.seed.version}
+        return json.dumps(desc)
 
 
 @dataclass(frozen=True)
-class DenseSketchOp(_OperatorBase):
+class DenseSketchOp(_Described, _OperatorBase):
     """Wide (d <= m) dense operator with iid entries, or a Haar one with
     orthonormal rows; use ``.T`` for the tall dual.  Entries are unscaled
     (rademacher entries are exactly +-1); drivers apply any 1/sqrt(d)
     normalization themselves.
     """
 
+    _KIND, _FIELDS = "dense", ("family", "d", "m")
+
     family: str
     d: int
     m: int
     seed: RngKey
-    _mat: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def matrix(self) -> np.ndarray:
-        return self._mat
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "dense",
-                "family": self.family,
-                "d": self.d,
-                "m": self.m,
-                "seed": _seed_json(self.seed),
-            }
-        )
+    _mat: np.ndarray = field(repr=False, compare=False)
 
 
 def _entry_grid(family: str, seed: RngKey, d: int, m: int) -> np.ndarray:
@@ -287,7 +283,7 @@ def _swap_steps(slot: np.ndarray, pool: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SASO(_OperatorBase):
+class SASO(_Described, _OperatorBase):
     """Short-axis-sparse operator: every short-axis vector has exactly k
     nonzeros with values +-1/sqrt(k).
 
@@ -302,6 +298,8 @@ class SASO(_OperatorBase):
     propagate to the sketch.
     """
 
+    _KIND, _FIELDS = "saso", ("d", "m", "k")
+
     d: int
     m: int
     k: int
@@ -309,23 +307,9 @@ class SASO(_OperatorBase):
     rows: np.ndarray = field(repr=False, compare=False)  # (k, m) row indices
     _mat: sp.csc_array = field(repr=False, compare=False)
 
-    def matrix(self, dense: bool = False):
-        return self._mat.toarray() if dense else self._mat
-
     def nnz_per_column(self) -> np.ndarray:
         s = np.sort(self.rows, axis=0)
         return 1 + np.count_nonzero(s[1:] != s[:-1], axis=0)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "saso",
-                "d": self.d,
-                "m": self.m,
-                "k": self.k,
-                "seed": _seed_json(self.seed),
-            }
-        )
 
 
 def sample_saso(d: int, m: int, k: int, seed) -> SASO:
@@ -375,29 +359,19 @@ def sample_saso(d: int, m: int, k: int, seed) -> SASO:
 @dataclass(frozen=True)
 class RowSampleOp(_OperatorBase):
     """d-by-m row sampler: row i of the operator is e_{t_i}^T / sqrt(d q_{t_i})
-    with t_i drawn iid from the distribution q."""
+    with t_i drawn iid from the distribution q, kept as CSR.  S A gathers
+    rows of A: a CSR product would turn an entry -0.0 of A into +0.0."""
 
     d: int
     m: int
     probs: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     scales: np.ndarray = field(repr=False)
+    _mat: sp.csr_array = field(repr=False, compare=False)
     seed: RngKey = RngKey(0)
-
-    def matrix(self, dense: bool = False):
-        S = sp.csr_array(
-            (self.scales, self.indices, np.arange(self.d + 1)),
-            shape=(self.d, self.m),
-        )
-        return S.toarray() if dense else S
 
     def _apply_left(self, A):
         return self.scales[:, None] * A[self.indices, :]
-
-    def _apply_right(self, A):
-        out = np.zeros((A.shape[0], self.m))
-        np.add.at(out, (slice(None), self.indices), A * self.scales[None, :])
-        return out
 
 
 def sample_row_sampler(d: int, q, seed) -> RowSampleOp:
@@ -417,7 +391,8 @@ def sample_row_sampler(d: int, q, seed) -> RowSampleOp:
         bad = q[idx] == 0
         idx[bad] = np.argmax(q)
     scales = 1.0 / np.sqrt(d * q[idx])
-    return RowSampleOp(d, m, q, idx, scales, seed)
+    mat = sp.csr_array((scales, idx, np.arange(d + 1)), shape=(d, m))
+    return RowSampleOp(d, m, q, idx, scales, mat, seed)
 
 
 def next_pow_two(m: int) -> int:
@@ -509,7 +484,7 @@ def fwht_adjoint(Y: np.ndarray, signs, rows, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SRFTOp(_OperatorBase):
+class SRFTOp(_Described, _OperatorBase):
     """Subsampled randomized Walsh-Hadamard transform.
 
     Acting on an m-vector x: flip signs, zero-pad to the next power of two
@@ -520,6 +495,8 @@ class SRFTOp(_OperatorBase):
     2*m_pad*f2 + 2*d*m_pad/f2 flops per column, all in BLAS, and about
     (m + m_pad) floats of scratch memory per column.
     """
+
+    _KIND, _FIELDS = "srft", ("d", "m")
 
     d: int
     m: int
@@ -539,16 +516,6 @@ class SRFTOp(_OperatorBase):
     def _apply_right(self, A):
         B = fwht_adjoint(A.T, self.signs, self.coords, self.m_pad)
         return B.T / np.sqrt(self.d)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "srft",
-                "d": self.d,
-                "m": self.m,
-                "seed": _seed_json(self.seed),
-            }
-        )
 
 
 def sample_srft(d: int, m: int, seed) -> SRFTOp:
@@ -626,11 +593,8 @@ def operator_from_json(s: str):
     # descriptors written before stream versions existed drew v1 streams
     seed = RngKey(desc["seed"]["key"], desc["seed"]["offset"],
                   desc["seed"].get("version", 1))
-    kind = desc["kind"]
-    if kind == "dense":
-        return sample_dense(desc["family"], desc["d"], desc["m"], seed)
-    if kind == "saso":
-        return sample_saso(desc["d"], desc["m"], desc["k"], seed)
-    if kind == "srft":
-        return sample_srft(desc["d"], desc["m"], seed)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    for cls, sampler in ((DenseSketchOp, sample_dense), (SASO, sample_saso),
+                         (SRFTOp, sample_srft)):
+        if desc["kind"] == cls._KIND:
+            return sampler(*(desc[name] for name in cls._FIELDS), seed)
+    raise ValueError(f"unknown operator kind {desc['kind']!r}")

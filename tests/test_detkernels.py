@@ -353,6 +353,29 @@ def test_cholqr2_outside_the_bound_falls_back_to_lapack_bitwise(shape, cond):
     assert np.array_equal(dk.qr_q(Y), np.linalg.qr(Y)[0])
 
 
+def test_cholqr2_turns_down_a_failed_second_cholesky_for_lapack_bitwise(
+        monkeypatch):
+    Y = make_conditioned(200, 20, 1e3, seed=4)
+    assert dk._cholqr2(Y) is not None
+    real, calls = dk._upper_chol, []
+
+    def second_fails(G):
+        calls.append(G.shape)
+        return None if len(calls) % 2 == 0 else real(G)
+
+    monkeypatch.setattr(dk, "_upper_chol", second_fails)
+    assert dk._cholqr2(Y) is None
+    U, s, V = dk.svd(Y)
+    U_ref, s_ref, Vt_ref = np.linalg.svd(Y, full_matrices=False)
+    assert np.array_equal(U, U_ref) and np.array_equal(s, s_ref)
+    assert np.array_equal(V, Vt_ref.T)
+    assert np.array_equal(dk.qr_q(Y), np.linalg.qr(Y)[0])
+    assert dk.norm2(Y) == np.linalg.norm(Y, 2)
+    assert np.array_equal(dk.pinv(Y), np.linalg.pinv(Y))
+    # each call reached the second Cholesky, on the 20-by-20 Gram of Q_1
+    assert calls == [(20, 20)] * 10
+
+
 @pytest.mark.parametrize("shape", [(4000, 55), (200, 50), (80, 20)], ids=str)
 def test_orth_keeps_the_rank_of_a_rank_deficient_input(shape):
     Y = _rank_deficient(*shape, seed=2)

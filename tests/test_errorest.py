@@ -54,6 +54,20 @@ def test_bootstrap_svd_identical_rows():
     assert q_v.quantile_estimate <= 1e-8
 
 
+def test_bootstrap_svd_resamples_that_lose_rank_show_a_zero_singular_value():
+    # three orthogonal rows, each twice: a resample that misses one of them
+    # has rank 2 < k, and its third singular value is 0
+    A_hat = np.repeat(np.diag([3.0, 2.0, 1.0, 0.0])[:3], 2, axis=0)
+    sig_hat = np.linalg.svd(A_hat, compute_uv=False)
+    q_sig, q_v = ee.bootstrap_svd(A_hat, 3, B=50, seed=RngKey(5))
+    lost = np.array([np.unique(idx // 2).size < 3 for idx
+                     in ee._resample_indices(RngKey(5), 50, 6)])
+    assert 0 < lost.sum() < 50
+    assert np.all(np.isfinite(q_sig.replicate_errors))
+    assert np.all(np.isfinite(q_v.replicate_errors))
+    assert np.all(q_sig.replicate_errors[lost] >= sig_hat[2] - 1e-12)
+
+
 def test_bootstrap_svd_weyl_bound():
     # any resample's top singular value is bounded by the max row-count
     # inflation, so deviations stay below 2 sigma_hat_1 here

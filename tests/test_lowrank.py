@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randla import lowrank as lr, sketching
+from randla import detkernels as dk, lowrank as lr, sketching
 from randla.rng import RngKey
 
 
@@ -452,6 +452,65 @@ def test_evd2_nystrom_dominance():
         out = lr.evd2(A, 6, s=4, seed=trial, power_passes=1)
         gap = np.linalg.eigvalsh(A - out.approximation()).min()
         assert gap >= -1e-8 * np.linalg.norm(A, 2)
+
+
+def _evd2_cores(A, k, s, seed, tries):
+    """The shifted cores S^T (Y + nu S) that evd2's first ``tries``
+    Cholesky attempts factor: nu, then 10 nu, 100 nu, ..."""
+    S = lr.tsog1(A, k + s, p=2, seed=seed)
+    Y = lr._times(A, S)
+    nu = np.sqrt(A.shape[0]) * lr._EPS * dk.norm2(Y)
+    cores = []
+    for _ in range(tries):
+        cores.append(S.T @ (Y + nu * S))
+        nu *= 10.0
+    return cores
+
+
+def _psd_power_law(n, seed):
+    r = np.random.default_rng(seed)
+    V = np.linalg.qr(r.standard_normal((n, n)))[0]
+    return (V * np.arange(1.0, n + 1) ** -2.0) @ V.T
+
+
+def test_evd2_escalates_the_shift_tenfold_after_a_cholesky_failure(
+        monkeypatch):
+    A = _psd_power_law(60, 44)
+    ref = lr.evd2(A, 6, s=4, seed=45)
+    real, seen = dk.chol, []
+
+    def fails_once(G):
+        seen.append(G)
+        if len(seen) == 1:
+            raise dk.CholeskyError(1)
+        return real(G)
+
+    monkeypatch.setattr(dk, "chol", fails_once)
+    out = lr.evd2(A, 6, s=4, seed=45)
+    assert len(seen) == 2
+    for got, want in zip(seen, _evd2_cores(A, 6, 4, 45, 2)):
+        assert np.array_equal(got, want)
+    # still a valid decomposition: orthonormal V, and the eigenvalues of
+    # the unfailed call up to the larger shift
+    assert np.abs(out.V.T @ out.V - np.eye(6)).max() <= 1e-13
+    assert np.allclose(out.lam, ref.lam, rtol=1e-10)
+    assert np.allclose(out.lam, np.arange(1.0, 7) ** -2.0, rtol=1e-2)
+
+
+def test_evd2_raises_after_four_cholesky_failures(monkeypatch):
+    A = _psd_power_law(60, 46)
+    seen = []
+
+    def always_fails(G):
+        seen.append(G)
+        raise dk.CholeskyError(1)
+
+    monkeypatch.setattr(dk, "chol", always_fails)
+    with pytest.raises(dk.CholeskyError):
+        lr.evd2(A, 6, s=4, seed=47)
+    assert len(seen) == 4
+    for got, want in zip(seen, _evd2_cores(A, 6, 4, 47, 4)):
+        assert np.array_equal(got, want)
 
 
 def test_evd2_eigenvalues_nonnegative():

@@ -287,6 +287,39 @@ def test_row_sampler_frequencies_match_q():
     assert np.all(np.abs(counts - d * q) <= 3 * sigma + 1)
 
 
+def test_row_sampler_never_selects_a_zero_probability_tail():
+    # ten probabilities of 0.1 have a cumulative sum that ends below 1, so
+    # a uniform at or above its last value lands past every q > 0
+    q = np.array([0.1] * 10 + [0.0, 0.0])
+    end = np.cumsum(q)[-1]
+    assert end < 1.0
+    u = np.array([end, np.nextafter(1.0, 0.0), 0.05, end])
+    with mock.patch.object(rng, "uniform_stream", lambda seed, n: u[:n]):
+        R = sk.sample_row_sampler(u.size, q, 0)
+    assert np.all(q[R.indices] > 0)
+    assert R.indices[2] == 0
+    assert np.all(np.isfinite(R.scales))
+
+
+def test_row_sampler_applies_match_gather_and_scatter_add_bitwise():
+    # heavily repeated indices, and signed zeros on both sides
+    q = np.array([0.7, 0.0, 0.2, 0.0, 0.1])
+    R = sk.sample_row_sampler(40, q, 3)
+    assert R.matrix() is R.matrix()
+    gen = np.random.default_rng(4)
+    A = gen.standard_normal((5, 3))
+    A[0, 0] = A[:, 1] = -0.0
+    B = gen.standard_normal((4, 40))
+    B[:, 0] = B[0] = -0.0
+    left = R.scales[:, None] * A[R.indices]
+    right = np.zeros((4, 5))
+    np.add.at(right, (slice(None), R.indices), B * R.scales)
+    for got, want in ((R.apply(A), left), (R.T.apply(A.T, side="right"), left.T),
+                      (R.apply(B, side="right"), right), (R.T.apply(B.T), right.T)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_row_sampler_rejects_negative():
     with pytest.raises(ValueError):
         sk.sample_row_sampler(3, np.array([0.5, 0.7, -0.2]), 0)
