@@ -159,6 +159,24 @@ def test_infinite_metrics_summarize_as_inf_not_nan():
                           np.quantile([4, 1, 3], qs))
 
 
+def test_a_nan_metric_summarizes_as_nan():
+    assert np.isnan(bench._quantiles([1.0, np.nan, 3.0], [0.1, 0.5, 0.9])).all()
+
+
+def test_row_sample_embedding_uniform_dist_misses_a_heavy_row():
+    # row 0 alone carries column 0: leverage sampling keeps it, 20 uniform
+    # draws of 400 rows miss it and lose that column's share of every norm
+    m = 400
+    A = np.zeros((m, 2))
+    A[0, 0], A[1:, 1] = 1.0, 1 / np.sqrt(m - 1)
+    spec, key = MatrixSpec(m, 2, seed=0), rng.RngKey(0)
+    uniform = bench._run_row_sample_embedding(A, spec, key, d=20,
+                                              dist="uniform")
+    lev = bench._run_row_sample_embedding(A, spec, key, d=20)
+    assert uniform["embedded"] == 0 and uniform["worst_ratio"] > 0.9
+    assert lev["embedded"] == 1 and lev["worst_ratio"] < 1e-12
+
+
 @pytest.mark.parametrize("parallel", [0, -3])
 def test_parallel_below_one_raises(parallel, tmp_path):
     # the CLI rejects such --parallel values at parsing; the library call

@@ -449,6 +449,16 @@ def test_lsqr_zero_rhs():
     assert np.array_equal(z, np.zeros(4))
 
 
+def test_lsqr_breakdown_returns_the_iterate_as_converged():
+    # on the identity the first step leaves u = 0: beta = 0 breaks the
+    # bidiagonalization down, and the Givens rotation of (rhobar, 0) is the
+    # identity, so the iterate is g exactly
+    g = np.arange(1.0, 6.0)
+    z, rep = dk.lsqr(np.eye(5), g)
+    assert rep.iterations == 1 and rep.converged
+    assert np.array_equal(z, g)
+
+
 def test_lsqr_warm_start():
     r = np.random.default_rng(5)
     F = r.standard_normal((40, 6))

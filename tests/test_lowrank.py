@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -557,6 +559,24 @@ def test_osid_qrcp_rank_reduction_warns():
     with pytest.warns(RuntimeWarning):
         oid = lr.osid_qrcp(Y, 3, axis="column")
     assert oid.skeleton.size == 1
+
+
+def test_osid_qrcp_on_a_zero_panel_warns_and_returns_an_empty_skeleton():
+    with pytest.warns(RuntimeWarning, match="rank of leading triangle is 0"):
+        oid = lr.osid_qrcp(np.zeros((10, 6)), 3)
+    assert oid.skeleton.size == 0 and oid.M.shape == (0, 6)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+def test_qb2_and_svd1_on_a_zero_matrix_return_no_columns(tol):
+    A = np.zeros((30, 20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qb = lr.qb2(A, 5, tol=tol, seed=1)
+        svd = lr.svd1(A, 5, tol=tol, seed=1)
+    assert qb.Q.shape == (30, 0) and qb.B.shape == (0, 20)
+    assert svd.U.shape == (30, 0) and svd.sigma.size == 0
+    assert svd.V.shape == (20, 0)
 
 
 def test_osid1_exact_on_low_rank():

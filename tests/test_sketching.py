@@ -212,9 +212,12 @@ def _digest(*arrays):
     return h.hexdigest()[:16]
 
 
-# (m, d, k, key): the two replay-heavy tall_skinny shapes, the d <= 4k pool
-# path, k = 1, k = d, and a v1 key.  The CSC arrays are hashed as int64
-# values: their index dtype is scipy's choice, not the sampler's.
+# (m, d, k, key): the two replay-heavy tall_skinny shapes, d <= 4k, k = 1,
+# k = d, and a v1 key; a last block of 5 < k columns (12 blocks of 8192,
+# then 5); a sample where 2 < k columns replay in all; d = 70000 > 2^16,
+# where targets equal in their low 16 bits only also replay.  The CSC
+# arrays are hashed as int64 values: their index dtype is scipy's choice,
+# not the sampler's.
 SASO_GOLDEN = {
     (100000, 1200, 8, rng.RngKey(0)): "46826c4447fae6bd",
     (200000, 600, 8, rng.RngKey(31001, 7)): "492b8495c6c46516",
@@ -222,6 +225,9 @@ SASO_GOLDEN = {
     (5000, 300, 1, rng.RngKey(9, 3)): "644a6f6186f2543a",
     (1000, 12, 12, rng.RngKey(4)): "4642e9ffc0256a47",
     (50000, 900, 8, rng.RngKey(2, 11, version=1)): "6edd8437f2fe0a30",
+    (98309, 1200, 8, rng.RngKey(6)): "dc4898128b6e95cb",
+    (40, 40, 4, rng.RngKey(7)): "d18ab2d00340e52c",
+    (80000, 70000, 8, rng.RngKey(0)): "b6fd1c245b2e5b58",
 }
 
 
@@ -237,6 +243,22 @@ def test_saso_sampling_matches_golden_digests(case):
 def test_srft_coords_match_golden_digest():
     S = sk.sample_srft(400, 100000, rng.RngKey(13, 2))
     assert _digest(S.coords) == "8f1a40c34b1ef41d"
+
+
+# (d, m, key): distinct targets at d = 400 (the key above repeats one);
+# m_pad = 4096 <= 4d; d = 4096 at m_pad = 2^17; a v1 key; d = 1
+SRFT_GOLDEN = {
+    (400, 100000, rng.RngKey(1)): "cbb2586257545dda",
+    (3000, 4000, rng.RngKey(8)): "5690d9765170934f",
+    (4096, 100000, rng.RngKey(3, 1)): "2a1b1b6aaeabc81f",
+    (400, 100000, rng.RngKey(7, 3, version=1)): "04c1a624c31e1137",
+    (1, 1000, rng.RngKey(2)): "c8f9c66170a01a36",
+}
+
+
+@pytest.mark.parametrize("case", SRFT_GOLDEN, ids=str)
+def test_srft_coords_match_golden_digests(case):
+    assert _digest(sk.sample_srft(*case).coords) == SRFT_GOLDEN[case]
 
 
 def test_saso_apply_draws_no_counters_after_sampling():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randla import trace as tr
+from randla import detkernels as dk, trace as tr
 from randla.rng import RngKey
 
 
@@ -300,3 +300,12 @@ def test_hutchpp_smallest_budget_with_a_probe():
     assert np.isfinite(est.value)
     with pytest.raises(ValueError, match="at least 6"):
         tr.hutch_pp(np.eye(10), 10, 5, seed=55)
+
+
+def test_estimators_take_a_linear_operator_bitwise_as_its_matrix():
+    G = np.random.default_rng(1).standard_normal((30, 30))
+    B = G @ G.T
+    L = dk.LinearOperator(30, 30, lambda V: B @ V, lambda V: B.T @ V)
+    for run in (lambda A: tr.girard_hutchinson(A, 30, 70, seed=3),
+                lambda A: tr.slq(A, 30, np.log1p, 70, 6, seed=3)):
+        assert np.array_equal(run(L).samples, run(B).samples)
