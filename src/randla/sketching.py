@@ -33,27 +33,22 @@ OPERATOR_FAMILIES = DENSE_FAMILIES + ("saso", "srft")
 _SASO_BLOCK = 1 << 17
 
 
-def _as_2d(A):
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        return A[:, None], True
-    return A, False
-
-
 class _OperatorBase:
     """Common apply/transpose plumbing shared by all operator types.  Dense,
     SASO and row-sampling operators keep their sampled matrix in ``_mat``."""
 
     def apply(self, A, side: str = "left") -> np.ndarray:
-        """Compute S @ A (side='left') or A @ S (side='right')."""
-        A2, was_vec = _as_2d(A)
+        """Compute S @ A (side='left') or A @ S (side='right').  A vector is
+        a column on the left and a row on the right, as with ``@``."""
+        A = np.asarray(A, dtype=float)
+        vec = A.ndim == 1
         if side == "left":
-            out = self._apply_left(A2)
+            out = self._apply_left(A[:, None] if vec else A)
         elif side == "right":
-            out = self._apply_right(A2)
+            out = self._apply_right(A[None, :] if vec else A)
         else:
             raise ValueError("side must be 'left' or 'right'")
-        return out[:, 0] if was_vec and out.ndim == 2 else out
+        return out.reshape(-1) if vec else out
 
     def matrix(self, dense: bool = False):
         """The sampled matrix; ``dense=True`` makes a sparse one an ndarray."""
@@ -95,8 +90,8 @@ class TransposedOp(_OperatorBase):
     def T(self):
         return self.base
 
-    def matrix(self):
-        return self.base.matrix().T
+    def matrix(self, dense: bool = False):
+        return self.base.matrix(dense).T
 
     def _apply_left(self, A):
         # (S^T) A = (A^T S)^T
@@ -186,45 +181,23 @@ def _swap_targets(u: np.ndarray, n: int) -> np.ndarray:
 def _first_copies(r: np.ndarray) -> np.ndarray:
     """For each step t of each column of the (k, c) targets ``r``, the first
     step of that column with target ``r[t, j]``; t itself when no earlier
-    step has it.
-
-    With at least as many columns as steps, k - 1 comparisons of contiguous
-    row blocks (O(k^2 c) work in O(k) calls).  With fewer, as for the SRFT's
-    one column of d steps, a stable sort of each column, whose cost per
-    column is higher but whose number of calls does not grow with k."""
-    k, c = r.shape
-    steps = np.arange(k)[:, None]
-    if c >= k:
-        first = np.empty_like(r)
-        first[:] = steps
-        for t in range(k - 2, -1, -1):
-            np.copyto(first[t + 1:], t, where=r[t + 1:] == r[t])
-        return first
-    order = np.argsort(r, axis=0, kind="stable")
-    rs = np.take_along_axis(r, order, axis=0)
-    start = np.zeros_like(r)  # sorted position of the first copy
-    start[1:] = np.where(rs[1:] != rs[:-1], steps[1:], 0)
-    np.maximum.accumulate(start, axis=0, out=start)
+    step has it.  k - 1 comparisons of contiguous row blocks: O(k^2 c) work
+    in O(k) numpy calls."""
+    k = r.shape[0]
     first = np.empty_like(r)
-    np.put_along_axis(first, order, np.take_along_axis(order, start, axis=0),
-                      axis=0)
+    first[:] = np.arange(k)[:, None]
+    for t in range(k - 2, -1, -1):
+        np.copyto(first[t + 1:], t, where=r[t + 1:] == r[t])
     return first
 
 
-def _needs_replay(r: np.ndarray, n: int) -> np.ndarray:
+def _needs_replay(r: np.ndarray) -> np.ndarray:
     """A superset of the columns of the (k, m) targets ``r`` that are not
-    their own answer: every column when n <= 4k; else every column with a
-    repeated target.
-
-    With at least as many columns as steps, the k - 1 pairwise block
-    comparisons run on the targets' low 16 bits, a quarter of the bytes;
-    targets that differ only above them also replay, which is exact, and
-    none do while n <= 2^16."""
+    their own answer: every column with a repeated target.  The k - 1
+    pairwise block comparisons run on the targets' low 16 bits, a quarter
+    of the bytes; targets that differ only above them also replay, which
+    is exact, and none do in a shuffle of range(n) with n <= 2^16."""
     k, m = r.shape
-    if n <= 4 * k:
-        return np.ones(m, dtype=bool)
-    if m < k:
-        return (_first_copies(r) != np.arange(k)[:, None]).any(axis=0)
     low = r.astype(np.uint16)
     hit = np.zeros((k, m), dtype=bool)
     for t in range(k - 1):
@@ -232,16 +205,12 @@ def _needs_replay(r: np.ndarray, n: int) -> np.ndarray:
     return hit.any(axis=0)
 
 
-def _replay(r: np.ndarray, n: int) -> np.ndarray:
+def _replay(r: np.ndarray) -> np.ndarray:
     """Run the shuffle on each column of the (k, c) targets ``r`` and return
-    its first k entries.  For n <= 4k on the whole of range(n); else on 2k
-    slots per column: positions 0..k-1, then slot k + f for the target of
-    step f, where a repeated target takes the slot of its first copy."""
-    k, c = r.shape
-    if n <= 4 * k:
-        pool = np.empty((n, c), dtype=np.int64)
-        pool[:] = np.arange(n)[:, None]
-        return _swap_steps(r, pool)
+    its first k entries, on 2k slots per column whatever n is: positions
+    0..k-1, then slot k + f for the target of step f, where a repeated
+    target takes the slot of its first copy."""
+    k = r.shape[0]
     steps = np.arange(k)[:, None]
     slot = np.where(r < k, r, k + _first_copies(r))
     pool = np.concatenate([np.broadcast_to(steps, r.shape), r])
@@ -259,13 +228,29 @@ def _fisher_yates(u: np.ndarray, n: int) -> np.ndarray:
     entries; when k^2 << n that is most columns, and only the others replay
     the shuffle (see ``_replay``).  Every pass runs over the C-contiguous
     (k, m) targets a row at a time: O(k^2 m) elementwise work in O(k) numpy
-    calls, and O(k m) scratch memory whatever n is.
+    calls, and O(k m) scratch memory whatever n is.  This is the path for
+    blocks of columns; an SRFT's one column of d steps takes
+    ``_shuffle_one``.
     """
     r = _swap_targets(u, n)
-    cols = np.flatnonzero(_needs_replay(r, n))
+    cols = np.flatnonzero(_needs_replay(r))
     if len(cols):
-        r[:, cols] = _replay(r[:, cols], n)
+        r[:, cols] = _replay(r[:, cols])
     return r
+
+
+def _shuffle_one(r: np.ndarray) -> np.ndarray:
+    """The shuffle of ``_fisher_yates`` for one column, from its targets
+    ``r``: one Python step per target, with a dict of the positions that
+    earlier steps wrote, so no numpy call runs per step.  O(len(r)) time
+    and memory whatever n is."""
+    moved = {}
+    out = []
+    for t, target in enumerate(r.tolist()):
+        # no later step reads position t, so only the target is written
+        out.append(moved.get(target, target))
+        moved[target] = moved.get(t, t)
+    return np.array(out, dtype=np.int64)
 
 
 def _swap_steps(slot: np.ndarray, pool: np.ndarray) -> np.ndarray:
@@ -318,13 +303,12 @@ def sample_saso(d: int, m: int, k: int, seed) -> SASO:
     Each column's row indices are drawn uniformly without replacement via
     partial Fisher-Yates (see ``_fisher_yates``).  The 2k x m uniforms are
     drawn a block of columns at a time, so a block's draw is still in cache
-    while its swap targets are laid out as contiguous rows, tested for
-    repeats and transposed into the CSC ``indices``, and its signs written
-    into the CSC ``data``; the few columns with a repeated target, from all
-    blocks, are replayed together at the end.  Time is O(k^2 m) elementwise work
-    whatever d is.  Memory is the two (m, k) CSC arrays, one block's
-    scratch and the replayed columns; no 2k x m grid is held.  ``rows`` is
-    a view of the CSC ``indices``.
+    while ``_fisher_yates`` shuffles it, the few columns with a repeated
+    target replaying within the block, and the indices are transposed into
+    the CSC ``indices`` and its signs written into the CSC ``data``.  Time
+    is O(k^2 m) elementwise work whatever d is.  Memory is the two (m, k)
+    CSC arrays and one block's scratch; no 2k x m grid is held.  ``rows``
+    is a view of the CSC ``indices``.
     """
     seed = as_key(seed)
     if not 1 <= k <= d:
@@ -333,23 +317,17 @@ def sample_saso(d: int, m: int, k: int, seed) -> SASO:
         raise ValueError("SASOs are wide (d <= m); use .T for the tall dual")
     rows = np.empty((m, k), dtype=np.int64)  # column j's indices in row j
     vals = np.empty((m, k))
-    replay = np.empty(m, dtype=bool)
     width = max(1, _SASO_BLOCK // (2 * k))
     for j in range(0, m, width):
         u = rng.uniform_stream(seed.advance(2 * k * j),
                                2 * k * min(width, m - j)).reshape(-1, 2 * k)
-        r = _swap_targets(u[:, :k].T, d)
-        replay[j:j + width] = _needs_replay(r, d)
-        rows[j:j + width] = r.T
+        rows[j:j + width] = _fisher_yates(u[:, :k].T, d).T
         # -1/sqrt(k) where u < 1/2, else +1/sqrt(k); copied first, as
         # numpy copies rows of k faster than it computes on them
         v = vals[j:j + width]
         v[...] = u[:, k:]
         v -= 0.5
         np.copysign(1 / np.sqrt(k), v, out=v)
-    cols = np.flatnonzero(replay)
-    if len(cols):
-        rows[cols] = _replay(rows[cols].T.copy(), d).T
     indptr = np.arange(0, k * (m + 1), k)
     mat = sp.csc_array((vals.reshape(-1), rows.reshape(-1), indptr),
                        shape=(d, m))
@@ -505,7 +483,7 @@ class SRFTOp(_Described, _OperatorBase):
     coords: np.ndarray = field(repr=False, compare=False)
     seed: RngKey = RngKey(0)
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self, dense: bool = False) -> np.ndarray:
         return self._apply_left(np.eye(self.m))
 
     def _apply_left(self, A):
@@ -527,7 +505,7 @@ def sample_srft(d: int, m: int, seed) -> SRFTOp:
     m_pad = next_pow_two(m)
     signs = rng.rademacher_stream(seed, m)
     u = rng.uniform_stream(seed.advance(m), d)
-    coords = _fisher_yates(u[:, None], m_pad)[:, 0]
+    coords = _shuffle_one(_swap_targets(u[:, None], m_pad)[:, 0])
     return SRFTOp(d, m, m_pad, signs, coords, seed)
 
 

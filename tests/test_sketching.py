@@ -573,6 +573,41 @@ def test_adjoint_consistency(make):
     assert np.abs(left - right.T).max() < 1e-14
 
 
+ALL_OPERATORS = [
+    *(lambda f=f: sk.sample_dense(f, 6, 15, 3) for f in sk.DENSE_FAMILIES),
+    lambda: sk.sample_saso(6, 15, 3, 3),
+    lambda: sk.sample_srft(6, 15, 3),
+    lambda: sk.sample_row_sampler(6, np.arange(1.0, 16.0) / 120, 3),
+]
+OPERATOR_IDS = [*sk.DENSE_FAMILIES, "saso", "srft", "row_sampler"]
+
+
+@pytest.mark.parametrize("make", ALL_OPERATORS, ids=OPERATOR_IDS)
+def test_a_vector_on_the_right_is_a_row(make):
+    gen = np.random.default_rng(6)
+    for S in (make(), make().T):
+        y = gen.standard_normal(S.shape[0])
+        got = S.apply(y, side="right")
+        assert got.shape == (S.shape[1],)
+        assert np.array_equal(got, S.apply(y[None, :], side="right")[0])
+
+
+def test_a_vector_on_the_right_of_a_row_sampler():
+    # every scale is 1/sqrt(4/6); rows 0 and 1 land on one index
+    R = sk.sample_row_sampler(4, np.full(6, 1 / 6), 3)
+    got = R.apply(np.array([1.0, 2.0, 3.0, 4.0]), side="right")
+    assert np.allclose(got, np.sqrt(1.5) * np.array([0, 4, 3, 0, 3, 0]),
+                       rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("make", ALL_OPERATORS, ids=OPERATOR_IDS)
+def test_every_operator_and_its_transpose_give_a_dense_matrix(make):
+    S = make()
+    M, MT = S.matrix(dense=True), S.T.matrix(dense=True)
+    assert type(M) is np.ndarray and type(MT) is np.ndarray
+    assert np.array_equal(M, MT.T)
+
+
 def test_isotropy_of_scaled_families():
     # entrywise mean of S^T S (normalized by d) over 2000 samples of 20x200
     d, m, reps = 20, 200, 2000
