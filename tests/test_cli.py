@@ -334,6 +334,21 @@ def test_gen_accepts_out_beside_a_bare_spec(tmp_path):
     assert np.asarray(scipy.io.mmread(out)).shape == (12, 3)
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "lstsq", "config out"])
+def test_output_into_a_missing_directory_exits_2_before_any_work(
+        tmp_path, monkeypatch, command):
+    # the directory is checked at load: no matrix is built, no trial runs
+    # and nothing is written
+    out = tmp_path / "missing" / "A"
+    raw, argv = BASE_RUN, ["--out", str(out)]
+    if command == "config out":
+        command, raw, argv = "run", dict(raw, out=str(out)), []
+    monkeypatch.setattr(bench, "gen_matrix", None)
+    cfg = write_config(tmp_path / "cfg.json", raw)
+    assert cli.main([command, "--config", cfg, *argv]) == 2
+    assert not (tmp_path / "missing").exists()
+
+
 def _readme():
     return (Path(__file__).resolve().parents[1] / "README.md").read_text()
 

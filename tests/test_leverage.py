@@ -156,6 +156,13 @@ def test_subspace_leverage_sums_to_k():
     assert abs(out.scores.sum() - 6.0) <= 1e-6
 
 
+def test_subspace_leverage_reads_the_left_factor_of_svd1():
+    A = np.random.default_rng(19).standard_normal((90, 40)) * 0.8 ** np.arange(40)
+    U = lowrank.svd1(A, 10, s=5, seed=RngKey(20)).U
+    out = lev.subspace_leverage(A, 10, s=5, seed=RngKey(20))
+    assert np.array_equal(out.scores, np.sum(U * U, axis=1))
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_subspace_leverage_rejects_nonpositive_rank(k):
     A = np.random.default_rng(18).standard_normal((30, 10))

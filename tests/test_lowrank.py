@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -130,6 +131,45 @@ def test_qb1_exact_on_low_rank():
     A, _, _ = factored(40, 25, [5, 4, 3], seed=10)
     qb = lr.qb1(A, 5, seed=11)
     assert np.linalg.norm(A - qb.approximation()) <= 1e-8 * np.linalg.norm(A)
+
+
+_POWER_LAW = factored(300, 120, np.arange(1, 121.0) ** -1.0, seed=82)[0]
+
+
+@pytest.mark.parametrize("seed", [RngKey(83), RngKey(84, 5, version=1)],
+                         ids=["v2", "v1"])
+@pytest.mark.parametrize("k", [7, 25])
+def test_qb1_is_qb2_at_tol_zero(k, seed):
+    qb, ref = lr.qb1(_POWER_LAW, k, seed=seed), lr.qb2(_POWER_LAW, k, seed=seed)
+    assert np.array_equal(qb.Q, ref.Q) and np.array_equal(qb.B, ref.B)
+
+
+def test_qb1_caps_the_rank_at_min_m_n():
+    qb = lr.qb1(_POWER_LAW, 150, seed=85)
+    assert qb.Q.shape == (300, 120) and qb.B.shape == (120, 120)
+    assert (np.linalg.norm(_POWER_LAW - qb.approximation())
+            <= 1e-13 * np.linalg.norm(_POWER_LAW))
+
+
+def test_block_zero_is_orthonormalized_once(monkeypatch):
+    # the first block's rangefinder returns an orthonormal basis, and there
+    # is no earlier basis to reorthogonalize it against
+    shapes = []
+    svd = dk.svd
+
+    def counting_svd(Y):
+        shapes.append(Y.shape)
+        return svd(Y)
+
+    monkeypatch.setattr(dk, "svd", counting_svd)
+    lr.svd1(_POWER_LAW, 20, seed=86)
+    assert shapes == [(300, 25), (25, 120)]
+    shapes.clear()
+    qb = lr.qb2(_POWER_LAW, 40, block_size=10, seed=87)
+    assert qb.Q.shape[1] == 40
+    # one rangefinder SVD per block, and one reorthogonalization for each
+    # block after the first
+    assert shapes == [(300, 10)] * 7
 
 
 def test_qb2_tolerance_stop():
@@ -359,6 +399,20 @@ def test_qb3_b_consistency_moderate():
     qb = lr.qb3(A, 8, tol=0.0, block_size=4, seed=27)
     rel = np.linalg.norm(qb.B - qb.Q.T @ A) / np.linalg.norm(A)
     assert rel <= 1e-6
+
+
+def test_qb3_factors_through_the_detkernels_seam(monkeypatch):
+    # two Householder QRs per block, both through dk.qr_econ
+    calls = []
+    qr_econ = dk.qr_econ
+
+    def counting_qr_econ(Y):
+        calls.append(Y.shape)
+        return qr_econ(Y)
+
+    monkeypatch.setattr(dk, "qr_econ", counting_qr_econ)
+    lr.qb3(_POWER_LAW, 8, block_size=3, seed=88)
+    assert calls == [(300, 3), (300, 3)] * 2 + [(300, 2), (300, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +758,37 @@ def test_frob_estimate_rank_one_expansion():
         z = _rng.gaussian_stream(seed.advance(j * stride), 4)
         total += (v @ z) ** 2
     assert np.isclose(est, (u @ u) * total / r)
+
+
+# Operators whose products with a probe block are exact, or summed in one
+# fixed order, so that the estimates hash alike on any BLAS: a diagonal of
+# powers of two, a wide matrix with one power of two per row, and a running
+# sum down the columns.
+_NORM_OPERATORS = {
+    "diagonal": lambda n: np.diag(2.0 ** -(np.arange(n) % 5)),
+    "selection": lambda n: np.eye(n)[(7 * np.arange(n + 9)) % n] * 4.0,
+    "cumsum": lambda n: lambda Z: np.cumsum(Z, axis=0),
+}
+
+NORM_GOLDEN = {
+    ("spectral_bound", "diagonal"): "62b0608861b01033",
+    ("spectral_bound", "selection"): "ce2f2401e2182578",
+    ("spectral_bound", "cumsum"): "8a257b297f5ca433",
+    ("frob_estimate", "diagonal"): "c717ca3c285545af",
+    ("frob_estimate", "selection"): "beb0732e02a0a6c0",
+    ("frob_estimate", "cumsum"): "16c08cee3398688d",
+}
+
+
+@pytest.mark.parametrize("case", NORM_GOLDEN, ids="-".join)
+def test_norm_estimates_match_golden_digests(case):
+    # odd and even n, r of 1, 6 and 11 probes, v2 and v1 keys
+    estimate, operator = getattr(lr, case[0]), _NORM_OPERATORS[case[1]]
+    values = [estimate(operator(n), n, r=r, seed=key)
+              for n in (49, 50) for r in (1, 6, 11)
+              for key in (RngKey(21, 5), RngKey(21, 5, version=1))]
+    digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()[:16]
+    assert digest == NORM_GOLDEN[case]
 
 
 # ---------------------------------------------------------------------------
