@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -91,6 +92,9 @@ _Count0 = Annotated[int, _nonnegative]
 _Positive = Annotated[float, _check(lambda v: v > 0, "must be positive")]
 # A bootstrap's alpha or an embedding's eps: strictly between 0 and 1.
 _Fraction = Annotated[float, _check(lambda v: 0 < v < 1, "must lie in (0, 1)")]
+# An output path, refused at load unless its directory exists.
+_OutPath = Annotated[str, _check(
+    lambda p: os.path.isdir(os.path.dirname(p) or "."), "no such directory")]
 
 
 class _Shape(NamedTuple):
@@ -585,7 +589,7 @@ class ExperimentConfig:
         return cls(driver, MatrixSpec.from_dict(d.get("matrix")),
                    _bind(DRIVERS[driver], d.get("params", {}), driver), trials,
                    _coerce(d.get("seed", 0), parse_seed_token, "'seed'"),
-                   _coerce(d.get("out", ""), str, "'out'") or None)
+                   _coerce(d.get("out", ""), str, "'out'", _OutPath) or None)
 
 
 _BASE_COLUMNS = ["trial", "seed_key", "seed_offset", "status", "wall_ms",

@@ -104,6 +104,7 @@ def main(argv=None) -> int:
             out = args.out or raw.get("out")
             if not out:
                 raise ConfigError("gen needs --out (or 'out' in the config)")
+            out = bench._coerce(out, str, "'out'", bench._OutPath)
             A = bench.gen_matrix(spec)
             scipy.io.mmwrite(out, A)
             print(f"wrote {spec.m}x{spec.n} matrix to {out}")

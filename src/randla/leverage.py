@@ -87,15 +87,13 @@ def approx_leverage(A, d1: int, d2: int, seed=0, s2=None) -> LeverageScores:
 
 def subspace_leverage(A, k: int, s: int = 5, seed=0,
                       power_passes: int = 2) -> LeverageScores:
-    """Approximate rank-k leverage scores via a rank-(k+s) QB decomposition:
-    squared row norms of Q U_k, U_k the top-k left singular vectors of B.
-    Needs 1 <= k <= min(m, n) - s."""
+    """Approximate rank-k leverage scores: the squared row norms of the
+    rank-k left factor U of ``lowrank.svd1`` (a rank-(k+s) QB, then the SVD
+    of B).  Needs 1 <= k <= min(m, n) - s."""
     A = np.asarray(A, dtype=float)
     _shapes.rank_fits(*A.shape, k=k, s=s)
-    qb = lowrank.qb1(A, k + s, seed=seed, power_passes=power_passes)
-    U, _, _ = dk.svd(qb.B)
-    Uk = qb.Q @ U[:, :k]
-    return LeverageScores(np.sum(Uk * Uk, axis=1), "rank_k", k)
+    U = lowrank.svd1(A, k, s=s, seed=seed, power_passes=power_passes).U
+    return LeverageScores(np.sum(U * U, axis=1), "rank_k", k)
 
 
 def leverage_distribution(scores) -> SamplingDistribution:

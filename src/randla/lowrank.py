@@ -172,11 +172,8 @@ def _check_rank(k: int):
 
 
 def qb1(A, k: int, seed=0, power_passes: int = 2) -> QBFactors:
-    """One-shot QB: Q from the rangefinder, B = Q^T A."""
-    A = np.asanyarray(A, dtype=float)
-    _check_rank(k)
-    Q = rf1(A, k, seed=seed, power_passes=power_passes)
-    return QBFactors(Q, Q.T @ A)
+    """One-shot QB, ``qb2`` at tol 0: at most min(k, m, n) columns."""
+    return qb2(A, k, seed=seed, power_passes=power_passes)
 
 
 def _fused(A, X, rider, adjoint: bool):
@@ -230,15 +227,16 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     """Fully adaptive blocked QB.
 
     Block i runs the rangefinder (key ``seed.substream(i)``) on the
-    deflated (I - Q Q^T) A, reorthogonalizes against Q and appends
-    B_i = Q_i^T A, until the tracked error ||A||_F^2 - sum ||B_i||_F^2 drops
-    to tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  At tol <= 0 the
+    deflated (I - Q Q^T) A, reorthogonalizes against Q (block 0 is
+    orthonormalized once, by its rangefinder) and appends B_i = Q_i^T A,
+    until the tracked error ||A||_F^2 - sum ||B_i||_F^2 drops to
+    tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  At tol <= 0 the
     tracked error is not tested: below about sqrt(eps) ||A||_F it is a
     difference that cancels, and it can reach 0 while A - Q B is still far
     above rounding level.  A direction of Q_i whose row of B_i is at
     rounding level, max(m, n) eps ||A||_F or less, is rounding noise of
     A - Q B: it is dropped and no further block is drawn.  ``block_size``
-    defaults to min(k, m, n) when ``tol <= 0`` (one block, as qb1) and to
+    defaults to min(k, m, n) when ``tol <= 0`` (one block: qb1) and to
     min(k, 10) otherwise; no block is wider than the min(k, m, n) -
     (columns held) left of the rank budget.
 
@@ -301,7 +299,7 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         Qi = rf1(op, w, seed=seed.substream(block), power_passes=p)
         if op.lead_out is not None and settle(op.lead_out.T):
             break
-        Qi = orth(op.project(Qi))
+        Qi = orth(op.project(Qi)) if cols else Qi
         if Qi.shape[1] == 0:
             break
         Q[:, cols:cols + Qi.shape[1]] = Qi
@@ -342,9 +340,9 @@ def qb3(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         bs, be = i * block_size, min((i + 1) * block_size, k)
         Si = S[:, bs:be]
         Yi = G[:, bs:be] - Q @ (B @ Si)
-        Qi, Ri = np.linalg.qr(Yi)
+        Qi, Ri = dk.qr_econ(Yi)
         Qi = Qi - Q @ (Q.T @ Qi)
-        Qi, Rhat = np.linalg.qr(Qi)
+        Qi, Rhat = dk.qr_econ(Qi)
         Ri = Rhat @ Ri
         # The recurrence uses Y_i^T Q' B, written with mismatched shapes in
         # some statements of the algorithm; this is the consistent form.
@@ -366,9 +364,9 @@ def svd1(A, k: int, tol: float = 0.0, s: int = 5, seed=0,
          power_passes: int = 2) -> SVDFactors:
     """QB-backed low-rank SVD, truncated to rank at most k.
 
-    The QB phase is ``qb2`` at rank k + s: with ``tol <= 0`` that is one
-    rangefinder block of k + s columns, otherwise blocks of 10 until the
-    tracked error meets ``tol``."""
+    U = Q U_B for the QB phase, ``qb2`` at rank k + s, and the SVD of B: with
+    ``tol <= 0`` that is ``qb1``, one rangefinder block orthonormalized
+    once, otherwise blocks of 10 until the tracked error meets ``tol``."""
     A = np.asanyarray(A, dtype=float)
     _check_rank(k)
     qb = qb2(A, k + s, tol=tol, seed=seed, power_passes=power_passes)
@@ -526,13 +524,12 @@ def curd1(A, k: int, s: int = 5, seed=0, power_passes: int = 2) -> CURFactors:
 # ---------------------------------------------------------------------------
 
 def _probe_norms(apply_A, n: int, r: int, seed) -> np.ndarray:
-    """||A z_j|| for r Gaussian probes, z_j drawn at seed.advance(j * stride);
-    A is applied once, to the (n, r) probe block."""
-    seed = as_key(seed)
+    """||A z_j|| for r Gaussian probes, one stream at seed cut into columns
+    of stride = gaussian_counters_used(n): z_j, the first n of column j, is
+    the stream at seed.advance(j * stride).  A meets the (n, r) block once."""
     stride = _rng.gaussian_counters_used(n)
-    Z = _rng.stream_block([seed.advance(j * stride) for j in range(r)], n,
-                          "gaussian")
-    return np.linalg.norm(dk._apply_block(dk._as_apply(apply_A), Z,
+    Z = _rng.gaussian_stream(seed, stride * r).reshape((stride, r), order="F")
+    return np.linalg.norm(dk._apply_block(dk._as_apply(apply_A), Z[:n],
                                           square=False), axis=0)
 
 
@@ -547,10 +544,7 @@ def spectral_bound(apply_A, n: int, r: int = 10, beta: float = 2.0, seed=0) -> f
 
 def frob_estimate(apply_A, n: int, r: int = 10, seed=0) -> float:
     """Unbiased estimate (1/r) ||A Z||_F^2 of the squared Frobenius norm,
-    Z an n-by-r Gaussian probe matrix."""
+    Z an n-by-r Gaussian probe matrix, its column norms summed in order."""
     if r < 1:
         raise ValueError("need r >= 1")
-    total = 0.0
-    for v in _probe_norms(apply_A, n, r, seed):
-        total += float(v ** 2)
-    return total / r
+    return float(np.cumsum(_probe_norms(apply_A, n, r, seed) ** 2)[-1]) / r
