@@ -547,4 +547,4 @@ def frob_estimate(apply_A, n: int, r: int = 10, seed=0) -> float:
     Z an n-by-r Gaussian probe matrix, its column norms summed in order."""
     if r < 1:
         raise ValueError("need r >= 1")
-    return float(np.cumsum(_probe_norms(apply_A, n, r, seed) ** 2)[-1]) / r
+    return float(sum(_probe_norms(apply_A, n, r, seed) ** 2)) / r
