@@ -233,19 +233,19 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
     tol^2 ||A||_F^2 or Q holds min(k, m, n) columns.  At tol <= 0 the
     tracked error is not tested: below about sqrt(eps) ||A||_F it is a
     difference that cancels, and it can reach 0 while A - Q B is still far
-    above rounding level.  A direction of Q_i whose row of B_i is at
-    rounding level, max(m, n) eps ||A||_F or less, is rounding noise of
-    A - Q B: it is dropped and no further block is drawn.  ``block_size``
-    defaults to min(k, m, n) when ``tol <= 0`` (one block: qb1) and to
-    min(k, 10) otherwise; no block is wider than the min(k, m, n) -
-    (columns held) left of the rank budget.
+    above rounding level.  No block follows one that keeps fewer columns
+    than it asked for (the range of A is spent; its B_i is made at once),
+    nor one with a row of B_i at rounding level, max(m, n) eps ||A||_F or
+    less: that direction of Q_i is rounding noise of A - Q B, and dropped.
+    ``block_size`` defaults to min(k, m, n) when ``tol <= 0`` (one block:
+    qb1) and to min(k, 10) otherwise; no block is wider than the
+    min(k, m, n) - (columns held) left of the rank budget.
 
     Products with A carry riders.  B_i is made one block late, inside
     block i+1's first product with A^T, and its tests run there; if they
     stop the loop, block i+1 is discarded.  With an even power_passes >= 2,
-    block i+1's Gaussian start (the one tsog1 draws, drawn again if block i
-    keeps fewer columns than planned) rides on block i's first product
-    with A that is made.  A block so makes power_passes products with A
+    block i+1's Gaussian start rides on block i's first product with A
+    that is made.  A block so makes power_passes products with A
     (power_passes + 1 when odd) instead of power_passes + 2: at the default
     2, two products of width 2 * block_size.  With an even power_passes the
     first block makes one more, and the last B_i is made alone.  With
@@ -292,10 +292,8 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         if p and p % 2 == 0 and cols + w < rank_cap:
             tail = _gaussian_start(min(block_size, rank_cap - cols - w), n,
                                    seed.substream(block + 1))
-        op = _Deflated(
-            A, Q[:, :cols],
-            start=ahead if ahead and ahead[0].shape[1] == w else None,
-            lead=Q[:, rows:cols] if cols > rows else None, tail=tail)
+        op = _Deflated(A, Q[:, :cols], start=ahead, tail=tail,
+                       lead=Q[:, rows:cols] if cols > rows else None)
         Qi = rf1(op, w, seed=seed.substream(block), power_passes=p)
         if op.lead_out is not None and settle(op.lead_out.T):
             break
@@ -305,7 +303,8 @@ def qb2(A, k: int, tol: float = 0.0, block_size: int | None = None, seed=0,
         Q[:, cols:cols + Qi.shape[1]] = Qi
         cols += Qi.shape[1]
         ahead = (tail, op.tail_out) if tail is not None else None
-        if (p == 0 or cols >= rank_cap) and settle(Qi.T @ A):
+        done = cols >= rank_cap or Qi.shape[1] < w
+        if (p == 0 or done) and (settle(Qi.T @ A) or done):
             break
     return QBFactors(np.ascontiguousarray(Q[:, :cols]), B[:cols])
 

@@ -133,6 +133,24 @@ def test_qb1_exact_on_low_rank():
     assert np.linalg.norm(A - qb.approximation()) <= 1e-8 * np.linalg.norm(A)
 
 
+@pytest.mark.parametrize("power_passes", [0, 1, 2, 3])
+def test_qb2_stops_after_a_short_block(power_passes):
+    # a rangefinder that keeps fewer columns than it asked for has spent
+    # the range of A: rank 3 at k = 5 makes the products of one full block
+    low = factored(40, 25, [5, 4, 3], seed=10)[0]
+    full = factored(40, 25, np.logspace(0, -3, 25), seed=10)[0]
+    counts = []
+    for A in (low, full):
+        CountingMatrix.count = 0
+        qb = lr.qb1(np.ascontiguousarray(A).view(CountingMatrix), 5, seed=11,
+                    power_passes=power_passes)
+        counts.append(CountingMatrix.count)
+    assert qb.Q.shape[1] == 5 and counts[0] == counts[1]
+    qb = lr.qb2(low, 5, seed=11, power_passes=power_passes)
+    assert qb.Q.shape[1] == 3
+    assert np.linalg.norm(low - qb.approximation()) <= 1e-12 * np.linalg.norm(low)
+
+
 _POWER_LAW = factored(300, 120, np.arange(1, 121.0) ** -1.0, seed=82)[0]
 
 
@@ -782,13 +800,42 @@ NORM_GOLDEN = {
 
 @pytest.mark.parametrize("case", NORM_GOLDEN, ids="-".join)
 def test_norm_estimates_match_golden_digests(case):
-    # odd and even n, r of 1, 6 and 11 probes, v2 and v1 keys
+    # odd and even n, r of 1, 6 and 11 probes, v2 and v1 keys.  The probes
+    # read counters [0, 550) of these keys, on which numpy's Gaussians agree
+    # at AVX-512, AVX2 and SSE4.2 dispatch (they first differ at 610 and
+    # 614), so the digests hold at every level the tests run at
     estimate, operator = getattr(lr, case[0]), _NORM_OPERATORS[case[1]]
     values = [estimate(operator(n), n, r=r, seed=key)
               for n in (49, 50) for r in (1, 6, 11)
               for key in (RngKey(21, 5), RngKey(21, 5, version=1))]
     digest = hashlib.sha256(np.array(values).tobytes()).hexdigest()[:16]
     assert digest == NORM_GOLDEN[case]
+
+
+@pytest.mark.parametrize("seed", [RngKey(21, 5), RngKey(21, 5, version=1)],
+                         ids=["v2", "v1"])
+@pytest.mark.parametrize("n", [49, 50])
+def test_norm_estimates_read_the_per_key_probes(n, seed):
+    # probe j is the stream at seed.advance(j * stride), bitwise at whatever
+    # SIMD numpy dispatches to: 13 probes read counters past 610, where the
+    # Gaussians of these keys round with the dispatch level
+    from randla import rng as _rng
+    r, stride = 13, _rng.gaussian_counters_used(n)
+    Z = _rng.stream_block([seed.advance(j * stride) for j in range(r)], n,
+                          "gaussian")
+    norms = np.linalg.norm(np.cumsum(Z, axis=0), axis=0)
+    blocks = []
+
+    def cumsum(block):
+        blocks.append(block.copy())
+        return np.cumsum(block, axis=0)
+
+    assert lr.spectral_bound(cumsum, n, r=r, seed=seed) == (
+        2.0 * np.sqrt(2.0 / np.pi) * max(0.0, *norms))
+    assert lr.frob_estimate(cumsum, n, r=r, seed=seed) == (
+        float(sum(norms ** 2)) / r)
+    assert len(blocks) == 2
+    assert all(np.array_equal(block, Z) for block in blocks)
 
 
 # ---------------------------------------------------------------------------
