@@ -205,6 +205,9 @@ class _Deflated:
         self.lead_out = self.tail_out = None
 
     def project(self, Y):
+        """(I - Q Q^T) Y; Y itself when Q has no columns."""
+        if self.Q.shape[1] == 0:
+            return Y
         return Y - self.Q @ (self.Q.T @ Y)
 
     def apply(self, X, adjoint: bool):

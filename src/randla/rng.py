@@ -20,13 +20,18 @@ kernel that turns counters into uniforms differs between them:
   ``RngKey(key, offset, version=1)`` can be reproduced.
 
 Each version's kernel writes the uniforms of one stream in chunks of 2^14
-counters straight into the returned array, so scratch memory is O(chunk)
-whatever the stream length; ``uniform_stream`` picks the kernel.  Everything
-else is one path for both versions: ``gaussian_stream`` and
-``rademacher_stream`` transform one ``uniform_stream`` chunk at a time
-(Box-Muller on pairs, a threshold at 1/2), and ``stream_block`` and
-``uniform_grid`` are made of these stream functions.  Chunking does not
-change any entry.
+counters straight into the returned array, from one generator per stream,
+so scratch memory is O(chunk) whatever the stream length;
+``uniform_stream`` picks the kernel.  Everything else is one path for both
+versions: ``gaussian_stream`` transforms one ``uniform_stream`` draw in
+place, a chunk at a time (Box-Muller on pairs), ``rademacher_stream``
+thresholds one at 1/2, and ``stream_block`` and ``uniform_grid`` are made
+of these stream functions.  Chunking does not change any entry.
+
+Box-Muller (``_box_muller``) is built only from exactly rounded operations
+(frexp, floor, +, -, *, /, sqrt) and lookups in tables computed at import
+with integer arithmetic, so a Gaussian is the same at every SIMD level
+numpy dispatches to, and within 4 ulp of max(|z|, 1) of the exact value.
 """
 
 from __future__ import annotations
@@ -172,22 +177,140 @@ def _philox4x64(key: int, offset: int, out: np.ndarray) -> None:
         col = end
 
 
-def _transform(u: np.ndarray, dist: str, out: np.ndarray) -> None:
-    """Write the ``dist`` values of uniforms ``u`` into ``out`` along the
-    last axis.  Rademacher: -1.0 where u < 1/2, else +1.0.  Gaussian:
-    Box-Muller on pairs (2p, 2p + 1), cosine branch first; ``out`` may be
-    one entry shorter than ``u``, and then its last entry has no sine."""
-    if dist == "rademacher":
-        out[...] = np.where(u < 0.5, -1.0, 1.0)
-        return
-    r = np.maximum(u[..., 0::2], _TINY)
-    np.log(r, out=r)
-    np.multiply(r, -2.0, out=r)
+# Box-Muller from exactly rounded operations.  numpy's float64 log, cos and
+# sin round differently at different SIMD dispatch levels; frexp, floor, +,
+# -, *, /, sqrt and table lookups round the same at every level.  The tables
+# are computed here in 2^-128 fixed point with Python integers, so no libm
+# function enters them: each entry is the double nearest its real value.
+_TABLE = 1024
+_FIX = 1 << 128
+
+
+def _arc(a: int, b: int, sign: int) -> int:
+    """atanh(a/b) (sign 1) or atan(a/b) (sign -1) in fixed point, for
+    0 <= a/b <= 1/3: the sum of sign^k (a/b)^(2k+1) / (2k+1)."""
+    total, k, p = 0, 0, _FIX * a // b
+    while p:
+        total += sign ** k * (p // (2 * k + 1))
+        p = p * a * a // (b * b)
+        k += 1
+    return total
+
+
+def _sin_cos(x: int) -> tuple:
+    """sin x and cos x in fixed point, for 0 <= x <= pi/2 in fixed point."""
+    sc, k, term = [0, 0], 0, _FIX
+    while term:
+        sc[k % 2] += term if k % 4 < 2 else -term
+        k += 1
+        term = term * x // (_FIX * k)
+    return sc[1], sc[0]
+
+
+def _tables():
+    pi = 16 * _arc(1, 5, -1) - 4 * _arc(1, 239, -1)
+    quarter = [_sin_cos(2 * pi * j // _TABLE) for j in range(_TABLE // 4 + 1)]
+    sin, cos = [], []
+    for j in range(_TABLE + 1):
+        q, r = divmod(j, _TABLE // 4)
+        s, c = quarter[r]
+        for _ in range(q):  # a quarter turn: (sin, cos) -> (cos, -sin)
+            s, c = c, -s
+        sin.append(s / _FIX)
+        cos.append(c / _FIX)
+    # log(1 - i/1024) = -2 atanh(i / (2048 - i))
+    log_c = [-2 * _arc(i, 2 * _TABLE - i, 1) / _FIX
+             for i in range(_TABLE // 2 + 1)]
+    ln2 = 2 * _arc(1, 3, 1)
+    ln2_hi = ln2 >> 87 << 87  # 41 bits: e * ln2_hi is exact for |e| < 2^11
+    return (np.array(cos), np.array(sin),
+            np.array([1 - i / _TABLE for i in range(_TABLE // 2 + 1)]),
+            np.array(log_c), ln2_hi / _FIX, (ln2 - ln2_hi) / _FIX,
+            pi / (_TABLE // 2 * _FIX))
+
+
+# cos and sin of 2 pi j/1024 (j = 0..1024); c_i = 1 - i/1024 and log c_i
+# (i = 0..512); ln 2 as hi + lo; 2 pi/1024
+_COS, _SIN, _C, _LOG_C, _LN2_HI, _LN2_LO, _TWO_PI_N = _tables()
+
+
+def _box_muller(u: np.ndarray, scratch: tuple) -> None:
+    """Replace each uniform pair (u1, u2) = (u[2p], u[2p + 1]) of the
+    even-length 1-D ``u`` by (r cos theta, r sin theta), r^2 = -2 log
+    max(u1, tiny) and theta = 2 pi u2.  ``scratch`` is ``_scratch(pairs)``
+    for some pairs >= len(u) / 2.
+
+    The log is e ln 2 + log c_i + log1p(f): u1 = m 2^e with m in [1/2, 1),
+    c_i = 1 - i/1024 the table point nearest m (c_0 = 1, so the log stays
+    accurate as u1 -> 1) and f = (m - c_i)/c_i, |f| <= 2^-10, under a
+    degree-5 log1p.  The angle is reduced exactly on u2: with t = 1024 u2
+    and j = floor(t + 1/2), theta = 2 pi j/1024 + delta, delta =
+    (t - j) 2 pi/1024, and the table's cos and sin of 2 pi j/1024 are
+    turned by delta through degree-5 sin delta and degree-4 1 - cos delta.
+    """
+    w = len(u) // 2
+    floats, idx, e = (x[..., :w] for x in scratch)
+    r, m, c, t, h, a, b = floats
+    np.maximum(u[0::2], _TINY, out=r)
+    np.frexp(r, out=(m, e))
+    np.multiply(m, -_TABLE, out=r)
+    r += _TABLE + 0.5  # exact
+    np.copyto(idx, r, casting="unsafe")  # i = floor(r), as r > 0
+    np.take(_C, idx, out=c, mode="clip")
+    m -= c  # exact
+    m /= c  # f
+    np.multiply(m, 1 / 5, out=r)
+    r -= 1 / 4
+    r *= m
+    r += 1 / 3
+    r *= m
+    r -= 1 / 2
+    r *= m
+    r *= m
+    r += m  # log1p(f)
+    np.multiply(e, _LN2_LO, out=c)
+    r += c
+    np.take(_LOG_C, idx, out=c, mode="clip")
+    r += c
+    np.multiply(e, _LN2_HI, out=c)
+    r += c  # log u1
+    r *= -2.0
     np.sqrt(r, out=r)
-    theta = 2.0 * np.pi * u[..., 1::2]
-    out[..., 0::2] = r * np.cos(theta)
-    s = out.shape[-1] // 2
-    out[..., 1::2] = r[..., :s] * np.sin(theta[..., :s])
+    np.multiply(u[1::2], _TABLE, out=t)  # exact
+    np.add(t, 0.5, out=h)
+    np.floor(h, out=h)  # j
+    np.copyto(idx, h, casting="unsafe")
+    t -= h  # exact, |t| <= 1/2
+    t *= _TWO_PI_N  # delta
+    np.multiply(t, t, out=m)
+    np.multiply(m, 1 / 120, out=a)
+    a -= 1 / 6
+    a *= m
+    a *= t
+    a += t  # sin delta
+    np.multiply(m, -1 / 24, out=b)
+    b += 1 / 2
+    b *= m  # 1 - cos delta
+    np.take(_COS, idx, out=c, mode="clip")
+    np.take(_SIN, idx, out=h, mode="clip")
+    # cos theta = C - (C (1 - cos delta) + S sin delta) and
+    # sin theta = S + (C sin delta - S (1 - cos delta))
+    np.multiply(c, b, out=t)
+    np.multiply(h, a, out=m)
+    t += m
+    a *= c
+    b *= h
+    a -= b
+    c -= t
+    h += a
+    np.multiply(r, c, out=u[0::2])
+    np.multiply(r, h, out=u[1::2])
+
+
+def _scratch(pairs: int) -> tuple:
+    """Buffers for ``_box_muller`` on up to ``pairs`` uniform pairs."""
+    return (np.empty((7, pairs)), np.empty(pairs, np.intp),
+            np.empty(pairs, np.int32))
 
 
 def uniform_stream(k, n: int) -> np.ndarray:
@@ -202,38 +325,34 @@ def uniform_stream(k, n: int) -> np.ndarray:
     return out
 
 
-def _from_uniforms(k, n: int, dist: str) -> np.ndarray:
-    """The ``dist`` stream of length ``n`` at ``k``, transformed from
-    ``uniform_stream`` draws of at most _CHUNK counters each.  The one path
-    from uniforms to Gaussians and signs, for every version and block."""
-    k = as_key(k)
-    if n < 0:
-        raise ValueError("stream length must be nonnegative")
-    out = np.empty(n)
-    for col in range(0, n, _CHUNK):
-        dst = out[col:col + _CHUNK]
-        used = len(dst)
-        if dist == "gaussian":
-            used = gaussian_counters_used(used)
-        _transform(uniform_stream(k.advance(col), used), dist, dst)
-    return out
-
-
 def gaussian_stream(k, n: int) -> np.ndarray:
     """``n`` standard normals via Box-Muller on consecutive uniform pairs.
 
     Pair ``p`` consumes uniforms at counters ``offset + 2p`` and
     ``offset + 2p + 1``; a trailing odd element uses the cosine branch of
     its pair.  A zero uniform is clamped to the smallest positive double
-    before the logarithm.
+    before the logarithm.  The transform (``_box_muller``) uses only
+    exactly rounded operations and fixed tables, so each value is the same
+    at every SIMD level numpy dispatches to.  One ``uniform_stream`` draw
+    is transformed in place a chunk at a time, with one set of chunk-sized
+    scratch buffers.
     """
-    return _from_uniforms(k, n, "gaussian")
+    if n < 0:
+        raise ValueError("stream length must be nonnegative")
+    out = uniform_stream(k, gaussian_counters_used(n))
+    scratch = _scratch(min(len(out), _CHUNK) // 2)
+    for col in range(0, len(out), _CHUNK):
+        _box_muller(out[col:col + _CHUNK], scratch)
+    return out[:n]
 
 
 def rademacher_stream(k, n: int) -> np.ndarray:
     """``n`` independent signs in {-1.0, +1.0} with equal probability:
     -1.0 where the uniform stream is below 1/2."""
-    return _from_uniforms(k, n, "rademacher")
+    out = uniform_stream(k, n)
+    np.subtract(out, 0.5, out=out)  # negative exactly where u < 1/2
+    np.copysign(1.0, out, out=out)
+    return out
 
 
 def stream_block(keys, n: int, dist: str = "uniform") -> np.ndarray:
@@ -241,14 +360,31 @@ def stream_block(keys, n: int, dist: str = "uniform") -> np.ndarray:
     length n at ``keys[j]``, drawn by ``uniform_stream``, ``gaussian_stream``
     or ``rademacher_stream`` on that key, so the keys may differ in any
     field, version included.  Columns are contiguous in memory.
+
+    Gaussian streams of at most half a chunk of counters each are
+    transformed several columns at a time, up to a chunk of counters per
+    ``_box_muller`` pass over their ``uniform_stream`` draws; that is
+    bitwise the per-stream draw, since the transform works pair by pair.
     """
     if n < 0:
         raise ValueError("stream length must be nonnegative")
     if dist not in ("uniform", "gaussian", "rademacher"):
         raise ValueError(f"unknown stream distribution {dist!r}")
+    out = np.empty((len(keys), n))
+    used = gaussian_counters_used(n)
+    if dist == "gaussian" and len(keys) > 1 and 0 < 2 * used <= _CHUNK:
+        per = min(_CHUNK // used, len(keys))
+        u = np.empty((per, used))
+        scratch = _scratch(per * used // 2)
+        for j in range(0, len(keys), per):
+            group = keys[j:j + per]
+            for row, k in zip(u, group):
+                row[:] = uniform_stream(k, used)
+            _box_muller(u[:len(group)].reshape(-1), scratch)
+            out[j:j + len(group)] = u[:len(group), :n]
+        return out.T
     draw = {"uniform": uniform_stream, "gaussian": gaussian_stream,
             "rademacher": rademacher_stream}[dist]
-    out = np.empty((len(keys), n))
     for j, k in enumerate(keys):
         out[j] = draw(k, n)
     return out.T

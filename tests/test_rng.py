@@ -1,6 +1,13 @@
 import hashlib
+import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -10,13 +17,46 @@ from hypothesis import strategies as st
 from randla import rng
 
 KEY = rng.RngKey(7, 0)
+TINY = np.nextafter(0.0, 1.0)
+
+
+# The transform's constants rounded from mpmath: cos and sin of 2 pi j/1024,
+# log(1 - i/1024), ln 2 as a 41-bit head and a rounded tail, and 2 pi/1024.
+with mpmath.workprec(200):
+    COS = [float(mpmath.cospi(mpmath.mpf(j) / 512)) for j in range(1025)]
+    SIN = [float(mpmath.sinpi(mpmath.mpf(j) / 512)) for j in range(1025)]
+    LOG_C = [float(mpmath.log(1 - mpmath.mpf(i) / 1024)) for i in range(513)]
+    LN2_HI = float(mpmath.floor(mpmath.log(2) * 2**41) / 2**41)
+    LN2_LO = float(mpmath.log(2) - LN2_HI)
+    TWO_PI_N = float(mpmath.pi / 512)
 
 
 def box_muller_oracle(u1, u2):
-    # direct formula evaluation, independent of the library path
-    u1 = max(u1, np.nextafter(0.0, 1.0))
-    r = np.sqrt(-2.0 * np.log(u1))
-    return r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)
+    """The Gaussian pair of one uniform pair, step by step in scalar Python
+    floats, each step rounded as the library's array passes round it."""
+    m, e = math.frexp(max(u1, TINY))
+    i = int(m * -1024.0 + 1024.5)  # the nearest c_i = 1 - i/1024
+    c = 1 - i / 1024
+    f = (m - c) / c
+    log1p = ((((f * (1 / 5) - 1 / 4) * f + 1 / 3) * f - 1 / 2) * f) * f + f
+    r = math.sqrt((((log1p + e * LN2_LO) + LOG_C[i]) + e * LN2_HI) * -2.0)
+    t = u2 * 1024.0
+    j = math.floor(t + 0.5)
+    delta = (t - j) * TWO_PI_N
+    d2 = delta * delta
+    sin_d = ((d2 * (1 / 120) - 1 / 6) * d2) * delta + delta
+    one_minus_cos_d = (d2 * (-1 / 24) + 1 / 2) * d2
+    C, S = COS[j], SIN[j]
+    cos = C - (C * one_minus_cos_d + S * sin_d)
+    sin = S + (sin_d * C - one_minus_cos_d * S)
+    return r * cos, r * sin
+
+
+def box_muller_pairs(u):
+    """The oracle on the pairs (u[2p], u[2p + 1]) of an even-length u."""
+    u = list(map(float, u))
+    return np.array([z for p in range(0, len(u), 2)
+                     for z in box_muller_oracle(u[p], u[p + 1])])
 
 
 def test_uniform_determinism():
@@ -56,11 +96,55 @@ def test_gaussian_matches_box_muller_oracle():
         k = rng.RngKey(7, 0, version)
         u = rng.uniform_stream(k, 12)
         g = rng.gaussian_stream(k, n)
-        expected = []
-        for p in range(6):
-            z0, z1 = box_muller_oracle(u[2 * p], u[2 * p + 1])
-            expected.extend([z0, z1])
-        assert np.array_equal(g, np.array(expected[:n]))
+        assert same_bits(g, box_muller_pairs(u)[:n])
+
+
+def test_transform_tables_are_correctly_rounded():
+    # every table entry is the double nearest its value, so within 1 ulp
+    assert same_bits(rng._COS, np.array(COS))
+    assert same_bits(rng._SIN, np.array(SIN))
+    assert same_bits(rng._LOG_C, np.array(LOG_C))
+    assert np.array_equal(rng._C, 1 - np.arange(513) / 1024)
+    assert (rng._LN2_HI, rng._LN2_LO, rng._TWO_PI_N) == (
+        LN2_HI, LN2_LO, TWO_PI_N)
+    # 1074 * ln2_hi is exact: the head has at most 41 significant bits
+    assert (LN2_HI * 2**41).is_integer()
+
+
+def ulps_from_mpmath(u):
+    """Distance of each transformed value of the pairs of ``u`` from the
+    exact Box-Muller value, in ulps of max(|z|, 1)."""
+    z = u.copy()
+    rng._box_muller(z, rng._scratch(len(u) // 2))
+    errors = []
+    with mpmath.workprec(120):
+        for p in range(0, len(u), 2):
+            r = mpmath.sqrt(-2 * mpmath.log(max(u[p], TINY)))
+            turn = 2 * mpmath.mpf(u[p + 1])
+            for got, exact in ((z[p], r * mpmath.cospi(turn)),
+                               (z[p + 1], r * mpmath.sinpi(turn))):
+                ulp = np.spacing(max(abs(float(exact)), 1.0))
+                errors.append(float(abs(mpmath.mpf(float(got)) - exact)) / ulp)
+    return np.array(errors)
+
+
+def test_gaussian_transform_is_within_4_ulp_of_mpmath():
+    edges = [0.0, 2.0**-53, 0.25, 0.5, 0.75, 1 - 2.0**-53]
+    # uniforms within 2^-33 of 0 and of 1, where r is largest and smallest
+    # and the angle sits at the ends of the table
+    near = np.ldexp(np.floor(rng.uniform_stream(rng.RngKey(4), 2000) * 2**20)
+                    + 1, -53)
+    u = np.concatenate([np.ravel([(a, b) for a in edges for b in edges]),
+                        rng.uniform_stream(rng.RngKey(3, 0), 4000),
+                        rng.uniform_stream(rng.RngKey(3, 0, 1), 2000),
+                        near, 1 - near])
+    assert ulps_from_mpmath(u).max() <= 4
+
+
+@pytest.mark.parametrize("version", rng.VERSIONS)
+def test_gaussian_stream_passes_kolmogorov_smirnov(version):
+    g = rng.gaussian_stream(rng.RngKey(7, 0, version), 10**6)
+    assert scipy.stats.kstest(g, "norm").pvalue > 0.01
 
 
 def test_box_muller_formula_fixed_point():
@@ -287,14 +371,7 @@ def oracle_uniform(k, n):
 
 def oracle_stream(k, n, dist):
     if dist == "gaussian":
-        u = oracle_uniform(k, 2 * ((n + 1) // 2))
-        u1 = np.maximum(u[0::2], np.nextafter(0.0, 1.0))
-        theta = 2.0 * np.pi * u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty(u.shape)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return box_muller_pairs(oracle_uniform(k, 2 * ((n + 1) // 2)))[:n]
     u = oracle_uniform(k, n)
     return np.where(u < 0.5, -1.0, 1.0) if dist == "rademacher" else u
 
@@ -375,9 +452,11 @@ def golden_draw(name, version):
 
 
 # First 16 hex digits of the SHA-256 of each output's C-ordered bytes.  v1's
-# were recorded from the full-array generator before streams were chunked.
-# Lengths sit at and around the chunk edge; the WRAP key's counters pass
-# 2^64 inside every stream longer than 4321.
+# were recorded from the full-array generator before streams were chunked;
+# the Gaussian ones of both versions again when Box-Muller became portable,
+# each checked equal to the full-array oracle and the same at AVX-512, AVX2
+# and SSE4.2 dispatch.  Lengths sit at and around the chunk edge; the WRAP
+# key's counters pass 2^64 inside every stream longer than 4321.
 GOLDEN = {
     "uniform_stream K 1": "3209890dbfe874c3",
     "rademacher_stream K 1": "6c3c396ed6b5c36d",
@@ -388,10 +467,10 @@ GOLDEN = {
     "uniform_stream K 16385": "fa104964267d9bb2",
     "rademacher_stream K 16385": "bb20f358bfcf6abe",
     "gaussian_stream K 1": "c0beab81e27aa4cf",
-    "gaussian_stream K 16383": "5d04c94e0a775baa",
-    "gaussian_stream K 16384": "dc5442ce10e7e270",
-    "gaussian_stream K 16385": "efc75b24273a8615",
-    "gaussian_stream K 32771": "e979b2dcaa00df91",
+    "gaussian_stream K 16383": "53262327cb8c78d7",
+    "gaussian_stream K 16384": "e5c4de3289d72493",
+    "gaussian_stream K 16385": "c542b017cabc9611",
+    "gaussian_stream K 32771": "5a11f372b34510e1",
     "uniform_grid K 1 1": "3209890dbfe874c3",
     "uniform_grid K 127 129": "7434bb85a1965e34",
     "uniform_grid K 16384 1": "436a6ff64688f70c",
@@ -400,10 +479,10 @@ GOLDEN = {
     "stream_block K uniform 4095": "5a4d678200cda7b8",
     "stream_block K uniform 4097": "e29e633c7aa84c12",
     "stream_block K uniform 16385": "26a2b11bcf125dac",
-    "stream_block K gaussian 1": "e94845d5cd752664",
-    "stream_block K gaussian 4095": "a13985ee05aa61f3",
-    "stream_block K gaussian 4097": "67ff33ca88410a1c",
-    "stream_block K gaussian 16385": "24f974ac7d45ce3a",
+    "stream_block K gaussian 1": "92ce5a694f730e25",
+    "stream_block K gaussian 4095": "35ef8231e51a73b6",
+    "stream_block K gaussian 4097": "5ba9197cb01f5705",
+    "stream_block K gaussian 16385": "e194a56724f414d8",
     "stream_block K rademacher 1": "566d0f3c1a93c20d",
     "stream_block K rademacher 4095": "190e7c6f6955bfd6",
     "stream_block K rademacher 4097": "f1d0680b4db9beba",
@@ -417,10 +496,10 @@ GOLDEN = {
     "uniform_stream WRAP 16385": "1c96a89981f1ee39",
     "rademacher_stream WRAP 16385": "958e9a7579a92a39",
     "gaussian_stream WRAP 1": "52e926f9e1aac063",
-    "gaussian_stream WRAP 16383": "0bbb4cb6e990e6e0",
-    "gaussian_stream WRAP 16384": "b6de27bc1b85809e",
-    "gaussian_stream WRAP 16385": "2def1b73b7af4659",
-    "gaussian_stream WRAP 32771": "df25b77ef09c35c3",
+    "gaussian_stream WRAP 16383": "94f51bbd358a49b7",
+    "gaussian_stream WRAP 16384": "1b0c1a46fed98d9f",
+    "gaussian_stream WRAP 16385": "82b19d8b24b614b9",
+    "gaussian_stream WRAP 32771": "35f2e17a52fdd442",
     "uniform_grid WRAP 1 1": "db57f13143670b75",
     "uniform_grid WRAP 127 129": "1ad2f550621155ad",
     "uniform_grid WRAP 16384 1": "acd7ff21e7c0a1be",
@@ -429,10 +508,10 @@ GOLDEN = {
     "stream_block WRAP uniform 4095": "5a85153f3762731c",
     "stream_block WRAP uniform 4097": "ef1c290ea535d76f",
     "stream_block WRAP uniform 16385": "e9faf5e70a511a82",
-    "stream_block WRAP gaussian 1": "42f890e48a67a834",
-    "stream_block WRAP gaussian 4095": "e9e61941a9955fe5",
-    "stream_block WRAP gaussian 4097": "96b63052bb391a31",
-    "stream_block WRAP gaussian 16385": "d57768278d5216ac",
+    "stream_block WRAP gaussian 1": "8d955a830336895b",
+    "stream_block WRAP gaussian 4095": "cdbf9fe6dc72c5b1",
+    "stream_block WRAP gaussian 4097": "09ccd420ccfbeaf9",
+    "stream_block WRAP gaussian 16385": "41a60cfa43c80bf8",
     "stream_block WRAP rademacher 1": "9bbf32a4b18132e5",
     "stream_block WRAP rademacher 4095": "1b15612b36fef03a",
     "stream_block WRAP rademacher 4097": "28cf075fc7f9c9a5",
@@ -458,10 +537,10 @@ GOLDEN_V2 = {
     "uniform_stream K 16385": "f966d49fb7518294",
     "rademacher_stream K 16385": "244c0978b2305def",
     "gaussian_stream K 1": "16f617fe8dfcf9e3",
-    "gaussian_stream K 16383": "752f7c89e1cb80de",
-    "gaussian_stream K 16384": "2a2394470a3228d0",
-    "gaussian_stream K 16385": "0316a0b266fc1f5a",
-    "gaussian_stream K 32771": "24bfb73a414bb54e",
+    "gaussian_stream K 16383": "08a46ba87d88d792",
+    "gaussian_stream K 16384": "20af413829b77df7",
+    "gaussian_stream K 16385": "e430ee19e020079a",
+    "gaussian_stream K 32771": "25863b56e4318e80",
     "uniform_grid K 1 1": "808dadb08ba3534d",
     "uniform_grid K 127 129": "74fda2ff54256d82",
     "uniform_grid K 16384 1": "0c27417c94c44fa6",
@@ -470,10 +549,10 @@ GOLDEN_V2 = {
     "stream_block K uniform 4095": "bfd5e3f8d3bb47b1",
     "stream_block K uniform 4097": "24f5c1ab056dac99",
     "stream_block K uniform 16385": "44e9663d714a03cf",
-    "stream_block K gaussian 1": "b657f9fbd6a1152b",
-    "stream_block K gaussian 4095": "6309dbc4be9617fa",
-    "stream_block K gaussian 4097": "b0d3a7250cd76675",
-    "stream_block K gaussian 16385": "f683c589fc87ce21",
+    "stream_block K gaussian 1": "bd89f873a5f8df6e",
+    "stream_block K gaussian 4095": "ec4ab08942c88087",
+    "stream_block K gaussian 4097": "e25145155fe152aa",
+    "stream_block K gaussian 16385": "a3124f7a5924507d",
     "stream_block K rademacher 1": "40f7f6643c98d166",
     "stream_block K rademacher 4095": "9d192a81217f1c5a",
     "stream_block K rademacher 4097": "1e185921729ab42d",
@@ -487,10 +566,10 @@ GOLDEN_V2 = {
     "uniform_stream WRAP 16385": "f875644dea12dcf7",
     "rademacher_stream WRAP 16385": "c5cfb360b6f9f13d",
     "gaussian_stream WRAP 1": "325a7b21140ba5a8",
-    "gaussian_stream WRAP 16383": "0c3f02943f830175",
-    "gaussian_stream WRAP 16384": "a35a5568af48f934",
-    "gaussian_stream WRAP 16385": "3a1704e409b5bd72",
-    "gaussian_stream WRAP 32771": "5e12470a0c462f35",
+    "gaussian_stream WRAP 16383": "9a3dd6fe2f621d45",
+    "gaussian_stream WRAP 16384": "092cab9c68b6d56f",
+    "gaussian_stream WRAP 16385": "166000c99f357a44",
+    "gaussian_stream WRAP 32771": "5b150c0fc3d953c9",
     "uniform_grid WRAP 1 1": "7463aef2dae3877f",
     "uniform_grid WRAP 127 129": "8a0777be4aa2fa89",
     "uniform_grid WRAP 16384 1": "8d5621e373f66c00",
@@ -499,10 +578,10 @@ GOLDEN_V2 = {
     "stream_block WRAP uniform 4095": "3cba48a71b15ac04",
     "stream_block WRAP uniform 4097": "d5349ff8637bd64e",
     "stream_block WRAP uniform 16385": "9f81e0da0b2c8aa8",
-    "stream_block WRAP gaussian 1": "775f400f2d726805",
-    "stream_block WRAP gaussian 4095": "23b8255ab10c839b",
-    "stream_block WRAP gaussian 4097": "8b20cb60080eaac8",
-    "stream_block WRAP gaussian 16385": "7c43fb3c60081f60",
+    "stream_block WRAP gaussian 1": "68f9d128baf29539",
+    "stream_block WRAP gaussian 4095": "9d22b4896e624c0b",
+    "stream_block WRAP gaussian 4097": "225da9aa2cbaad1f",
+    "stream_block WRAP gaussian 16385": "2a0a4608a4aec03f",
     "stream_block WRAP rademacher 1": "76a449f8269ad0c3",
     "stream_block WRAP rademacher 4095": "788bf1f74fd7d313",
     "stream_block WRAP rademacher 4097": "26b4690d427bd559",
@@ -514,6 +593,44 @@ GOLDEN_V2 = {
 def test_v2_stream_outputs_match_golden_digests(name):
     a = np.ascontiguousarray(golden_draw(name, version=2))
     assert hashlib.sha256(a.tobytes()).hexdigest()[:16] == GOLDEN_V2[name]
+
+
+def gaussian_digests():
+    """Digests of long, chunk-crossing Gaussian draws of both versions."""
+    digests = []
+    for version in rng.VERSIONS:
+        k = rng.RngKey(*GOLDEN_KEYS["K"], version)
+        for a in (rng.gaussian_stream(k, 2 * C + 5),
+                  rng.stream_block([k.substream(i) for i in range(9)], 1001,
+                                   "gaussian")):
+            a = np.ascontiguousarray(a)
+            digests.append(hashlib.sha256(a.tobytes()).hexdigest()[:16])
+    return digests
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the dispatch cap names an x86-64 level")
+def test_gaussian_digests_hold_with_dispatch_capped_at_sse42():
+    # a child process whose numpy dispatches no further than the SSE4.2
+    # baseline draws the same Gaussians as this process
+    from numpy._core import _multiarray_umath as umath
+    if "X86_V2" not in umath.__cpu_baseline__ + umath.__cpu_dispatch__:
+        pytest.skip("this numpy has no X86_V2 dispatch group")
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES="X86_V2",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                           str(tests)]))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "from numpy._core import _multiarray_umath as umath\n"
+         "import test_rng\n"
+         "print(umath.__cpu_features__['X86_V3'],"
+         " *test_rng.gaussian_digests())"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    avx2, *digests = child.stdout.split()
+    assert avx2 == "False"  # the cap took effect
+    assert digests == gaussian_digests()
 
 
 offsets = st.one_of(st.integers(0, 2**64 - 1),
