@@ -313,6 +313,14 @@ def _scratch(pairs: int) -> tuple:
             np.empty(pairs, np.int32))
 
 
+def _gaussian_in_place(u: np.ndarray) -> None:
+    """Box-Muller on the pairs of the even-length 1-D ``u``, in place, a
+    chunk at a time with one set of chunk-sized scratch buffers."""
+    scratch = _scratch(min(len(u), _CHUNK) // 2)
+    for col in range(0, len(u), _CHUNK):
+        _box_muller(u[col:col + _CHUNK], scratch)
+
+
 def uniform_stream(k, n: int) -> np.ndarray:
     """``n`` uniforms in [0, 1); element ``i`` is a function of counter
     ``offset + i`` alone."""
@@ -340,9 +348,7 @@ def gaussian_stream(k, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("stream length must be nonnegative")
     out = uniform_stream(k, gaussian_counters_used(n))
-    scratch = _scratch(min(len(out), _CHUNK) // 2)
-    for col in range(0, len(out), _CHUNK):
-        _box_muller(out[col:col + _CHUNK], scratch)
+    _gaussian_in_place(out)
     return out[:n]
 
 
@@ -356,34 +362,35 @@ def rademacher_stream(k, n: int) -> np.ndarray:
 
 
 def stream_block(keys, n: int, dist: str = "uniform") -> np.ndarray:
-    """An (n, len(keys)) block whose column j is the ``dist`` stream of
-    length n at ``keys[j]``, drawn by ``uniform_stream``, ``gaussian_stream``
-    or ``rademacher_stream`` on that key, so the keys may differ in any
-    field, version included.  Columns are contiguous in memory.
+    """An (n, len(keys)) block whose column j is bitwise the ``dist``
+    stream of length n at ``keys[j]`` (``uniform_stream``,
+    ``gaussian_stream`` or ``rademacher_stream`` on that key), so the keys
+    may differ in any field, version included.  Columns are contiguous in
+    memory.
 
-    Gaussian streams of at most half a chunk of counters each are
-    transformed several columns at a time, up to a chunk of counters per
-    ``_box_muller`` pass over their ``uniform_stream`` draws; that is
-    bitwise the per-stream draw, since the transform works pair by pair.
+    Gaussian columns are transformed in groups of max(1, chunk // counters
+    per column) ``uniform_stream`` draws, a chunk of counters per
+    ``_box_muller`` pass; that is bitwise the per-stream draw, since the
+    transform works pair by pair.
     """
     if n < 0:
         raise ValueError("stream length must be nonnegative")
     if dist not in ("uniform", "gaussian", "rademacher"):
         raise ValueError(f"unknown stream distribution {dist!r}")
     out = np.empty((len(keys), n))
-    used = gaussian_counters_used(n)
-    if dist == "gaussian" and len(keys) > 1 and 0 < 2 * used <= _CHUNK:
-        per = min(_CHUNK // used, len(keys))
-        u = np.empty((per, used))
-        scratch = _scratch(per * used // 2)
+    if dist == "gaussian":
+        used = gaussian_counters_used(n)
+        per = max(1, _CHUNK // max(used, 1))
+        u = np.empty((min(per, len(keys)), used))
         for j in range(0, len(keys), per):
             group = keys[j:j + per]
-            for row, k in zip(u, group):
+            rows = u[:len(group)]
+            for row, k in zip(rows, group):
                 row[:] = uniform_stream(k, used)
-            _box_muller(u[:len(group)].reshape(-1), scratch)
-            out[j:j + len(group)] = u[:len(group), :n]
+            _gaussian_in_place(rows.reshape(-1))
+            out[j:j + len(group)] = rows[:, :n]
         return out.T
-    draw = {"uniform": uniform_stream, "gaussian": gaussian_stream,
+    draw = {"uniform": uniform_stream,
             "rademacher": rademacher_stream}[dist]
     for j, k in enumerate(keys):
         out[j] = draw(k, n)

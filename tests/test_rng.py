@@ -7,7 +7,6 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -20,15 +19,12 @@ KEY = rng.RngKey(7, 0)
 TINY = np.nextafter(0.0, 1.0)
 
 
-# The transform's constants rounded from mpmath: cos and sin of 2 pi j/1024,
-# log(1 - i/1024), ln 2 as a 41-bit head and a rounded tail, and 2 pi/1024.
-with mpmath.workprec(200):
-    COS = [float(mpmath.cospi(mpmath.mpf(j) / 512)) for j in range(1025)]
-    SIN = [float(mpmath.sinpi(mpmath.mpf(j) / 512)) for j in range(1025)]
-    LOG_C = [float(mpmath.log(1 - mpmath.mpf(i) / 1024)) for i in range(513)]
-    LN2_HI = float(mpmath.floor(mpmath.log(2) * 2**41) / 2**41)
-    LN2_LO = float(mpmath.log(2) - LN2_HI)
-    TWO_PI_N = float(mpmath.pi / 512)
+# The transform's tables and constants as Python floats: cos and sin of
+# 2 pi j/1024, log(1 - i/1024), ln 2 as a 41-bit head and a tail, and
+# 2 pi/1024.  test_transform_tables_are_correctly_rounded checks each one
+# against mpmath.
+COS, SIN, LOG_C = rng._COS.tolist(), rng._SIN.tolist(), rng._LOG_C.tolist()
+LN2_HI, LN2_LO, TWO_PI_N = rng._LN2_HI, rng._LN2_LO, rng._TWO_PI_N
 
 
 def box_muller_oracle(u1, u2):
@@ -101,17 +97,25 @@ def test_gaussian_matches_box_muller_oracle():
 
 def test_transform_tables_are_correctly_rounded():
     # every table entry is the double nearest its value, so within 1 ulp
-    assert same_bits(rng._COS, np.array(COS))
-    assert same_bits(rng._SIN, np.array(SIN))
-    assert same_bits(rng._LOG_C, np.array(LOG_C))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        cos = [float(mpmath.cospi(mpmath.mpf(j) / 512)) for j in range(1025)]
+        sin = [float(mpmath.sinpi(mpmath.mpf(j) / 512)) for j in range(1025)]
+        log_c = [float(mpmath.log(1 - mpmath.mpf(i) / 1024))
+                 for i in range(513)]
+        ln2 = mpmath.log(2)
+        ln2_hi = float(mpmath.floor(ln2 * 2**41) / 2**41)
+        constants = (ln2_hi, float(ln2 - ln2_hi), float(mpmath.pi / 512))
+    assert same_bits(rng._COS, np.array(cos))
+    assert same_bits(rng._SIN, np.array(sin))
+    assert same_bits(rng._LOG_C, np.array(log_c))
     assert np.array_equal(rng._C, 1 - np.arange(513) / 1024)
-    assert (rng._LN2_HI, rng._LN2_LO, rng._TWO_PI_N) == (
-        LN2_HI, LN2_LO, TWO_PI_N)
+    assert (rng._LN2_HI, rng._LN2_LO, rng._TWO_PI_N) == constants
     # 1074 * ln2_hi is exact: the head has at most 41 significant bits
-    assert (LN2_HI * 2**41).is_integer()
+    assert (rng._LN2_HI * 2**41).is_integer()
 
 
-def ulps_from_mpmath(u):
+def ulps_from_mpmath(u, mpmath):
     """Distance of each transformed value of the pairs of ``u`` from the
     exact Box-Muller value, in ulps of max(|z|, 1)."""
     z = u.copy()
@@ -129,6 +133,7 @@ def ulps_from_mpmath(u):
 
 
 def test_gaussian_transform_is_within_4_ulp_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
     edges = [0.0, 2.0**-53, 0.25, 0.5, 0.75, 1 - 2.0**-53]
     # uniforms within 2^-33 of 0 and of 1, where r is largest and smallest
     # and the angle sits at the ends of the table
@@ -138,7 +143,7 @@ def test_gaussian_transform_is_within_4_ulp_of_mpmath():
                         rng.uniform_stream(rng.RngKey(3, 0), 4000),
                         rng.uniform_stream(rng.RngKey(3, 0, 1), 2000),
                         near, 1 - near])
-    assert ulps_from_mpmath(u).max() <= 4
+    assert ulps_from_mpmath(u, mpmath).max() <= 4
 
 
 @pytest.mark.parametrize("version", rng.VERSIONS)
